@@ -7,8 +7,8 @@ coverage maps, per-bid ``Bid`` attribute loads, a heap of tuples.  At
 the greedy machinery on flat numpy arrays:
 
 * :class:`ColumnarInstance` — the immutable *structure* of a market:
-  price/seller/index columns, a CSR-style bid→buyer incidence (plus its
-  CSC transpose and a dense bid×buyer mask), per-seller bid groupings,
+  price/seller/index columns, a CSR-style bid→buyer incidence (plus a
+  dense bid×buyer mask), per-seller bid groupings,
   and a seller×buyer coverage matrix for the stranding guard.  Built
   once from ``(bids, demand)``; re-pricing (MSOA's ψ-scaled rounds)
   shares every structural array via :meth:`ColumnarInstance.with_bids`.
@@ -29,6 +29,16 @@ the greedy machinery on flat numpy arrays:
   pending winner's threshold per iteration, and forks a state copy only
   at each winner's own divergence point to finish its private suffix —
   instead of re-running the whole greedy once per winner.
+* :func:`_suffix_replay` — one winner's private suffix, cut to the
+  steps that can still move its threshold.  It stops as soon as the
+  winner's marginal utility reaches 0: utilities only fall and sellers
+  never re-enter, so no later step can raise the threshold (every
+  update, the ceiling-capped terminal cases included, needs a positive
+  utility).  Each step takes the head of the reference order from a
+  ``min`` over the ratios, ``lexsort``-ing only the rows tied on it, and
+  falls back to the full ordered guard walk only when that head would
+  strand a buyer or the exact guard is on — the walk would pick the head
+  in every other case.
 
 Bit-identical outcomes to the ``fast``/``reference`` engines are the
 contract (IEEE-754 division of the same operands, the same lexicographic
@@ -104,7 +114,6 @@ class ColumnarInstance:
         "cover",
         "cover_indptr",
         "cover_cols",
-        "covering_rows",
         "seller_bid_rows",
         "seller_cov",
         "initial_utilities",
@@ -165,9 +174,6 @@ class ColumnarInstance:
         )
         cover[rows_rep, cover_cols] = True
 
-        covering_rows: list[np.ndarray] = [
-            np.flatnonzero(cover[:, j]) for j in range(n_buyers)
-        ]
         seller_bid_rows: list[np.ndarray] = [
             np.flatnonzero(seller_rows == s) for s in range(n_sellers)
         ]
@@ -193,7 +199,6 @@ class ColumnarInstance:
             cover=cover,
             cover_indptr=cover_indptr,
             cover_cols=cover_cols,
-            covering_rows=covering_rows,
             seller_bid_rows=seller_bid_rows,
             seller_cov=seller_cov,
             initial_utilities=initial_utilities,
@@ -287,7 +292,6 @@ class ColumnarInstance:
         # np.nonzero walks row-major: columns arrive grouped by row in
         # ascending column order — the CSR layout build() produces.
         cover_cols = np.nonzero(cover)[1].astype(np.int64)
-        covering_rows = [np.flatnonzero(cover[:, j]) for j in range(n_buyers)]
         seller_bid_rows = [
             np.flatnonzero(seller_rows == s) for s in range(sellers.size)
         ]
@@ -312,7 +316,6 @@ class ColumnarInstance:
             cover=cover,
             cover_indptr=cover_indptr,
             cover_cols=cover_cols,
-            covering_rows=covering_rows,
             seller_bid_rows=seller_bid_rows,
             seller_cov=seller_cov,
             initial_utilities=initial_utilities,
@@ -385,16 +388,13 @@ class ColumnarState:
 
         Accepting ``row`` consumes its seller; some unsatisfied buyer is
         stranded iff its residual demand exceeds the count of *other*
-        in-market sellers still covering it.
+        in-market sellers still covering it.  ``need > 0`` implies the
+        buyer is unsatisfied (``unsat`` tracks ``granted < demand``).
         """
         inst = self.inst
-        need = inst.demand - self.granted
-        need = need - inst.cover[row]
-        mask = self.unsat & (need > 0)
-        if not mask.any():
-            return False
+        need = inst.demand - self.granted - inst.cover[row]
         avail = self.suppliers - inst.seller_cov[inst.seller_rows[row]]
-        return bool(np.any(avail[mask] < need[mask]))
+        return bool(((need > 0) & (avail < need)).any())
 
     def would_strand_many(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`would_strand` for many candidate rows in one shot."""
@@ -421,10 +421,9 @@ class ColumnarState:
         gained = int(was_unsat.sum())
         self.granted[cols] += 1
         newly = cols[was_unsat & (self.granted[cols] >= inst.demand[cols])]
-        for buyer_col in newly:
-            self.unsat[buyer_col] = False
-            covering = inst.covering_rows[buyer_col]
-            self.utilities[covering] -= 1
+        if newly.size:
+            self.unsat[newly] = False
+            self.utilities -= inst.cover[:, newly].sum(axis=1)
         self.unmet -= gained
         return gained
 
@@ -437,7 +436,7 @@ class ColumnarState:
     def active_bids(self) -> list[Bid]:
         """The in-market ``Bid`` objects, in submission order."""
         bids = self.inst.bids
-        return [bids[i] for i in np.flatnonzero(self.active)]
+        return [bids[i] for i in self.active.nonzero()[0]]
 
     def coverage_view(self) -> CoverageState:
         """A :class:`CoverageState` snapshot (exact-guard escalations)."""
@@ -456,7 +455,7 @@ def _ordered_candidates(
     key last reproduces that ordering bit-for-bit (the ratios are the
     same IEEE-754 divisions the reference performs).
     """
-    rows = np.flatnonzero(state.active & (state.utilities > 0))
+    rows = (state.active & (state.utilities > 0)).nonzero()[0]
     if rows.size == 0:
         return rows, np.empty(0, dtype=np.float64)
     inst = state.inst
@@ -561,6 +560,34 @@ def columnar_greedy_selection(
     return steps
 
 
+def _head_candidate(state: ColumnarState) -> tuple[int, float]:
+    """The first row of :func:`_ordered_candidates` and its ratio.
+
+    A ``min`` over the candidate ratios finds the head; only rows tied
+    on that ratio (the same IEEE-754 quotients) are ``lexsort``-ed on
+    the remaining key ``(price, seller, index)``.  The caller guarantees
+    a candidate exists: in a payment replay the +∞-priced winner itself
+    is one for as long as the replay runs.
+    """
+    rows = (state.active & (state.utilities > 0)).nonzero()[0]
+    ratios = state.prices[rows] / state.utilities[rows]
+    tied = (ratios == ratios.min()).nonzero()[0]
+    if tied.size > 1:
+        inst = state.inst
+        tied_rows = rows[tied]
+        tied = tied[
+            np.lexsort(
+                (
+                    inst.bid_indices[tied_rows],
+                    inst.seller_ids[tied_rows],
+                    state.prices[tied_rows],
+                )
+            )
+        ]
+    head = tied[0]
+    return int(rows[head]), float(ratios[head])
+
+
 def _suffix_replay(
     state: ColumnarState,
     winner_row: int,
@@ -574,48 +601,68 @@ def _suffix_replay(
 
     ``state`` is a private fork whose price column already carries +∞
     at ``winner_row``; the loop body is the exact tail of
-    :func:`repro.core.ssam._critical_payment`.
+    :func:`repro.core.ssam._critical_payment`, with two shortcuts that
+    cannot change its result:
+
+    * **Zero-utility exit.**  The replay stops as soon as the winner's
+      marginal utility is 0.  Granted units only grow and sellers never
+      re-enter, so the utility stays 0, and every threshold update —
+      the per-step one and the ceiling-capped terminal one — requires
+      it to be positive.
+    * **Head-candidate fast path.**  The step's choice is the head of
+      the reference order (:func:`_head_candidate`) whenever the guard
+      is off or the head strands nobody; the full ordered walk
+      (:func:`_ordered_candidates` + :func:`_guarded_choice`) runs only
+      when the head would strand a buyer or ``exact_guard`` is on.
+
+    A step whose bid ``winner_utility * ratio`` cannot raise the
+    threshold also skips the winner's guard probe: ``max`` would keep
+    the threshold either way.
     """
     inst = state.inst
     winner_seller = int(inst.seller_rows[winner_row])
-    infinite = inst.bids[winner_row].with_price(math.inf)
+    infinite = (
+        inst.bids[winner_row].with_price(math.inf) if exact_guard else None
+    )
+    steps = 0
     while not state.satisfied:
-        order, ratios = _ordered_candidates(state)
-        winner_utility = (
-            int(state.utilities[winner_row])
-            if state.active[winner_row]
-            else 0
-        )
-        if order.size == 0:
-            if winner_utility > 0:
-                threshold = max(threshold, winner_utility * ceiling)
+        # The winner stays active until a sibling wins (which breaks
+        # below), so while its utility is positive it is a candidate
+        # itself and _head_candidate always finds a head.
+        winner_utility = int(state.utilities[winner_row])
+        if winner_utility <= 0:
             break
-        chosen_pos = _guarded_choice(
-            state,
-            order,
-            guard_feasibility=guard_feasibility,
-            exact_guard=exact_guard,
-        )
-        row = int(order[chosen_pos])
+        steps += 1
+        row, ratio = _head_candidate(state)
+        if guard_feasibility and (exact_guard or state.would_strand(row)):
+            order, ratios = _ordered_candidates(state)
+            chosen_pos = _guarded_choice(
+                state,
+                order,
+                guard_feasibility=guard_feasibility,
+                exact_guard=exact_guard,
+            )
+            row, ratio = int(order[chosen_pos]), float(ratios[chosen_pos])
         if row == winner_row:
-            if winner_utility > 0:
-                threshold = max(threshold, winner_utility * ceiling)
+            threshold = max(threshold, winner_utility * ceiling)
             break
-        winner_safe = not guard_feasibility or not state.would_strand(
-            winner_row
-        )
-        if winner_safe and guard_feasibility and exact_guard:
-            winner_safe = _residual_feasible(
-                infinite, state.active_bids(), state.coverage_view()
+        bid = winner_utility * ratio
+        if bid > threshold:
+            winner_safe = not guard_feasibility or not state.would_strand(
+                winner_row
             )
-        if winner_utility > 0 and winner_safe:
-            threshold = max(
-                threshold, winner_utility * float(ratios[chosen_pos])
-            )
+            if winner_safe and guard_feasibility and exact_guard:
+                winner_safe = _residual_feasible(
+                    infinite, state.active_bids(), state.coverage_view()
+                )
+            if winner_safe:
+                threshold = bid
         state.apply_win(row)
         if int(inst.seller_rows[row]) == winner_seller:
             break
         state.remove_seller(int(inst.seller_rows[row]))
+    if _OBS.enabled:
+        _OBS.metrics.counter("engine.columnar.payment_suffix_steps").inc(steps)
     return threshold
 
 

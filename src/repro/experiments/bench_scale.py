@@ -32,7 +32,12 @@ own market (see ``docs/scaling.md``).
 The payload is written to ``BENCH_scale.json`` (tracked at the repo
 root) and CI re-runs the quick tier against the committed artifact,
 failing on a >20% speedup regression via
-:func:`check_scale_regression`.
+:func:`check_scale_regression`.  The two sides of every gated ratio
+(except the shard case's) are timed round-robin, and the gated value is
+the median of the per-round ratios: a shared host's CPU speed drifts
+for tens of seconds at a time, and timing one side's repeats before the
+other's let that drift alone move a ratio past the 20% gate between runs
+of the same code.  The millisecond columns stay best-of-N.
 
 Run from the CLI::
 
@@ -82,13 +87,14 @@ class ScaleBenchCase:
 
     ``time_reference`` controls whether the O(n²)-ish reference loop is
     timed at all — at 10^5 bids it is prohibitively slow, so the large
-    case reports only fast-vs-columnar.  ``repeats`` is best-of-N.
+    case reports only fast-vs-columnar.  ``repeats`` is the number of
+    round-robin timing rounds (see :func:`_interleaved`).
     """
 
     name: str
     config: MarketConfig
     seed: int = 2019
-    repeats: int = 3
+    repeats: int = 7
     time_reference: bool = True
 
 
@@ -107,7 +113,7 @@ class MsoaScaleCase:
     config: MarketConfig
     rounds: int = 6
     seed: int = 7
-    repeats: int = 3
+    repeats: int = 7
 
 
 def default_scale_cases(
@@ -212,13 +218,26 @@ def default_shard_case(
     )
 
 
-def _best_of(repeats: int, fn) -> float:
-    best = float("inf")
+def _interleaved(repeats: int, *fns) -> list[list[float]]:
+    """Time ``fns`` round-robin for ``repeats`` rounds; seconds per fn.
+
+    Each round runs every function back to back, so both sides of a
+    ratio see the same stretch of machine speed.
+    """
+    samples: list[list[float]] = [[] for _ in fns]
     for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        for fn, times in zip(fns, samples):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    return samples
+
+
+def _median_ratio(slow: list[float], fast: list[float]) -> float | None:
+    """Median over rounds of ``slow[i] / fast[i]`` (None on a 0 time)."""
+    if min(fast) <= 0:
+        return None
+    return float(np.median(np.asarray(slow) / np.asarray(fast)))
 
 
 def _run_single_case(case: ScaleBenchCase) -> dict:
@@ -239,7 +258,6 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
     )
     equivalent = fast_outcome.to_dict() == columnar_outcome.to_dict()
 
-    reference_s = None
     if case.time_reference:
         reference_outcome = run_ssam(
             instance,
@@ -250,28 +268,22 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
             equivalent
             and reference_outcome.to_dict() == fast_outcome.to_dict()
         )
-        reference_s = _best_of(
-            case.repeats,
-            lambda: run_ssam(
-                instance,
-                payment_rule=PaymentRule.CRITICAL_RERUN,
-                engine="reference",
-            ),
+
+    def _ssam(engine):
+        return lambda: run_ssam(
+            instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine=engine
         )
-    fast_s = _best_of(
-        case.repeats,
-        lambda: run_ssam(
-            instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine="fast"
-        ),
+
+    engines = ("fast", "columnar")
+    if case.time_reference:
+        engines = ("reference", *engines)
+    timed = dict(
+        zip(
+            engines,
+            _interleaved(case.repeats, *(_ssam(e) for e in engines)),
+        )
     )
-    columnar_s = _best_of(
-        case.repeats,
-        lambda: run_ssam(
-            instance,
-            payment_rule=PaymentRule.CRITICAL_RERUN,
-            engine="columnar",
-        ),
-    )
+    reference_times = timed.get("reference")
 
     # Isolate the payment phase: per-winner serial replays (the fast
     # engine's rule) vs. one batched prefix-sharing pass.  Both start
@@ -292,12 +304,9 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
         trajectory=steps,
     )
     equivalent = equivalent and serial_payments == batched_payments
-    fast_payment_s = _best_of(
+    fast_payment_times, batched_payment_times = _interleaved(
         case.repeats,
         lambda: compute_critical_payments(instance, winners, parallelism=1),
-    )
-    batched_payment_s = _best_of(
-        case.repeats,
         lambda: compute_critical_payments(
             instance,
             winners,
@@ -313,22 +322,22 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
         "winners": len(fast_outcome.winners),
         "equivalent": equivalent,
         "reference_ms": (
-            reference_s * 1000.0 if reference_s is not None else None
+            min(reference_times) * 1000.0
+            if reference_times is not None
+            else None
         ),
-        "fast_ms": fast_s * 1000.0,
-        "columnar_ms": columnar_s * 1000.0,
-        "fast_payment_ms": fast_payment_s * 1000.0,
-        "batched_payment_ms": batched_payment_s * 1000.0,
+        "fast_ms": min(timed["fast"]) * 1000.0,
+        "columnar_ms": min(timed["columnar"]) * 1000.0,
+        "fast_payment_ms": min(fast_payment_times) * 1000.0,
+        "batched_payment_ms": min(batched_payment_times) * 1000.0,
         "speedup_columnar": (
-            reference_s / columnar_s
-            if reference_s is not None and columnar_s > 0
+            _median_ratio(reference_times, timed["columnar"])
+            if reference_times is not None
             else None
         ),
-        "columnar_vs_fast": fast_s / columnar_s if columnar_s > 0 else None,
-        "payment_batch_speedup": (
-            fast_payment_s / batched_payment_s
-            if batched_payment_s > 0
-            else None
+        "columnar_vs_fast": _median_ratio(timed["fast"], timed["columnar"]),
+        "payment_batch_speedup": _median_ratio(
+            fast_payment_times, batched_payment_times
         ),
     }
 
@@ -352,18 +361,16 @@ def _run_msoa_case(case: MsoaScaleCase) -> dict:
     )
     equivalent = incremental.to_dict() == cold.to_dict()
 
-    incremental_s = _best_of(
+    incremental_times, cold_times = _interleaved(
         case.repeats,
         lambda: run_msoa(
             rounds, capacities, engine="columnar", columnar_incremental=True
         ),
-    )
-    cold_s = _best_of(
-        case.repeats,
         lambda: run_msoa(
             rounds, capacities, engine="columnar", columnar_incremental=False
         ),
     )
+    incremental_s, cold_s = min(incremental_times), min(cold_times)
     return {
         "case": case.name,
         "bids": len(instance.bids),
@@ -373,9 +380,7 @@ def _run_msoa_case(case: MsoaScaleCase) -> dict:
         "cold_ms": cold_s * 1000.0,
         "incremental_ms_per_round": incremental_s * 1000.0 / case.rounds,
         "cold_ms_per_round": cold_s * 1000.0 / case.rounds,
-        "incremental_speedup": (
-            cold_s / incremental_s if incremental_s > 0 else None
-        ),
+        "incremental_speedup": _median_ratio(cold_times, incremental_times),
     }
 
 

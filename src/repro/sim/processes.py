@@ -219,8 +219,16 @@ class RequestServer:
         self._try_start(engine)
 
     def _sync_busy_fraction(self, now: float) -> None:
-        """Record the current fraction of busy slots (slot-weighted 𝕃)."""
-        self.stats.set_busy_fraction(now, len(self._in_service) / self.slots)
+        """Record the current fraction of busy slots (slot-weighted 𝕃).
+
+        A shrinking :meth:`set_allocation` leaves requests already in
+        service running past the new slot count; the server counts as
+        fully busy until enough of them depart.
+        """
+        slots = self.slots
+        self.stats.set_busy_fraction(
+            now, min(len(self._in_service), slots) / slots
+        )
 
     def _next_request(self) -> Request:
         """Dequeue per discipline: FIFO order or earliest deadline first."""

@@ -292,3 +292,35 @@ class TestObservabilityCounters:
             )
         finally:
             _reset_for_tests()
+
+    def test_suffix_replay_stops_once_the_winner_saturates(self):
+        # Seller 100 wins buyer 0 at ratio 1.0.  Its +∞ replay picks
+        # seller 101 (ratio 1.5), which saturates buyer 0 and drops the
+        # winner's utility to 0: the replay stops after that one step,
+        # although buyer 1 still needs two of sellers 102–104.
+        from repro.core.ssam import _critical_payment
+        from repro.obs.runtime import STATE, _reset_for_tests, configure
+
+        instance = WSPInstance.from_bids(
+            [
+                Bid(seller=100, index=0, covered=frozenset({0}), price=1.0),
+                Bid(seller=101, index=0, covered=frozenset({0}), price=1.5),
+                Bid(seller=102, index=0, covered=frozenset({1}), price=2.0),
+                Bid(seller=103, index=0, covered=frozenset({1}), price=3.0),
+                Bid(seller=104, index=0, covered=frozenset({1}), price=4.0),
+            ],
+            {0: 1, 1: 2},
+            price_ceiling=50.0,
+        )
+        winner = instance.bids[0]
+        _reset_for_tests()
+        try:
+            configure()
+            payments = columnar_critical_payments(instance, [winner])
+            steps = STATE.metrics.counter(
+                "engine.columnar.payment_suffix_steps"
+            ).value
+        finally:
+            _reset_for_tests()
+        assert payments == [_critical_payment(instance, winner)] == [1.5]
+        assert steps == 1

@@ -17,6 +17,7 @@ from repro.experiments.bench_scale import (
     run_scale_bench,
     write_scale_bench,
 )
+from repro.experiments.bench_scale import _interleaved, _median_ratio
 from repro.shard.streaming import StreamConfig
 from repro.workload.bidgen import MarketConfig
 
@@ -180,6 +181,22 @@ class TestRun:
             load_scale_bench(path)
         with pytest.raises(ConfigurationError):
             load_scale_bench(tmp_path / "missing.json")
+
+
+class TestTiming:
+    def test_interleaved_times_round_robin(self):
+        calls = []
+        samples = _interleaved(
+            3, lambda: calls.append("a"), lambda: calls.append("b")
+        )
+        assert calls == ["a", "b"] * 3
+        assert [len(times) for times in samples] == [3, 3]
+
+    def test_median_ratio_pairs_rounds(self):
+        # Per-round ratios 2, 10, 3: the one slow round cannot move the
+        # median, whereas min/min would read 1 / 0.1 = 10.
+        assert _median_ratio([2.0, 1.0, 3.0], [1.0, 0.1, 1.0]) == 3.0
+        assert _median_ratio([1.0], [0.0]) is None
 
 
 class TestRegressionGate:

@@ -29,8 +29,19 @@ def wsp_instances(
     max_demand: int = 3,
     min_price: float = 1.0,
     max_price: float = 50.0,
+    price_choices: tuple[float, ...] | None = None,
 ):
-    """A feasible random WSP instance."""
+    """A feasible random WSP instance.
+
+    ``price_choices`` draws every price from that small set instead of
+    the continuous ``[min_price, max_price]`` range, so selection-key
+    ties (equal ratios, equal prices) become common.
+    """
+    price_strategy = (
+        st.floats(min_price, max_price, allow_nan=False, allow_infinity=False)
+        if price_choices is None
+        else st.sampled_from(price_choices)
+    )
     n_sellers = draw(st.integers(2, max_sellers))
     n_buyers = draw(st.integers(1, max_buyers))
     buyers = list(range(n_buyers))
@@ -45,14 +56,7 @@ def wsp_instances(
                     st.sampled_from(buyers), min_size=1, max_size=n_buyers
                 )
             )
-            price = draw(
-                st.floats(
-                    min_price,
-                    max_price,
-                    allow_nan=False,
-                    allow_infinity=False,
-                )
-            )
+            price = draw(price_strategy)
             bids.append(
                 Bid(
                     seller=seller,

@@ -19,15 +19,33 @@ claim across every layer that can select an engine:
   rebuild (the incrementality contract) while actually hitting its
   cache on structurally stable rounds,
 * the full platform loop — MSOA, pay-as-bid, and VCG mechanisms —
-  yields identical round reports and ledger totals under every engine.
+  yields identical round reports and ledger totals under every engine,
+* on tie-heavy markets (prices from a small integer set), the payment
+  kernel's head-candidate fast path breaks ratio and price ties exactly
+  like the reference order, with the guard on, off, and escalated.
 """
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.columnar import columnar_greedy_selection
+from repro.core.columnar import (
+    ColumnarInstance,
+    ColumnarState,
+    _guarded_choice,
+    _head_candidate,
+    _ordered_candidates,
+    columnar_critical_payments,
+    columnar_greedy_selection,
+)
 from repro.core.msoa import run_msoa
-from repro.core.ssam import PaymentRule, greedy_selection, run_ssam
+from repro.core.ssam import (
+    PaymentRule,
+    _critical_payment,
+    greedy_selection,
+    run_ssam,
+)
 from repro.errors import InfeasibleInstanceError
 from repro.faults import FaultPlan, SellerDefault
 
@@ -142,6 +160,70 @@ def test_guard_disabled_paths_agree(make_instance):
             guard=False,
         )
         assert columnar.to_dict() == fast.to_dict(), f"seed {seed}"
+
+
+TIE_PRICES = (1.0, 2.0, 3.0, 4.0, 6.0)
+
+GUARD_MODES = [
+    pytest.param(True, False, id="guard"),
+    pytest.param(False, False, id="no-guard"),
+    pytest.param(True, True, id="exact-guard"),
+]
+
+
+@COMMON
+@given(instance=wsp_instances(max_sellers=10, price_choices=TIE_PRICES))
+@pytest.mark.parametrize(("guard", "exact_guard"), GUARD_MODES)
+def test_tie_heavy_payments_identical(instance, guard, exact_guard):
+    """Integer prices make equal ratios common; the batched kernel must
+    still price every bid (winners and losers) exactly like the scalar
+    reference replay."""
+    demand = {b: u for b, u in instance.demand.items() if u > 0}
+    options = dict(guard_feasibility=guard, exact_guard=exact_guard)
+    try:
+        reference_steps = greedy_selection(instance.bids, demand, **options)
+    except InfeasibleInstanceError:
+        with pytest.raises(InfeasibleInstanceError):
+            columnar_greedy_selection(instance.bids, demand, **options)
+        return
+    steps = columnar_greedy_selection(instance.bids, demand, **options)
+    assert [s.bid.key for s in steps] == [
+        s.bid.key for s in reference_steps
+    ]
+    probes = list(instance.bids)
+    assert columnar_critical_payments(instance, probes, **options) == [
+        _critical_payment(instance, bid, **options) for bid in probes
+    ]
+
+
+@COMMON
+@given(instance=wsp_instances(price_choices=TIE_PRICES))
+@pytest.mark.parametrize("infinite_row", [None, 0])
+def test_head_candidate_is_the_ordered_head(instance, infinite_row):
+    """``_head_candidate`` equals ``_ordered_candidates(state)[0][0]`` at
+    every step of a guarded greedy run, also with one row priced +∞ as
+    in a payment replay."""
+    demand = {b: u for b, u in instance.demand.items() if u > 0}
+    inst = ColumnarInstance.build(instance.bids, demand)
+    prices = inst.prices.copy()
+    if infinite_row is not None:
+        prices[infinite_row] = math.inf
+    state = ColumnarState(inst, prices)
+    while not state.satisfied:
+        order, ratios = _ordered_candidates(state)
+        if order.size == 0:
+            break
+        head, ratio = _head_candidate(state)
+        assert (head, ratio) == (int(order[0]), float(ratios[0]))
+        row = int(
+            order[
+                _guarded_choice(
+                    state, order, guard_feasibility=True, exact_guard=False
+                )
+            ]
+        )
+        state.apply_win(row)
+        state.remove_seller(int(inst.seller_rows[row]))
 
 
 class TestMsoaEquivalence:

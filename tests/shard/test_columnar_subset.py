@@ -49,8 +49,6 @@ def assert_equivalent(view, rebuilt):
         np.testing.assert_array_equal(
             getattr(view, name), getattr(rebuilt, name), err_msg=name
         )
-    for a, b in zip(view.covering_rows, rebuilt.covering_rows):
-        np.testing.assert_array_equal(a, b)
     for a, b in zip(view.seller_bid_rows, rebuilt.seller_bid_rows):
         np.testing.assert_array_equal(a, b)
 

@@ -72,6 +72,34 @@ class TestRequestServer:
         assert server.slots == 1
         assert server.speed == pytest.approx(1.5)
 
+    def test_shrinking_allocation_under_load_caps_busy_fraction(self):
+        # Three requests in service on four slots; the allocation then
+        # drops to one slot.  The first departure leaves two running on
+        # one slot: the server is fully busy, not 200% busy.
+        engine = SimulationEngine()
+        server = RequestServer(microservice=1, allocation=4.0)
+        engine.register(EventKind.ARRIVAL, server.handle_arrival)
+        engine.register(EventKind.DEPARTURE, server.handle_departure)
+        for request_id, work in enumerate((1.0, 2.0, 3.0)):
+            engine.schedule(
+                0.0,
+                EventKind.ARRIVAL,
+                Request(
+                    request_id=request_id,
+                    microservice=1,
+                    user=0,
+                    arrival_time=0.0,
+                    work=work,
+                ),
+            )
+        engine.run_until(0.5)
+        assert server.busy_slots == 3
+        server.set_allocation(1.0, now=0.5)
+        engine.run_until(1.5)
+        assert server.stats.served == 1
+        assert server.busy_slots == 2
+        assert server.stats._busy_fraction == 1.0
+
     def test_invalid_allocation_rejected(self):
         server = RequestServer(microservice=1, allocation=1.0)
         with pytest.raises(SimulationError):
