@@ -36,8 +36,10 @@ Build a synthetic market     :func:`generate_round` /
                              :class:`MarketConfig`
 Pick the payment rule        :class:`PaymentRule` (keyword
                              ``payment_rule=``)
-Scale the payment phase      keyword ``parallelism=`` on
-                             :func:`run_ssam` / :func:`run_msoa`
+Check against the oracle     keyword ``engine="reference"`` on
+                             :func:`run_ssam` / :func:`run_msoa` (the
+                             default ``"columnar"`` engine is
+                             bit-identical)
 Compare vs the exact optimum :func:`solve_wsp_optimal`
 Persist / reload results     :meth:`AuctionOutcome.to_dict` /
                              :meth:`AuctionOutcome.from_dict` (same for
@@ -55,9 +57,16 @@ Inject faults / recover      :class:`FaultPlan` via keyword ``faults=``
 ===========================  ==========================================
 
 Mechanism options are keyword-only and share one vocabulary everywhere:
-``payment_rule=``, ``parallelism=`` (``"auto"`` by default — serial on
-small instances, pooled on large ones), ``guard=``, ``engine=``, and
-(for online runs) ``faults=``, ``resilience=``.
+``payment_rule=``, ``guard=``, ``engine=`` (``"columnar"``, the
+default, or the ``"reference"`` oracle), and (for online runs)
+``faults=``, ``resilience=``.
+
+.. deprecated:: 1.3
+    ``parallelism=`` (on :func:`run_ssam`, :func:`run_msoa` and
+    :class:`MultiStageOnlineAuction`), ``shard_workers=`` (on
+    ``ShardedOnlineAuction``) and ``engine="fast"`` warn and change
+    nothing: payments and shards run serially, and ``"fast"`` runs the
+    columnar engine.
 
 .. deprecated:: 1.2
     Wiring sellers and buyers directly into

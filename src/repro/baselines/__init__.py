@@ -11,8 +11,7 @@
 
 Every single-round baseline emits the uniform
 :class:`~repro.core.outcomes.AuctionOutcome`; prefer addressing them
-through the registry (:func:`repro.core.registry.get_mechanism`).  The
-old per-mechanism result classes remain importable as deprecated aliases.
+through the registry (:func:`repro.core.registry.get_mechanism`).
 """
 
 from repro.baselines.fixed_pricing import PostedPriceOutcome, run_posted_price
@@ -32,41 +31,14 @@ from repro.baselines.vcg import run_vcg
 
 __all__ = [
     "PostedPriceOutcome",
-    "PostedPriceResult",
     "run_posted_price",
     "OfflineOutcome",
-    "OfflineResult",
     "VARIANT_KEYS",
     "GreedyVariantOutcome",
-    "GreedyVariantResult",
     "run_greedy_variant",
     "run_offline_greedy",
     "run_offline_optimal",
-    "PayAsBidResult",
     "run_pay_as_bid",
-    "RandomSelectionResult",
     "run_random_selection",
-    "VCGResult",
     "run_vcg",
 ]
-
-# Deprecated result-class aliases resolve lazily through the defining
-# module's own __getattr__, so the DeprecationWarning fires at use, not
-# at package import.
-_DEPRECATED_HOMES = {
-    "PostedPriceResult": "repro.baselines.fixed_pricing",
-    "GreedyVariantResult": "repro.baselines.greedy_variants",
-    "OfflineResult": "repro.baselines.offline",
-    "PayAsBidResult": "repro.baselines.pay_as_bid",
-    "RandomSelectionResult": "repro.baselines.random_mechanism",
-    "VCGResult": "repro.baselines.vcg",
-}
-
-
-def __getattr__(name: str):
-    home = _DEPRECATED_HOMES.get(name)
-    if home is not None:
-        import importlib
-
-        return getattr(importlib.import_module(home), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

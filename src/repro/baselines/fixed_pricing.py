@@ -14,7 +14,6 @@ overpays — is exactly what the posted-price benchmark quantifies.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.core.bids import Bid
@@ -23,7 +22,7 @@ from repro.core.outcomes import AuctionOutcome
 from repro.core.wsp import CoverageState, WSPInstance
 from repro.errors import ConfigurationError
 
-__all__ = ["PostedPriceOutcome", "PostedPriceResult", "run_posted_price"]
+__all__ = ["PostedPriceOutcome", "run_posted_price"]
 
 
 @dataclass(frozen=True)
@@ -90,15 +89,3 @@ def run_posted_price(
         mechanism=base.mechanism,
         posted_unit_price=unit_price,
     )
-
-
-def __getattr__(name: str):
-    if name == "PostedPriceResult":
-        warnings.warn(
-            "PostedPriceResult is deprecated; run_posted_price now returns "
-            "PostedPriceOutcome (a repro.core.outcomes.AuctionOutcome)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PostedPriceOutcome
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,6 @@ bench reports their social-cost gap against SSAM and the optimum.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ from repro.errors import InfeasibleInstanceError
 
 __all__ = [
     "GreedyVariantOutcome",
-    "GreedyVariantResult",
     "run_greedy_variant",
     "VARIANT_KEYS",
 ]
@@ -109,16 +107,3 @@ def run_greedy_variant(
         mechanism=base.mechanism,
         variant=variant,
     )
-
-
-def __getattr__(name: str):
-    if name == "GreedyVariantResult":
-        warnings.warn(
-            "GreedyVariantResult is deprecated; run_greedy_variant now "
-            "returns GreedyVariantOutcome (a repro.core.outcomes."
-            "AuctionOutcome)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return GreedyVariantOutcome
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,6 @@ runtime.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from repro.solvers.milp import solve_horizon_optimal
 
 __all__ = [
     "OfflineOutcome",
-    "OfflineResult",
     "run_offline_optimal",
     "run_offline_greedy",
 ]
@@ -109,14 +107,3 @@ def run_offline_greedy(
         exact=False,
         mechanism="offline-greedy",
     )
-
-
-def __getattr__(name: str):
-    if name == "OfflineResult":
-        warnings.warn(
-            "OfflineResult has been renamed to OfflineOutcome",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return OfflineOutcome
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,36 +10,27 @@ social cost).
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.mechanism import outcome_from_selection
 from repro.core.outcomes import AuctionOutcome
-from repro.core.ssam import greedy_selection
+from repro.core.ssam import greedy_selection, resolve_engine
 from repro.core.wsp import WSPInstance
-from repro.errors import ConfigurationError
 
-__all__ = ["PayAsBidResult", "run_pay_as_bid"]
+__all__ = ["run_pay_as_bid"]
 
 
 def run_pay_as_bid(
-    instance: WSPInstance, *, engine: str = "fast"
+    instance: WSPInstance, *, engine: str = "columnar"
 ) -> AuctionOutcome:
     """Greedy winner selection, pay-as-bid payments.
 
-    ``engine`` picks the selection implementation (``"fast"``,
-    ``"reference"`` or ``"columnar"``); all three produce the same
-    allocation, so the choice only affects speed.
+    ``engine`` picks the selection implementation (one of
+    :data:`~repro.core.ssam.ENGINES`); both produce the same allocation,
+    so the choice only affects speed.
     """
-    if engine == "fast":
-        from repro.core.engine import fast_greedy_selection as select
-    elif engine == "columnar":
+    if resolve_engine(engine) == "columnar":
         from repro.core.columnar import columnar_greedy_selection as select
-    elif engine == "reference":
-        select = greedy_selection
     else:
-        raise ConfigurationError(
-            f"engine must be 'fast', 'reference' or 'columnar', got {engine!r}"
-        )
+        select = greedy_selection
     demand = {b: u for b, u in instance.demand.items() if u > 0}
     steps = select(instance.bids, demand) if demand else ()
     return outcome_from_selection(
@@ -48,15 +39,3 @@ def run_pay_as_bid(
         mechanism="pay-as-bid",
         payment_rule="pay-as-bid",
     )
-
-
-def __getattr__(name: str):
-    if name == "PayAsBidResult":
-        warnings.warn(
-            "PayAsBidResult is deprecated; run_pay_as_bid now returns the "
-            "uniform repro.core.outcomes.AuctionOutcome",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AuctionOutcome
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

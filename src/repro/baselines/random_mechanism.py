@@ -8,7 +8,6 @@ benchmarks use it as the floor of the comparison band.
 
 from __future__ import annotations
 
-import warnings
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from repro.core.outcomes import AuctionOutcome
 from repro.core.wsp import CoverageState, WSPInstance
 from repro.errors import InfeasibleInstanceError
 
-__all__ = ["RandomSelectionResult", "run_random_selection"]
+__all__ = ["run_random_selection"]
 
 
 def run_random_selection(
@@ -57,15 +56,3 @@ def run_random_selection(
         mechanism="random",
         payment_rule="pay-as-bid",
     )
-
-
-def __getattr__(name: str):
-    if name == "RandomSelectionResult":
-        warnings.warn(
-            "RandomSelectionResult is deprecated; run_random_selection now "
-            "returns the uniform repro.core.outcomes.AuctionOutcome",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AuctionOutcome
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,15 +11,13 @@ social cost and what it saves in runtime.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.mechanism import outcome_from_selection
 from repro.core.outcomes import AuctionOutcome
 from repro.core.wsp import WSPInstance
 from repro.errors import InfeasibleInstanceError
 from repro.solvers.milp import solve_wsp_optimal
 
-__all__ = ["VCGResult", "run_vcg"]
+__all__ = ["run_vcg"]
 
 
 def run_vcg(instance: WSPInstance) -> AuctionOutcome:
@@ -51,15 +49,3 @@ def run_vcg(instance: WSPInstance) -> AuctionOutcome:
         payments=payments,
         ratio_bound=1.0,
     )
-
-
-def __getattr__(name: str):
-    if name == "VCGResult":
-        warnings.warn(
-            "VCGResult is deprecated; run_vcg now returns the uniform "
-            "repro.core.outcomes.AuctionOutcome",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return AuctionOutcome
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

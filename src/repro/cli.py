@@ -5,7 +5,6 @@ Usage::
     repro-edge-auction list                  # show available experiments
     repro-edge-auction fig 3a                # regenerate Figure 3(a)
     repro-edge-auction fig all --quick       # all figures, reduced sweep
-    repro-edge-auction fig 4b --parallelism 8  # parallel payment replays
     repro-edge-auction bench                 # engine perf harness
     repro-edge-auction quickstart            # a tiny end-to-end demo
     repro-edge-auction mechanisms            # list the mechanism registry
@@ -25,6 +24,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.ssam import ENGINES
 from repro.errors import ReproError
 from repro.experiments import FULL, QUICK, fig3a, fig3b, fig4a, fig4b, fig5a, fig6a, fig6b
 
@@ -39,23 +39,6 @@ FIGURES = {
 }
 
 
-def _parallelism_arg(text: str) -> int | str:
-    """Parse ``--parallelism``: an integer worker count or ``auto``.
-
-    Range validation happens downstream (``validate_parallelism``), so
-    bad values surface as the CLI's usual one-line configuration errors
-    rather than argparse usage dumps.
-    """
-    if text == "auto":
-        return "auto"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}"
-        ) from None
-
-
 def _cmd_list(_: argparse.Namespace) -> int:
     print("Available experiments (paper figure panels):")
     for key, fn in FIGURES.items():
@@ -68,9 +51,7 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     import dataclasses
 
     config = QUICK if args.quick else FULL
-    if args.parallelism != config.parallelism:
-        config = dataclasses.replace(config, parallelism=args.parallelism)
-    if args.engine != "fast":
+    if args.engine != config.engine:
         config = dataclasses.replace(config, engine=args.engine)
     if args.trace or args.metrics:
         from repro.obs import ObservabilityConfig
@@ -412,14 +393,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.scale:
         return _run_scale_bench(args)
 
-    payload = run_engine_bench(
-        parallelism=args.parallelism, quick=args.quick
-    )
+    payload = run_engine_bench(quick=args.quick)
     print(render_engine_bench(payload))
     target = write_engine_bench(payload, args.out or "BENCH_engine.json")
     print(f"\nwrote {target}")
     if not all(row["equivalent"] for row in payload["cases"]):
-        print("ERROR: fast engine diverged from the reference oracle",
+        print("ERROR: columnar engine diverged from the reference oracle",
               file=sys.stderr)
         return 1
     return 0
@@ -454,7 +433,7 @@ def _run_scale_bench(args: argparse.Namespace) -> int:
         or payload["shard"]["equivalent"] is False
     ):
         print(
-            "ERROR: columnar engine diverged from the fast/reference oracle",
+            "ERROR: columnar engine diverged from the reference oracle",
             file=sys.stderr,
         )
         ok = False
@@ -593,18 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="reduced sweep (faster)"
     )
     fig.add_argument(
-        "--parallelism",
-        type=_parallelism_arg,
-        default="auto",
-        metavar="N|auto",
-        help="worker processes for critical-payment replays: an integer, "
-        "or 'auto' (default) to size the pool from each instance",
-    )
-    fig.add_argument(
         "--engine",
-        choices=("fast", "reference", "columnar"),
-        default="fast",
-        help="selection engine for every mechanism run (default fast)",
+        choices=ENGINES,
+        default="columnar",
+        help="engine for every mechanism run (default columnar)",
     )
     _add_faults_flag(
         fig,
@@ -718,9 +689,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine",
-        choices=("fast", "reference", "columnar"),
-        default="fast",
-        help="clearing engine for mechanisms that accept one (default fast)",
+        choices=ENGINES,
+        default="columnar",
+        help="clearing engine for mechanisms that accept one "
+        "(default columnar)",
     )
     serve.add_argument(
         "--shards", type=int, default=1, metavar="K",
@@ -747,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(fn=_cmd_serve)
     bench = sub.add_parser(
         "bench",
-        help="time the fast engine vs the reference oracle "
-        "(writes BENCH_engine.json; --scale for the columnar tier)",
+        help="time the columnar engine vs the reference oracle "
+        "(writes BENCH_engine.json; --scale for the 10^4+-bid tier)",
     )
     bench.add_argument(
         "--quick", action="store_true", help="CI-sized cases (faster)"
@@ -756,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--scale",
         action="store_true",
-        help="run the 10^4-10^5-bid columnar tier instead (serial vs "
+        help="run the 10^4-10^5-bid columnar tier instead (reference vs "
         "columnar vs batched payments + MSOA incrementality; writes "
         "BENCH_scale.json)",
     )
@@ -781,13 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="region",
         help="--scale only: shard plan for the streaming shard case "
         "(default region)",
-    )
-    bench.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for critical-payment replays (default 1)",
     )
     bench.add_argument(
         "--out",
@@ -836,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--engine",
-        choices=("fast", "reference", "columnar"),
+        choices=ENGINES,
         default=None,
         help="selection engine for mechanisms that accept one",
     )

@@ -5,8 +5,9 @@ multi-stage auction mechanisms for resource sharing among microservices.
   the NP-hard winner-selection problem (ILP 12–15).
 * :mod:`repro.core.ssam` — Algorithm 1, the greedy primal–dual single-stage
   auction with critical payments.
-* :mod:`repro.core.engine` — the fast path: incremental bookkeeping plus
-  parallel critical payments, bit-identical to the reference loops.
+* :mod:`repro.core.columnar` — the production engine: numpy-vectorized
+  greedy selection and batched critical payments, bit-identical to the
+  reference loops of :mod:`repro.core.ssam` (``ENGINES`` names the two).
 * :mod:`repro.core.msoa` — Algorithm 2, the online framework with
   capacity-aware price scaling.
 * :mod:`repro.core.variants` — the MSOA-DA / -RC / -OA evaluation variants.
@@ -20,11 +21,6 @@ multi-stage auction mechanisms for resource sharing among microservices.
 from repro.core.bids import Bid, BidderProfile, group_bids_by_seller, validate_bids
 from repro.core.budgeted import BudgetedOutcome, run_budgeted_ssam
 from repro.core.duals import DualSolution
-from repro.core.engine import (
-    compute_critical_payments,
-    fast_critical_payment,
-    fast_greedy_selection,
-)
 from repro.core.explain import (
     IterationExplanation,
     explain_outcome,
@@ -54,7 +50,14 @@ from repro.core.registry import (
     mechanism_specs,
     register,
 )
-from repro.core.ssam import GreedyStep, PaymentRule, greedy_selection, run_ssam
+from repro.core.ssam import (
+    ENGINES,
+    GreedyStep,
+    PaymentRule,
+    greedy_selection,
+    resolve_engine,
+    run_ssam,
+)
 from repro.core.variants import (
     VARIANT_RUNNERS,
     HorizonScenario,
@@ -63,7 +66,7 @@ from repro.core.variants import (
     run_msoa_oa,
     run_msoa_rc,
 )
-from repro.core.wsp import ActiveBidIndex, CoverageState, WSPInstance
+from repro.core.wsp import CoverageState, WSPInstance
 
 __all__ = [
     "Bid",
@@ -73,9 +76,6 @@ __all__ = [
     "BudgetedOutcome",
     "run_budgeted_ssam",
     "DualSolution",
-    "compute_critical_payments",
-    "fast_critical_payment",
-    "fast_greedy_selection",
     "IterationExplanation",
     "explain_outcome",
     "render_explanation",
@@ -101,9 +101,11 @@ __all__ = [
     "msoa_competitive_bound",
     "price_spread",
     "ssam_ratio_bound",
+    "ENGINES",
     "GreedyStep",
     "PaymentRule",
     "greedy_selection",
+    "resolve_engine",
     "run_ssam",
     "VARIANT_RUNNERS",
     "HorizonScenario",
@@ -111,7 +113,6 @@ __all__ = [
     "run_msoa_da",
     "run_msoa_oa",
     "run_msoa_rc",
-    "ActiveBidIndex",
     "CoverageState",
     "WSPInstance",
 ]

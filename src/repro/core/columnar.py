@@ -1,9 +1,8 @@
-"""Columnar numerical core: the numpy-backed engine representation.
+"""Columnar numerical core: the production engine on numpy arrays.
 
-The fast engine (:mod:`repro.core.engine`) removed the reference loop's
-per-iteration rescans, but it still walks Python objects — dict-of-set
-coverage maps, per-bid ``Bid`` attribute loads, a heap of tuples.  At
-10^4–10^5 bids that object layer is the ceiling.  This module rebuilds
+The reference loops of :mod:`repro.core.ssam` rescan every active bid
+on every greedy iteration and replay the whole greedy once per winner
+to price it, walking Python objects throughout.  This module rebuilds
 the greedy machinery on flat numpy arrays:
 
 * :class:`ColumnarInstance` — the immutable *structure* of a market:
@@ -40,7 +39,7 @@ the greedy machinery on flat numpy arrays:
   strand a buyer or the exact guard is on — the walk would pick the head
   in every other case.
 
-Bit-identical outcomes to the ``fast``/``reference`` engines are the
+Bit-identical outcomes to the ``reference`` engine are the
 contract (IEEE-754 division of the same operands, the same lexicographic
 candidate order, the same guard walk), pinned by
 ``tests/properties/test_columnar_equivalence.py``.
@@ -50,8 +49,8 @@ in the tens while bids number in the thousands-to-hundreds-of-thousands
 — so dense ``n_bids × n_buyers`` and ``n_sellers × n_buyers`` masks are
 deliberately used for the guard probes; memory is linear in ``n·B``.
 
-Use ``run_ssam(..., engine="columnar")`` rather than calling these
-directly.
+Use :func:`repro.core.ssam.run_ssam` (``engine="columnar"`` is its
+default) rather than calling these directly.
 """
 
 from __future__ import annotations
@@ -328,12 +327,12 @@ class ColumnarInstance:
 class ColumnarState:
     """Mutable greedy-run state over a :class:`ColumnarInstance`.
 
-    Mirrors :class:`~repro.core.wsp.CoverageState` +
-    :class:`~repro.core.wsp.ActiveBidIndex` exactly: ``granted`` may
-    overshoot demand (a winner covers an already-saturated buyer),
-    ``utilities`` only ever decrease, sellers leave the market
-    wholesale, and ``suppliers`` counts distinct in-market sellers with
-    any bid covering the buyer.
+    Mirrors :class:`~repro.core.wsp.CoverageState` plus the reference
+    loop's active-bid rescans exactly: ``granted`` may overshoot demand
+    (a winner covers an already-saturated buyer), ``utilities`` only
+    ever decrease, sellers leave the market wholesale, and
+    ``suppliers`` counts distinct in-market sellers with any bid
+    covering the buyer.
     """
 
     __slots__ = (
@@ -384,7 +383,7 @@ class ColumnarState:
         }
 
     def would_strand(self, row: int) -> bool:
-        """Vector twin of :meth:`ActiveBidIndex.would_strand`.
+        """Vector twin of :func:`repro.core.ssam._selection_strands`.
 
         Accepting ``row`` consumes its seller; some unsatisfied buyer is
         stranded iff its residual demand exceeds the count of *other*
@@ -690,8 +689,8 @@ def columnar_critical_payments(
 
     ``trajectory`` (the main run's :class:`GreedyStep` list) skips the
     re-selection pass; omitted, the kernel re-derives it.  Results are
-    bit-identical to :func:`repro.core.engine.fast_critical_payment`
-    per winner.
+    bit-identical to :func:`repro.core.ssam._critical_payment` per
+    winner.
     """
     if not winners:
         return []

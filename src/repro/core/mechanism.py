@@ -103,7 +103,7 @@ class Mechanism(Protocol):
     """A single-round mechanism: ``WSPInstance → AuctionOutcome``.
 
     Implementations may accept mechanism-specific keyword options (e.g.
-    ``parallelism`` for SSAM, ``unit_price`` for posted pricing); the
+    ``guard`` for SSAM, ``unit_price`` for posted pricing); the
     registry records which options each entry understands so dispatchers
     can filter what they forward.
     """

@@ -23,7 +23,6 @@ scaled price.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
@@ -35,8 +34,12 @@ from repro.core.ratios import (
     msoa_competitive_bound,
     ssam_ratio_bound,
 )
-from repro.core.engine import validate_parallelism
-from repro.core.ssam import PaymentRule, run_ssam
+from repro.core.ssam import (
+    PaymentRule,
+    resolve_engine,
+    run_ssam,
+    warn_ignored,
+)
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 from repro.obs.profiler import profiled
@@ -65,18 +68,13 @@ class MultiStageOnlineAuction:
         first round's Theorem-3 bound ``W·Ξ``.
     payment_rule:
         Forwarded to each round's SSAM run.
-    parallelism:
-        Worker processes for each round's critical-payment replays
-        (forwarded to :func:`~repro.core.ssam.run_ssam`).  ``"auto"``
-        (default) sizes the pool per round from the instance; explicit
-        integers are honoured as before.
     guard:
         Whether rounds run with the stranding-lookahead feasibility
         guard (forwarded to :func:`~repro.core.ssam.run_ssam`).
     engine:
-        Selection engine for every round: ``"fast"`` (default,
-        incremental), ``"columnar"`` (numpy-vectorized kernels with
-        round-to-round layout carry), or ``"reference"`` (the naive
+        Engine for every round (:data:`~repro.core.ssam.ENGINES`):
+        ``"columnar"`` (default; numpy-vectorized kernels with
+        round-to-round layout carry) or ``"reference"`` (the naive
         oracle loop).
     columnar_incremental:
         ``engine="columnar"`` only: carry the columnar layout across
@@ -113,6 +111,8 @@ class MultiStageOnlineAuction:
         nothing is retained — a 10^6-demand-unit horizon holds one round
         of bids in memory at a time.  :attr:`rounds` stays empty and
         :meth:`finalize` sees an empty horizon in this mode.
+    parallelism:
+        Deprecated and ignored (see :func:`~repro.core.ssam.warn_ignored`).
     """
 
     def __init__(
@@ -121,14 +121,14 @@ class MultiStageOnlineAuction:
         *,
         alpha: float | None = None,
         payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-        parallelism: int | str = "auto",
         guard: bool = True,
-        engine: str = "fast",
+        engine: str = "columnar",
         columnar_incremental: bool = True,
         on_infeasible: str = "raise",
         faults: "FaultPlan | FaultInjector | None" = None,
         resilience: "ResiliencePolicy | None" = None,
         retain_rounds: bool = True,
+        parallelism: int | str | None = None,
     ) -> None:
         for seller, capacity in capacities.items():
             if capacity <= 0:
@@ -142,15 +142,11 @@ class MultiStageOnlineAuction:
             )
         if alpha is not None and alpha <= 0:
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
-        validate_parallelism(parallelism)
+        warn_ignored("parallelism", parallelism)
         self._capacities = dict(capacities)
         self._alpha = alpha
         self._payment_rule = payment_rule
-        self._ssam_options = {
-            "parallelism": parallelism,
-            "guard": guard,
-            "engine": engine,
-        }
+        self._ssam_options = {"guard": guard, "engine": resolve_engine(engine)}
         self._on_infeasible = on_infeasible
         self._columnar_incremental = bool(columnar_incremental)
         self._columnar_cache = None
@@ -542,16 +538,16 @@ class MultiStageOnlineAuction:
 def run_msoa(
     rounds: Iterable[WSPInstance] | Sequence[WSPInstance],
     capacities: Mapping[int, int],
-    *deprecated_args: PaymentRule,
+    *,
     alpha: float | None = None,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     columnar_incremental: bool = True,
     on_infeasible: str = "raise",
     faults: "FaultPlan | FaultInjector | None" = None,
     resilience: "ResiliencePolicy | None" = None,
+    parallelism: int | str | None = None,
 ) -> OnlineOutcome:
     """Convenience wrapper: feed a whole horizon through MSOA.
 
@@ -581,28 +577,16 @@ def run_msoa(
     >>> faulted.fault_events > 0
     True
 
-    .. deprecated:: 1.1
-        Passing ``payment_rule`` positionally is deprecated; use the
-        keyword form ``run_msoa(rounds, capacities, payment_rule=...)``.
+    .. deprecated:: 1.3
+        ``parallelism=`` and ``engine="fast"`` warn; neither changes the
+        outcome.
     """
-    if deprecated_args:
-        if len(deprecated_args) > 1:
-            raise TypeError(
-                "run_msoa() takes two positional arguments (rounds and "
-                "capacities); pass options by keyword"
-            )
-        warnings.warn(
-            "passing payment_rule positionally to run_msoa() is deprecated; "
-            "use run_msoa(rounds, capacities, payment_rule=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        payment_rule = deprecated_args[0]
+    engine = resolve_engine(engine)
+    warn_ignored("parallelism", parallelism)
     auction = MultiStageOnlineAuction(
         capacities,
         alpha=alpha,
         payment_rule=payment_rule,
-        parallelism=parallelism,
         guard=guard,
         engine=engine,
         columnar_incremental=columnar_incremental,

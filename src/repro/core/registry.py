@@ -325,7 +325,7 @@ def _load_offline_greedy():
 register(MechanismSpec(
     name="ssam",
     kind="single",
-    summary="single-stage auction mechanism (primal-dual greedy, fast engine)",
+    summary="single-stage auction mechanism (primal-dual greedy, columnar engine)",
     paper_ref="Algorithm 1, Theorems 2-6",
     truthful=True,
     individually_rational=True,

@@ -33,6 +33,7 @@ unbounded.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -50,7 +51,64 @@ from repro.obs.runtime import STATE as _OBS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar → ssam)
     from repro.core.columnar import ColumnarInstance
 
-__all__ = ["PaymentRule", "run_ssam", "greedy_selection", "GreedyStep"]
+__all__ = [
+    "ENGINES",
+    "PaymentRule",
+    "run_ssam",
+    "greedy_selection",
+    "GreedyStep",
+    "resolve_engine",
+    "warn_ignored",
+]
+
+ENGINES = ("columnar", "reference")
+"""The two engines behind every ``engine=`` option: the numpy-vectorized
+production engine (:mod:`repro.core.columnar`) and the naive
+rescan-everything loops of this module, kept as the correctness oracle.
+Both produce bit-identical outcomes (a property test enforces this)."""
+
+
+_RETIRED_ENGINES = {"fast": "columnar"}
+
+
+def resolve_engine(engine: str) -> str:
+    """Validate an ``engine=`` value and return the engine that runs.
+
+    .. deprecated:: 1.3
+        ``engine="fast"`` (the retired heap engine) warns and runs
+        ``"columnar"``.
+    """
+    if engine in _RETIRED_ENGINES:
+        successor = _RETIRED_ENGINES[engine]
+        warnings.warn(
+            f"engine={engine!r} is deprecated and runs the {successor} "
+            f"engine; pass engine={successor!r}",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return successor
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"engine must be one of {', '.join(map(repr, ENGINES))}, "
+            f"got {engine!r}"
+        )
+    return engine
+
+
+def warn_ignored(option: str, value) -> None:
+    """Warn that a retired worker-pool knob was passed; it has no effect.
+
+    .. deprecated:: 1.3
+        ``parallelism=`` and ``shard_workers=`` are accepted and ignored:
+        payments and shards always run serially.
+    """
+    if value is not None:
+        warnings.warn(
+            f"{option}= is deprecated and ignored; payments and shards "
+            "always run serially",
+            DeprecationWarning,
+            stacklevel=3,
+        )
 
 
 class PaymentRule(enum.Enum):
@@ -336,15 +394,53 @@ def _runner_up_payment(
     return step.utility * runner_ratio
 
 
+@profiled("ssam.payments")
+def _critical_payments(
+    instance: WSPInstance,
+    steps: list[GreedyStep],
+    *,
+    engine: str,
+    exact_guard: bool,
+    guard_feasibility: bool,
+    columnar: "ColumnarInstance | None",
+) -> list[float]:
+    """Critical values for every winner of the main run ``steps``.
+
+    The columnar engine shares the greedy prefix across winners in one
+    batched pass; the reference engine replays the greedy once per
+    winner (:func:`_critical_payment`).
+    """
+    if engine == "columnar":
+        from repro.core.columnar import columnar_critical_payments
+
+        return columnar_critical_payments(
+            instance,
+            [step.bid for step in steps],
+            exact_guard=exact_guard,
+            guard_feasibility=guard_feasibility,
+            columnar=columnar,
+            trajectory=steps,
+        )
+    return [
+        _critical_payment(
+            instance,
+            step.bid,
+            exact_guard=exact_guard,
+            guard_feasibility=guard_feasibility,
+        )
+        for step in steps
+    ]
+
+
 def run_ssam(
     instance: WSPInstance,
-    *deprecated_args: PaymentRule,
+    *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     original_prices: dict[tuple[int, int], float] | None = None,
     columnar: "ColumnarInstance | None" = None,
+    parallelism: int | str | None = None,
 ) -> AuctionOutcome:
     """Execute the single-stage auction on ``instance``.
 
@@ -354,14 +450,6 @@ def run_ssam(
         The round's winner-selection problem.  Must be feasible.
     payment_rule:
         Which critical-value realization to pay winners with.
-    parallelism:
-        Worker processes for the per-winner critical-payment replays
-        (``PaymentRule.CRITICAL_RERUN`` only; the replays are mutually
-        independent).  ``"auto"`` (default) runs serially on small
-        instances and sizes a pool from the instance otherwise (see
-        :func:`repro.core.engine.resolve_parallelism`); an explicit
-        integer forces that worker count (1 = serial), exactly as
-        before.
     guard:
         Whether the stranding-lookahead feasibility guard steers the
         greedy away from choices that provably dead-end a buyer.  Disable
@@ -369,13 +457,12 @@ def run_ssam(
         :class:`~repro.errors.InfeasibleInstanceError` on feasible
         instances.
     engine:
-        ``"fast"`` (default) runs the incremental
-        :mod:`repro.core.engine` hot path; ``"columnar"`` runs the
+        One of :data:`ENGINES`: ``"columnar"`` (default) runs the
         numpy-vectorized :mod:`repro.core.columnar` kernels (batched
         critical payments, cheap round-to-round state carry);
         ``"reference"`` runs the naive rescan-everything loop kept as
-        the correctness oracle.  All three produce identical outcomes
-        (a property test enforces this).
+        the correctness oracle.  Both produce identical outcomes (a
+        property test enforces this).
     columnar:
         A prebuilt :class:`~repro.core.columnar.ColumnarInstance` for
         this instance's bids and positive demand (``engine="columnar"``
@@ -386,6 +473,8 @@ def run_ssam(
         *scaled*; this maps bid keys back to the announced prices so the
         outcome can report the true social cost.  Defaults to the bids'
         own prices.
+    parallelism:
+        Deprecated and ignored (see :func:`warn_ignored`).
 
     Returns
     -------
@@ -402,37 +491,13 @@ def run_ssam(
     >>> outcome.satisfied and outcome.total_payment >= outcome.social_cost
     True
 
-    .. deprecated:: 1.1
-        Passing ``payment_rule`` positionally is deprecated; use the
-        keyword form ``run_ssam(instance, payment_rule=...)``.
+    .. deprecated:: 1.3
+        ``parallelism=`` and ``engine="fast"`` warn; neither changes the
+        outcome.
     """
-    if deprecated_args:
-        if len(deprecated_args) > 1:
-            raise TypeError(
-                "run_ssam() takes one positional argument (the instance); "
-                "pass options by keyword"
-            )
-        warnings.warn(
-            "passing payment_rule positionally to run_ssam() is deprecated; "
-            "use run_ssam(instance, payment_rule=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        payment_rule = deprecated_args[0]
-    if engine not in ("fast", "reference", "columnar"):
-        raise ConfigurationError(
-            f"engine must be 'fast', 'reference' or 'columnar', got {engine!r}"
-        )
-    from repro.core.engine import (
-        compute_critical_payments,
-        fast_greedy_selection,
-        validate_parallelism,
-    )
-
-    validate_parallelism(parallelism)
-
-    use_fast = engine == "fast"
-    select = fast_greedy_selection if use_fast else greedy_selection
+    engine = resolve_engine(engine)
+    warn_ignored("parallelism", parallelism)
+    select = greedy_selection
     demand = {b: u for b, u in instance.demand.items() if u > 0}
     cinst = None
     if engine == "columnar" and demand:
@@ -451,10 +516,7 @@ def run_ssam(
         else:
             cinst = ColumnarInstance.build(instance.bids, demand)
 
-        def select(bids, demand, **kwargs):  # noqa: F811 - engine dispatch
-            return columnar_greedy_selection(
-                bids, demand, columnar=cinst, **kwargs
-            )
+        select = functools.partial(columnar_greedy_selection, columnar=cinst)
 
     duals = DualSolution(instance=instance)
     tracer = _OBS.tracer
@@ -507,16 +569,13 @@ def run_ssam(
             )
         with tracer.span("payment-computation", rule=payment_rule.value):
             if payment_rule is PaymentRule.CRITICAL_RERUN:
-                payments = compute_critical_payments(
+                payments = _critical_payments(
                     instance,
-                    [step.bid for step in steps],
+                    steps,
+                    engine=engine,
                     exact_guard=exact_guard,
                     guard_feasibility=guard,
-                    parallelism=parallelism,
-                    use_fast=use_fast,
-                    engine=engine,
                     columnar=cinst,
-                    trajectory=steps,
                 )
             else:
                 payments = [_runner_up_payment(instance, step) for step in steps]

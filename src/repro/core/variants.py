@@ -79,8 +79,7 @@ def run_msoa_base(
     scenario: HorizonScenario,
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,
@@ -90,7 +89,6 @@ def run_msoa_base(
         scenario.rounds_estimated,
         scenario.capacities,
         payment_rule=payment_rule,
-        parallelism=parallelism,
         engine=engine,
         on_infeasible=on_infeasible,
         faults=faults,
@@ -102,8 +100,7 @@ def run_msoa_da(
     scenario: HorizonScenario,
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,
@@ -113,7 +110,6 @@ def run_msoa_da(
         scenario.rounds_true,
         scenario.capacities,
         payment_rule=payment_rule,
-        parallelism=parallelism,
         engine=engine,
         on_infeasible=on_infeasible,
         faults=faults,
@@ -126,8 +122,7 @@ def run_msoa_rc(
     *,
     relaxation: float = 2.0,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,
@@ -137,7 +132,6 @@ def run_msoa_rc(
         scenario.rounds_estimated,
         _relaxed(scenario.capacities, relaxation),
         payment_rule=payment_rule,
-        parallelism=parallelism,
         engine=engine,
         on_infeasible=on_infeasible,
         faults=faults,
@@ -150,8 +144,7 @@ def run_msoa_oa(
     *,
     relaxation: float = 2.0,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int = 1,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "best_effort",
     faults=None,
     resilience=None,
@@ -161,7 +154,6 @@ def run_msoa_oa(
         scenario.rounds_true,
         _relaxed(scenario.capacities, relaxation),
         payment_rule=payment_rule,
-        parallelism=parallelism,
         engine=engine,
         on_infeasible=on_infeasible,
         faults=faults,

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.bids import Bid, group_bids_by_seller, validate_bids
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 
-__all__ = ["WSPInstance", "CoverageState", "ActiveBidIndex"]
+__all__ = ["WSPInstance", "CoverageState"]
 
 
 @dataclass(frozen=True)
@@ -409,136 +409,3 @@ class CoverageState:
         """An independent copy (used by payment re-runs)."""
         return CoverageState(demand=self.demand, granted=dict(self.granted))
 
-
-class ActiveBidIndex:
-    """Incremental bookkeeping over one greedy run's active bid set.
-
-    The naive greedy rescans every active bid on every iteration to
-    recompute marginal utilities, and the stranding guard additionally
-    rebuilds a buyer→suppliers map from the whole bid list per candidate —
-    an O(n·m) scan inside an O(n) loop.  This index maintains the exact
-    same quantities incrementally:
-
-    * per-bid marginal utilities ``Uᵢⱼ(𝔼ᵗ)``, updated only when a buyer
-      saturates (utilities never increase, so updates are one-directional);
-    * per-buyer active supplier counts, so the stranding guard of
-      ``_selection_strands`` becomes an O(#unsatisfied buyers) probe.
-
-    Mutations must flow through :meth:`apply_win` / :meth:`remove_seller`
-    so the cached quantities stay equal to what a from-scratch rescan
-    would produce — the fast engine's equivalence proof rests on that.
-    """
-
-    __slots__ = (
-        "coverage",
-        "bids",
-        "active",
-        "_utility",
-        "_bids_covering",
-        "_seller_bids",
-        "_seller_cover",
-        "_unsat",
-    )
-
-    def __init__(self, bids: Sequence[Bid], coverage: CoverageState) -> None:
-        self.coverage = coverage
-        self.bids: list[Bid] = list(bids)
-        self.active: list[bool] = [True] * len(self.bids)
-        demand = coverage.demand
-        granted = coverage.granted
-        self._unsat: set[int] = {
-            buyer
-            for buyer, units in demand.items()
-            if granted.get(buyer, 0) < units
-        }
-        relevant = {buyer for buyer, units in demand.items() if units > 0}
-        self._utility: list[int] = []
-        self._bids_covering: dict[int, list[int]] = {b: [] for b in relevant}
-        self._seller_bids: dict[int, list[int]] = {}
-        self._seller_cover: dict[int, dict[int, int]] = {b: {} for b in relevant}
-        for bid_id, bid in enumerate(self.bids):
-            self._utility.append(coverage.utility_of(bid))
-            self._seller_bids.setdefault(bid.seller, []).append(bid_id)
-            for buyer in bid.covered:
-                if buyer in relevant:
-                    self._bids_covering[buyer].append(bid_id)
-                    cover = self._seller_cover[buyer]
-                    cover[bid.seller] = cover.get(bid.seller, 0) + 1
-
-    def utility(self, bid_id: int) -> int:
-        """Current marginal utility of the bid (equals a fresh rescan)."""
-        return self._utility[bid_id]
-
-    def would_strand(self, bid_id: int) -> bool:
-        """Incremental equivalent of the O(n·m) ``_selection_strands`` scan.
-
-        Accepting the bid consumes its seller; every buyer must then still
-        find its residual demand among *other* sellers with an active
-        covering bid.
-        """
-        winner = self.bids[bid_id]
-        demand = self.coverage.demand
-        granted = self.coverage.granted
-        covered = winner.covered
-        seller = winner.seller
-        for buyer in self._unsat:
-            need = demand[buyer] - granted.get(buyer, 0)
-            if buyer in covered:
-                need -= 1
-            if need <= 0:
-                continue
-            cover = self._seller_cover[buyer]
-            available = len(cover) - (1 if seller in cover else 0)
-            if available < need:
-                return True
-        return False
-
-    def apply_win(self, bid_id: int) -> int:
-        """Grant the bid's coverage, propagating utility decrements.
-
-        Only buyers that *saturate* on this grant change any other bid's
-        utility, so the propagation cost is bounded by the bids covering
-        newly saturated buyers (instead of rescanning everything).
-        Returns the marginal units contributed, like
-        :meth:`CoverageState.apply`.
-        """
-        bid = self.bids[bid_id]
-        coverage = self.coverage
-        demand = coverage.demand
-        granted = coverage.granted
-        saturated = [
-            buyer
-            for buyer in bid.covered
-            if buyer in self._unsat
-            and granted.get(buyer, 0) + 1 >= demand[buyer]
-        ]
-        gained = coverage.apply(bid)
-        for buyer in saturated:
-            self._unsat.discard(buyer)
-            for other_id in self._bids_covering[buyer]:
-                if self.active[other_id]:
-                    self._utility[other_id] -= 1
-        return gained
-
-    def remove_seller(self, seller: int) -> list[int]:
-        """Deactivate every bid of ``seller``; return the retired bid ids."""
-        retired: list[int] = []
-        for bid_id in self._seller_bids.get(seller, ()):
-            if not self.active[bid_id]:
-                continue
-            self.active[bid_id] = False
-            retired.append(bid_id)
-            for buyer in self.bids[bid_id].covered:
-                cover = self._seller_cover.get(buyer)
-                if cover is None:
-                    continue
-                remaining = cover.get(seller, 0) - 1
-                if remaining > 0:
-                    cover[seller] = remaining
-                else:
-                    cover.pop(seller, None)
-        return retired
-
-    def active_bid_ids(self) -> list[int]:
-        """Ids of bids still in the market, in submission order."""
-        return [i for i, alive in enumerate(self.active) if alive]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.ssam import resolve_engine
 from repro.demand.estimator import DemandEstimator, DemandWeights
 from repro.demand.indicators import RequestRateIndicator
 from repro.dist.agents import AgentStreamPolicy, default_policy_factory
@@ -54,8 +55,8 @@ class DistScenario:
     ...) or ``None`` for the paper's MSOA; ``faults``/``resilience``
     are forwarded to the mechanism exactly as in the synchronous
     platform (they are frozen plans, so sharing one across replays is
-    safe).  ``engine`` selects the clearing engine (``"fast"``,
-    ``"reference"`` or ``"columnar"``) for mechanisms that accept one —
+    safe).  ``engine`` selects the clearing engine (``"columnar"`` or
+    ``"reference"``) for mechanisms that accept one —
     outcomes are engine-independent, so the determinism contract holds
     for every choice.
     """
@@ -72,18 +73,14 @@ class DistScenario:
     bids_per_seller: int = 2
     unit_cost_range: tuple[float, float] = (10.0, 35.0)
     mechanism: str | None = None
-    engine: str = "fast"
+    engine: str = "columnar"
     shards: int = 1
     shard_strategy: str = "hash"
     faults: object | None = None
     resilience: object | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "reference", "columnar"):
-            raise ConfigurationError(
-                "engine must be 'fast', 'reference' or 'columnar', "
-                f"got {self.engine!r}"
-            )
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
         if self.n_clouds < 1:
             raise ConfigurationError("n_clouds must be at least 1")
         if self.n_services < 1:

@@ -28,7 +28,7 @@ from repro.core.mechanism import OnlineMechanism
 from repro.core.msoa import MultiStageOnlineAuction
 from repro.core.outcomes import RoundResult
 from repro.core.registry import get_spec, make_online
-from repro.core.ssam import PaymentRule
+from repro.core.ssam import PaymentRule, resolve_engine
 from repro.core.wsp import WSPInstance
 from repro.demand.estimator import DemandEstimator
 from repro.edge.cloud import EdgeCloud
@@ -65,16 +65,12 @@ class PlatformConfig:
     speed_per_unit: float = 1.0
     work_mean: float = 1.0
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN
-    engine: str = "fast"
+    engine: str = "columnar"
     shards: int = 1
     shard_strategy: str = "hash"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "reference", "columnar"):
-            raise ConfigurationError(
-                "engine must be 'fast', 'reference' or 'columnar', "
-                f"got {self.engine!r}"
-            )
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
         if self.shards < 1:
             raise ConfigurationError(
                 f"shards must be a positive integer, got {self.shards}"

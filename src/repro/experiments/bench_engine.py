@@ -1,11 +1,11 @@
 """Perf-regression harness for the auction engine.
 
-Times the fast incremental engine (:mod:`repro.core.engine`) against the
-reference rescan-everything loop on representative instances — the
-Figure-4(b) microservice sweep plus a large-n stress case where the
-O(n²m) critical-payment phase dominates — and emits ``BENCH_engine.json``
-so future PRs can track the trajectory (and CI can flag regressions by
-diffing the recorded speedups).
+Times the columnar production engine (:mod:`repro.core.columnar`)
+against the reference rescan-everything loop on representative
+instances — the Figure-4(b) microservice sweep plus a large-n stress
+case where the O(n²m) critical-payment phase dominates — and emits
+``BENCH_engine.json`` so future PRs can track the trajectory (and CI can
+flag regressions by diffing the recorded speedups).
 
 Every timed pair is also checked for outcome equivalence through the
 shared ``AuctionOutcome.to_dict()`` schema: a speedup that changes
@@ -15,7 +15,6 @@ Run from the CLI::
 
     repro-edge-auction bench                 # full harness
     repro-edge-auction bench --quick         # reduced cases (CI-sized)
-    repro-edge-auction bench --parallelism 8 # payment-replay worker count
 """
 
 from __future__ import annotations
@@ -102,20 +101,16 @@ def _best_of(repeats: int, fn) -> float:
 
 def run_engine_bench(
     *,
-    parallelism: int = 1,
     quick: bool = False,
     cases: list[EngineBenchCase] | None = None,
 ) -> dict:
     """Time every case on both engines and return the bench payload.
 
-    Per case: wall-clock for the reference path, the fast engine serial,
-    and the fast engine with ``parallelism`` payment workers — all under
+    Per case: wall-clock for the reference and columnar engines under
     ``PaymentRule.CRITICAL_RERUN``, the rule whose per-winner replays
-    dominate runtime — plus an equivalence verdict comparing the two
+    dominate runtime, plus an equivalence verdict comparing the two
     engines' full outcome dicts.
     """
-    if parallelism < 1:
-        raise ConfigurationError("parallelism must be a positive integer")
     if cases is None:
         cases = default_cases(quick=quick)
     results: list[dict] = []
@@ -123,59 +118,32 @@ def run_engine_bench(
         rng = np.random.default_rng(case.seed)
         instance = generate_round(case.config, rng)
 
-        reference_outcome = run_ssam(
-            instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine="reference"
-        )
-        fast_outcome = run_ssam(
-            instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine="fast"
-        )
-        equivalent = reference_outcome.to_dict() == fast_outcome.to_dict()
-
-        reference_s = _best_of(
-            case.repeats,
-            lambda: run_ssam(
-                instance,
-                payment_rule=PaymentRule.CRITICAL_RERUN,
-                engine="reference",
-            ),
-        )
-        fast_s = _best_of(
-            case.repeats,
-            lambda: run_ssam(
-                instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine="fast"
-            ),
-        )
-        parallel_s = fast_s
-        if parallelism > 1:
-            parallel_s = _best_of(
-                case.repeats,
-                lambda: run_ssam(
-                    instance,
-                    payment_rule=PaymentRule.CRITICAL_RERUN,
-                    engine="fast",
-                    parallelism=parallelism,
-                ),
+        def ssam(engine):
+            return run_ssam(
+                instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine=engine
             )
+
+        columnar_outcome = ssam("columnar")
+        equivalent = ssam("reference").to_dict() == columnar_outcome.to_dict()
+        reference_s = _best_of(case.repeats, lambda: ssam("reference"))
+        columnar_s = _best_of(case.repeats, lambda: ssam("columnar"))
         results.append(
             {
                 "case": case.name,
                 "bids": len(instance.bids),
                 "demand_units": instance.total_demand,
-                "winners": len(fast_outcome.winners),
+                "winners": len(columnar_outcome.winners),
                 "equivalent": equivalent,
                 "reference_ms": reference_s * 1000.0,
-                "fast_ms": fast_s * 1000.0,
-                "fast_parallel_ms": parallel_s * 1000.0,
-                "speedup_fast": reference_s / fast_s if fast_s > 0 else None,
-                "speedup_parallel": (
-                    reference_s / parallel_s if parallel_s > 0 else None
+                "columnar_ms": columnar_s * 1000.0,
+                "speedup_columnar": (
+                    reference_s / columnar_s if columnar_s > 0 else None
                 ),
             }
         )
     return {
         "bench": "engine",
         "quick": quick,
-        "parallelism": parallelism,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cases": results,
@@ -197,35 +165,16 @@ def write_engine_bench(
 
 
 def render_engine_bench(payload: dict) -> str:
-    """A terminal-friendly summary of one bench payload.
-
-    Rows whose parallel path is *slower* than the reference loop
-    (``speedup_parallel < 1``) are flagged inline and recapped in a
-    trailing ``WARNING`` line — a sub-1x "speedup" means the process
-    pool's overhead exceeded its payoff on that case and should be
-    treated as a regression signal, not noise.
-    """
+    """A terminal-friendly summary of one bench payload."""
     lines = [
-        f"engine bench (parallelism={payload['parallelism']}, "
-        f"quick={payload['quick']})",
-        f"{'case':<16} {'bids':>5} {'ref ms':>9} {'fast ms':>9} "
-        f"{'par ms':>9} {'speedup':>8} {'equal':>6}",
+        f"engine bench (quick={payload['quick']})",
+        f"{'case':<16} {'bids':>5} {'ref ms':>9} {'col ms':>9} "
+        f"{'speedup':>8} {'equal':>6}",
     ]
-    slow: list[str] = []
     for row in payload["cases"]:
-        speedup = row["speedup_parallel"]
-        flag = ""
-        if speedup is not None and speedup < 1.0:
-            slow.append(row["case"])
-            flag = "  [SLOWER than reference]"
         lines.append(
             f"{row['case']:<16} {row['bids']:>5} {row['reference_ms']:>9.2f} "
-            f"{row['fast_ms']:>9.2f} {row['fast_parallel_ms']:>9.2f} "
-            f"{speedup:>7.1f}x {str(row['equivalent']):>6}{flag}"
-        )
-    if slow:
-        lines.append(
-            "WARNING: parallel engine slower than the reference on: "
-            + ", ".join(slow)
+            f"{row['columnar_ms']:>9.2f} {row['speedup_columnar']:>7.1f}x "
+            f"{str(row['equivalent']):>6}"
         )
     return "\n".join(lines)

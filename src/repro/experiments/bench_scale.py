@@ -1,15 +1,15 @@
 """Scale bench: the columnar kernels at 10^4–10^5 bids.
 
-Where :mod:`repro.experiments.bench_engine` tracks the fast engine
+Where :mod:`repro.experiments.bench_engine` tracks the columnar engine
 against the reference oracle on paper-sized markets, this tier measures
 the regime the columnar core was built for — bid counts two to three
 orders of magnitude past the paper's sweeps:
 
 * single-round cases at 10^4 and 10^5 bids timing the reference loop
-  (where affordable), the fast engine serial, and the columnar engine
-  with its batched critical-payment kernel, plus isolated payment-phase
-  timings (per-winner serial replays vs. one batched prefix-sharing
-  pass);
+  (where affordable) and the columnar engine with its batched
+  critical-payment kernel, plus isolated payment-phase timings (the
+  reference engine's per-winner serial replays, where affordable, vs.
+  one batched prefix-sharing pass);
 * an MSOA horizon with stable round structure and ample capacities,
   timing the incremental layout carry (price-column refresh on cache
   hit) against a cold rebuild every round;
@@ -87,8 +87,8 @@ class ScaleBenchCase:
 
     ``time_reference`` controls whether the O(n²)-ish reference loop is
     timed at all — at 10^5 bids it is prohibitively slow, so the large
-    case reports only fast-vs-columnar.  ``repeats`` is the number of
-    round-robin timing rounds (see :func:`_interleaved`).
+    case reports only columnar timings and no ratios.  ``repeats`` is
+    the number of round-robin timing rounds (see :func:`_interleaved`).
     """
 
     name: str
@@ -233,6 +233,11 @@ def _interleaved(repeats: int, *fns) -> list[list[float]]:
     return samples
 
 
+def _best_ms(times: list[float] | None) -> float | None:
+    """Best-of-N in milliseconds (None for an untimed side)."""
+    return min(times) * 1000.0 if times is not None else None
+
+
 def _median_ratio(slow: list[float], fast: list[float]) -> float | None:
     """Median over rounds of ``slow[i] / fast[i]`` (None on a 0 time)."""
     if min(fast) <= 0:
@@ -243,40 +248,25 @@ def _median_ratio(slow: list[float], fast: list[float]) -> float | None:
 def _run_single_case(case: ScaleBenchCase) -> dict:
     from repro.core.columnar import (
         ColumnarInstance,
+        columnar_critical_payments,
         columnar_greedy_selection,
     )
-    from repro.core.engine import compute_critical_payments
+    from repro.core.ssam import _critical_payment
 
     rng = np.random.default_rng(case.seed)
     instance = generate_round(case.config, rng)
-
-    fast_outcome = run_ssam(
-        instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine="fast"
-    )
-    columnar_outcome = run_ssam(
-        instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine="columnar"
-    )
-    equivalent = fast_outcome.to_dict() == columnar_outcome.to_dict()
-
-    if case.time_reference:
-        reference_outcome = run_ssam(
-            instance,
-            payment_rule=PaymentRule.CRITICAL_RERUN,
-            engine="reference",
-        )
-        equivalent = (
-            equivalent
-            and reference_outcome.to_dict() == fast_outcome.to_dict()
-        )
 
     def _ssam(engine):
         return lambda: run_ssam(
             instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine=engine
         )
 
-    engines = ("fast", "columnar")
+    columnar_outcome = _ssam("columnar")()
+    engines = ("columnar",)
+    equivalent = True
     if case.time_reference:
         engines = ("reference", *engines)
+        equivalent = _ssam("reference")().to_dict() == columnar_outcome.to_dict()
     timed = dict(
         zip(
             engines,
@@ -285,59 +275,49 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
     )
     reference_times = timed.get("reference")
 
-    # Isolate the payment phase: per-winner serial replays (the fast
-    # engine's rule) vs. one batched prefix-sharing pass.  Both start
-    # from the same precomputed trajectory so only the kernels differ.
+    # Isolate the payment phase: one batched prefix-sharing pass vs. the
+    # reference engine's per-winner serial replays.  Both start from the
+    # same precomputed trajectory so only the kernels differ.
     cinst = ColumnarInstance.build(instance.bids, instance.demand)
     steps = columnar_greedy_selection(
         instance.bids, instance.demand, columnar=cinst
     )
     winners = tuple(step.bid for step in steps)
-    serial_payments = compute_critical_payments(
-        instance, winners, parallelism=1
-    )
-    batched_payments = compute_critical_payments(
-        instance,
-        winners,
-        engine="columnar",
-        columnar=cinst,
-        trajectory=steps,
-    )
-    equivalent = equivalent and serial_payments == batched_payments
-    fast_payment_times, batched_payment_times = _interleaved(
-        case.repeats,
-        lambda: compute_critical_payments(instance, winners, parallelism=1),
-        lambda: compute_critical_payments(
-            instance,
-            winners,
-            engine="columnar",
-            columnar=cinst,
-            trajectory=steps,
+    payments = {
+        "batched": lambda: columnar_critical_payments(
+            instance, winners, columnar=cinst, trajectory=steps
         ),
+    }
+    if case.time_reference:
+        payments["reference"] = lambda: [
+            _critical_payment(instance, winner) for winner in winners
+        ]
+        equivalent = equivalent and (
+            payments["reference"]() == payments["batched"]()
+        )
+    payment_times = dict(
+        zip(payments, _interleaved(case.repeats, *payments.values()))
     )
+    reference_payment_times = payment_times.get("reference")
     return {
         "case": case.name,
         "bids": len(instance.bids),
         "demand_units": instance.total_demand,
-        "winners": len(fast_outcome.winners),
+        "winners": len(columnar_outcome.winners),
         "equivalent": equivalent,
-        "reference_ms": (
-            min(reference_times) * 1000.0
-            if reference_times is not None
-            else None
-        ),
-        "fast_ms": min(timed["fast"]) * 1000.0,
-        "columnar_ms": min(timed["columnar"]) * 1000.0,
-        "fast_payment_ms": min(fast_payment_times) * 1000.0,
-        "batched_payment_ms": min(batched_payment_times) * 1000.0,
+        "reference_ms": _best_ms(reference_times),
+        "columnar_ms": _best_ms(timed["columnar"]),
+        "reference_payment_ms": _best_ms(reference_payment_times),
+        "batched_payment_ms": _best_ms(payment_times["batched"]),
         "speedup_columnar": (
             _median_ratio(reference_times, timed["columnar"])
             if reference_times is not None
             else None
         ),
-        "columnar_vs_fast": _median_ratio(timed["fast"], timed["columnar"]),
-        "payment_batch_speedup": _median_ratio(
-            fast_payment_times, batched_payment_times
+        "payment_batch_speedup": (
+            _median_ratio(reference_payment_times, payment_times["batched"])
+            if reference_payment_times is not None
+            else None
         ),
     }
 
@@ -580,17 +560,15 @@ def render_scale_bench(payload: dict, baseline: dict | None = None) -> str:
     """
     lines = [
         f"scale bench (quick={payload['quick']})",
-        f"{'case':<14} {'bids':>7} {'ref ms':>10} {'fast ms':>10} "
-        f"{'col ms':>10} {'col/ref':>8} {'col/fast':>8} {'paybatch':>8} "
-        f"{'equal':>6}",
+        f"{'case':<14} {'bids':>7} {'ref ms':>10} {'col ms':>10} "
+        f"{'col/ref':>8} {'paybatch':>8} {'equal':>6}",
     ]
     for row in payload["cases"]:
         lines.append(
             f"{row['case']:<14} {row['bids']:>7} "
-            f"{_fmt_ms(row['reference_ms'])} {_fmt_ms(row['fast_ms'])} "
+            f"{_fmt_ms(row['reference_ms'])} "
             f"{_fmt_ms(row['columnar_ms'])} "
             f"{_fmt_x(row['speedup_columnar'])} "
-            f"{_fmt_x(row['columnar_vs_fast'])} "
             f"{_fmt_x(row['payment_batch_speedup'])} "
             f"{str(row['equivalent']):>6}"
         )
@@ -635,7 +613,7 @@ def render_scale_bench(payload: dict, baseline: dict | None = None) -> str:
     return "\n".join(lines)
 
 
-_SPEEDUP_KEYS = ("speedup_columnar", "columnar_vs_fast", "payment_batch_speedup")
+_SPEEDUP_KEYS = ("speedup_columnar", "payment_batch_speedup")
 
 
 def check_scale_regression(

@@ -44,18 +44,13 @@ class ExperimentConfig:
         variant always gets 0).
     capacity_relaxation:
         The Θ inflation factor of the RC/OA variants.
-    parallelism:
-        Worker processes for critical-payment replays inside every
-        mechanism run of the sweep (forwarded to ``run_ssam``/``run_msoa``;
-        1 = serial).  ``"auto"`` sizes the pool per instance — serial on
-        small cases, parallel on large ones.
     mechanism:
         Registry name of the single-round mechanism the single-stage
         panels (3a/3b/4a) run; ``"ssam"`` reproduces the paper.
     engine:
-        Selection engine every mechanism run of the sweep uses where
-        applicable: ``"fast"`` (default), ``"reference"``, or
-        ``"columnar"`` (numpy-vectorized kernels).
+        Engine every mechanism run of the sweep uses where applicable
+        (:data:`~repro.core.ssam.ENGINES`): ``"columnar"`` (default) or
+        ``"reference"``.
     observability:
         Optional :class:`~repro.obs.ObservabilityConfig`; when set, the
         experiment runner activates tracing/metrics before dispatching
@@ -78,9 +73,8 @@ class ExperimentConfig:
     horizon_rounds: int = 10
     estimation_sigma: float = 0.35
     capacity_relaxation: float = 2.0
-    parallelism: int | str = 1
     mechanism: str = "ssam"
-    engine: str = "fast"
+    engine: str = "columnar"
     observability: ObservabilityConfig | None = None
     faults: "FaultPlan | None" = None
     resilience: "ResiliencePolicy | None" = None
@@ -94,14 +88,9 @@ class ExperimentConfig:
             raise ConfigurationError("estimation_sigma must be non-negative")
         if self.capacity_relaxation < 1.0:
             raise ConfigurationError("capacity_relaxation must be >= 1")
-        from repro.core.engine import validate_parallelism
+        from repro.core.ssam import resolve_engine
 
-        validate_parallelism(self.parallelism)
-        if self.engine not in ("fast", "reference", "columnar"):
-            raise ConfigurationError(
-                "engine must be 'fast', 'reference' or 'columnar', "
-                f"got {self.engine!r}"
-            )
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
         if self.observability is not None and not isinstance(
             self.observability, ObservabilityConfig
         ):

@@ -194,7 +194,6 @@ def fig4b(
                 run_ssam(
                     instance,
                     payment_rule=rule,
-                    parallelism=config.parallelism,
                     engine=config.engine,
                 )
             timings[rule] = (time.perf_counter() - start) / repeats * 1000.0
@@ -245,7 +244,6 @@ def fig5a(config: ExperimentConfig = FULL) -> ResultTable:
                     outcome = runner(
                         horizon,
                         payment_rule=PaymentRule.ITERATION_RUNNER_UP,
-                        parallelism=config.parallelism,
                         engine=config.engine,
                         faults=config.faults,
                         resilience=config.resilience,
@@ -287,7 +285,6 @@ def fig6a(config: ExperimentConfig = FULL) -> ResultTable:
                 outcome = VARIANT_RUNNERS["MSOA"](
                     horizon,
                     payment_rule=PaymentRule.ITERATION_RUNNER_UP,
-                    parallelism=config.parallelism,
                     engine=config.engine,
                     faults=config.faults,
                     resilience=config.resilience,
@@ -341,7 +338,6 @@ def fig6b(config: ExperimentConfig = FULL) -> ResultTable:
                 )
                 outcome = VARIANT_RUNNERS["MSOA"](
                     horizon,
-                    parallelism=config.parallelism,
                     engine=config.engine,
                     faults=config.faults,
                     resilience=config.resilience,

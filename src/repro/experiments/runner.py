@@ -68,7 +68,7 @@ def run_configured_mechanism(
 ) -> AuctionOutcome:
     """Run the config's single-round mechanism on one instance.
 
-    The sweep-wide knobs (``parallelism``, ``engine``, the seed for
+    The sweep-wide knobs (``engine``, the seed for
     stochastic mechanisms) and any ``overrides`` are filtered against the
     registry spec's declared options, so the same dispatch call serves
     SSAM and every baseline without per-mechanism plumbing.
@@ -80,7 +80,6 @@ def run_configured_mechanism(
     activate(config.observability)
     spec = get_spec(config.mechanism)
     options: dict[str, Any] = {
-        "parallelism": config.parallelism,
         "engine": config.engine,
         "seed": seed,
     }

@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` is a flat, name-keyed collection of three
 instrument kinds covering everything the auction hot paths count:
 
-* :class:`Counter` — monotone totals (bids considered, heap pops, dual
+* :class:`Counter` — monotone totals (bids considered, candidate scans, dual
   updates, rounds processed);
 * :class:`Gauge` — last-write-wins levels (active horizon length, ψ of
   the most scarce seller);

@@ -1,7 +1,7 @@
 """Global observability state: one switch, two null objects.
 
 The instrumented hot paths (:mod:`repro.core.ssam`,
-:mod:`repro.core.engine`, :mod:`repro.core.msoa`,
+:mod:`repro.core.columnar`, :mod:`repro.core.msoa`,
 :mod:`repro.edge.platform`, :mod:`repro.experiments.runner`) all read the
 module-level :data:`STATE` singleton.  While observability is disabled —
 the default — ``STATE.enabled`` is ``False``, ``STATE.tracer`` is the

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.msoa import MultiStageOnlineAuction
 from repro.core.outcomes import OnlineOutcome
-from repro.core.ssam import PaymentRule
+from repro.core.ssam import PaymentRule, warn_ignored
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
 from repro.shard.plan import ShardPlan, make_plan
@@ -48,9 +48,8 @@ class ShardedOnlineAuction(MultiStageOnlineAuction):
     shards / shard_strategy:
         Convenience constructor: ``make_plan(shard_strategy, shards)``.
     shard_workers:
-        Local-pass worker threads per round (``"auto"`` sizes from CPUs,
-        capped at active shards; observability-enabled runs stay serial
-        for reproducible traces).
+        Deprecated and ignored: shards always clear serially, in shard
+        order (see :func:`~repro.core.ssam.warn_ignored`).
     """
 
     def __init__(
@@ -60,7 +59,7 @@ class ShardedOnlineAuction(MultiStageOnlineAuction):
         plan: ShardPlan | None = None,
         shards: int | None = None,
         shard_strategy: str = "hash",
-        shard_workers: int | str = "auto",
+        shard_workers: int | str | None = None,
         **msoa_options,
     ) -> None:
         if plan is not None and shards is not None:
@@ -69,9 +68,9 @@ class ShardedOnlineAuction(MultiStageOnlineAuction):
             )
         if plan is None:
             plan = make_plan(shard_strategy, shards if shards is not None else 1)
+        warn_ignored("shard_workers", shard_workers)
         super().__init__(capacities, **msoa_options)
         self._plan = plan
-        self._shard_workers = shard_workers
         self._shard_stats: list[ShardRoundStats] = []
 
     @property
@@ -98,7 +97,6 @@ class ShardedOnlineAuction(MultiStageOnlineAuction):
             self._plan,
             payment_rule=self._payment_rule,
             original_prices=original_prices,
-            shard_workers=self._shard_workers,
             **self._ssam_options,
         )
         self._shard_stats.append(result.stats)
@@ -112,12 +110,10 @@ def run_sharded_msoa(
     shards: int | None = None,
     shard_strategy: str = "hash",
     plan: ShardPlan | None = None,
-    shard_workers: int | str = "auto",
     alpha: float | None = None,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     on_infeasible: str = "raise",
     faults: "FaultPlan | FaultInjector | None" = None,
     resilience: "ResiliencePolicy | None" = None,
@@ -144,10 +140,8 @@ def run_sharded_msoa(
         plan=plan,
         shards=shards,
         shard_strategy=shard_strategy,
-        shard_workers=shard_workers,
         alpha=alpha,
         payment_rule=payment_rule,
-        parallelism=parallelism,
         guard=guard,
         engine=engine,
         on_infeasible=on_infeasible,

@@ -4,10 +4,10 @@ One round's market is decomposed by a :class:`~repro.shard.plan.ShardPlan`
 (:func:`~repro.shard.plan.partition_round`) and cleared in two passes:
 
 1. **Local pass** — every shard with positive demand runs plain
-   :func:`~repro.core.ssam.run_ssam` on its sub-market, concurrently
-   when shard workers are available.  A locally infeasible shard (its
-   buyers need cross-shard supply) clamps demand to what its own bids
-   can cover — the remainder becomes *residual*.
+   :func:`~repro.core.ssam.run_ssam` on its sub-market, in shard order.
+   A locally infeasible shard (its buyers need cross-shard supply)
+   clamps demand to what its own bids can cover — the remainder becomes
+   *residual*.
 2. **Reconciliation pass** — cross-shard bids (cover spanning shards, or
    seller-coupled across shards) are cleared against the merged residual
    demand, excluding sellers that already won locally, so the global
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.duals import DualSolution
@@ -41,7 +40,7 @@ from repro.core.outcomes import AuctionOutcome, WinningBid
 from repro.core.ratios import ssam_ratio_bound
 from repro.core.ssam import PaymentRule, run_ssam
 from repro.core.wsp import WSPInstance
-from repro.errors import ConfigurationError, InfeasibleInstanceError
+from repro.errors import InfeasibleInstanceError
 from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
 from repro.shard.plan import ShardPartition, ShardPlan, partition_round
@@ -50,7 +49,6 @@ __all__ = [
     "ShardRoundStats",
     "ShardedRoundOutcome",
     "run_sharded_ssam",
-    "resolve_shard_workers",
 ]
 
 
@@ -93,26 +91,6 @@ class ShardedRoundOutcome:
     cross_outcome: AuctionOutcome | None
     partition: ShardPartition
     stats: ShardRoundStats
-
-
-def resolve_shard_workers(shard_workers: int | str, active: int) -> int:
-    """Worker threads for the local pass (1 = serial, deterministic order
-    either way).  ``"auto"`` sizes from CPUs, capped at active shards;
-    tracing forces serial so span/event order stays reproducible."""
-    if shard_workers == "auto":
-        import os
-
-        workers = min(os.cpu_count() or 1, active)
-    elif isinstance(shard_workers, int) and shard_workers >= 1:
-        workers = min(shard_workers, max(1, active))
-    else:
-        raise ConfigurationError(
-            "shard_workers must be 'auto' or a positive integer, "
-            f"got {shard_workers!r}"
-        )
-    if _OBS.enabled:
-        return 1
-    return workers
 
 
 def _clamp_to_local_supply(sub: WSPInstance) -> dict[int, int]:
@@ -188,17 +166,15 @@ def run_sharded_ssam(
     plan: ShardPlan,
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    parallelism: int | str = "auto",
     guard: bool = True,
-    engine: str = "fast",
+    engine: str = "columnar",
     original_prices: Mapping[tuple[int, int], float] | None = None,
-    shard_workers: int | str = "auto",
     require_feasible: bool = True,
 ) -> ShardedRoundOutcome:
     """Clear one round through the sharded two-pass pipeline.
 
     Parameters mirror :func:`~repro.core.ssam.run_ssam`; ``plan`` picks
-    the decomposition and ``shard_workers`` the local-pass concurrency.
+    the decomposition.
     With ``require_feasible=False`` a post-reconciliation shortfall
     yields a partial (degraded) outcome instead of raising.
     """
@@ -210,7 +186,7 @@ def run_sharded_ssam(
         "local_bids": sum(len(b) for b in partition.local_bids),
         "cross_bids": len(partition.cross_bids),
     }
-    options = {"parallelism": parallelism, "guard": guard, "engine": engine}
+    options = {"guard": guard, "engine": engine}
     if len(active) <= 1 and not partition.cross_bids:
         # Degenerate decomposition: the whole market lives in one shard.
         # Clear the ORIGINAL instance with plain run_ssam — the sharded
@@ -262,37 +238,21 @@ def run_sharded_ssam(
                 list(partition.shard_demand[shard]),
             )
 
-    inner = dict(options)
-    workers = resolve_shard_workers(shard_workers, len(active))
-    if workers > 1:
-        # The payment replays may use a process pool; never nest one
-        # inside the shard thread pool.
-        inner["parallelism"] = 1
-
-    def clear(shard: int) -> tuple[AuctionOutcome, bool, float]:
+    shard_outcomes: list[AuctionOutcome | None] = [None] * partition.n_shards
+    clamped_shards = 0
+    shard_ms: list[float] = []
+    for shard in active:
         started = time.perf_counter()
         outcome, clamped = _clear_local(
             partition.sub_instance(shard),
             payment_rule=payment_rule,
             original_prices=original,
             columnar=columnar_views.get(shard),
-            **inner,
+            **options,
         )
-        return outcome, clamped, (time.perf_counter() - started) * 1e3
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cleared = list(pool.map(clear, active))
-    else:
-        cleared = [clear(shard) for shard in active]
-
-    shard_outcomes: list[AuctionOutcome | None] = [None] * partition.n_shards
-    clamped_shards = 0
-    shard_ms: list[float] = []
-    for shard, (outcome, clamped, elapsed) in zip(active, cleared):
+        shard_ms.append((time.perf_counter() - started) * 1e3)
         shard_outcomes[shard] = outcome
         clamped_shards += int(clamped)
-        shard_ms.append(elapsed)
 
     # Residual demand after the local pass.
     granted: dict[int, int] = dict.fromkeys(demand, 0)
@@ -331,7 +291,7 @@ def run_sharded_ssam(
                     recon_instance,
                     payment_rule=payment_rule,
                     original_prices=original,
-                    **inner,
+                    **options,
                 )
             except InfeasibleInstanceError:
                 if require_feasible:
@@ -345,11 +305,11 @@ def run_sharded_ssam(
                     payment_rule=payment_rule,
                     original_prices=original,
                     columnar=None,
-                    **inner,
+                    **options,
                 )
         elif eligible:
             # Nothing left to serve: cross-shard bids all lose.
-            cross_outcome = _empty_outcome(eligible, payment_rule, **inner)
+            cross_outcome = _empty_outcome(eligible, payment_rule, **options)
         reconcile_ms = (time.perf_counter() - started) * 1e3
 
     merged = _merge_outcomes(

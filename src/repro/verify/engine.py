@@ -162,7 +162,7 @@ def certify(
         Market generator knobs (default: a small, probe-friendly market).
     engine:
         Forwarded as the ``engine=`` option to mechanisms that accept it
-        (SSAM's ``fast`` / ``reference`` selection engines).
+        (SSAM's ``columnar`` / ``reference`` engines).
     """
     if instances <= 0:
         raise ConfigurationError(

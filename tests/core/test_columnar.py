@@ -22,8 +22,7 @@ from repro.core.columnar import (
     columnar_greedy_selection,
     structure_fingerprint,
 )
-from repro.core.engine import fast_critical_payment
-from repro.core.ssam import PaymentRule, run_ssam
+from repro.core.ssam import PaymentRule, _critical_payment, run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
 
@@ -188,7 +187,7 @@ class TestBatchedPayments:
             winners = [step.bid for step in self._selection(instance)]
             batched = columnar_critical_payments(instance, winners)
             scalar = [
-                fast_critical_payment(instance, winner)
+                _critical_payment(instance, winner)
                 for winner in winners
             ]
             assert batched == scalar, f"seed {seed}"
@@ -200,7 +199,7 @@ class TestBatchedPayments:
             pytest.skip("needs at least two winners")
         probe = [winners[-1], winners[0], winners[-1]]
         batched = columnar_critical_payments(instance, probe)
-        scalar = [fast_critical_payment(instance, bid) for bid in probe]
+        scalar = [_critical_payment(instance, bid) for bid in probe]
         assert batched == scalar
         assert batched[0] == batched[2]  # deduped rows share one replay
 
@@ -217,7 +216,7 @@ class TestBatchedPayments:
         if not losers:
             pytest.skip("every bid won")
         batched = columnar_critical_payments(instance, losers)
-        scalar = [fast_critical_payment(instance, bid) for bid in losers]
+        scalar = [_critical_payment(instance, bid) for bid in losers]
         assert batched == scalar
 
     def test_empty_winner_list(self, make_instance):
@@ -298,7 +297,6 @@ class TestObservabilityCounters:
         # seller 101 (ratio 1.5), which saturates buyer 0 and drops the
         # winner's utility to 0: the replay stops after that one step,
         # although buyer 1 still needs two of sellers 102–104.
-        from repro.core.ssam import _critical_payment
         from repro.obs.runtime import STATE, _reset_for_tests, configure
 
         instance = WSPInstance.from_bids(

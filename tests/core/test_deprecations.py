@@ -1,12 +1,12 @@
-"""Tests for the deprecation shims kept through the mechanism refactor.
+"""Tests for the deprecation shims and the end of their cycles.
 
-Three families: positional ``payment_rule`` on :func:`run_ssam` /
-:func:`run_msoa` (now keyword-only, with a warning-and-forward shim),
-the old per-baseline result dataclasses (now aliases of the uniform
-outcome types, warning at attribute access), and direct
-:class:`~repro.edge.platform.EdgePlatform` wiring (now routed through
-:func:`repro.api.serve`, warning at construction).  All must keep old
-call sites working bit-for-bit while announcing the new spelling.
+Live shims: the retired worker-pool and engine options
+(``parallelism=``, ``shard_workers=``, ``engine="fast"``), which warn
+and change nothing, and direct :class:`~repro.edge.platform.EdgePlatform`
+wiring (now routed through :func:`repro.api.serve`, warning at
+construction).  Both must keep old call sites working bit-for-bit while
+announcing the new spelling.  The positional ``payment_rule`` shim has
+run its cycle: options are keyword-only.
 """
 
 import warnings
@@ -16,18 +16,10 @@ import pytest
 from repro.core.msoa import run_msoa
 from repro.core.ssam import PaymentRule, run_ssam
 
+
 class TestPositionalPaymentRuleShim:
-    def test_run_ssam_warns_and_forwards(self, make_instance):
-        instance = make_instance()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            old_style = run_ssam(instance, PaymentRule.ITERATION_RUNNER_UP)
-        new_style = run_ssam(
-            instance, payment_rule=PaymentRule.ITERATION_RUNNER_UP
-        )
-        assert old_style.payment_rule == new_style.payment_rule
-        assert old_style.total_payment == pytest.approx(
-            new_style.total_payment
-        )
+    """The positional ``payment_rule`` shim's cycle is over: options are
+    keyword-only, and a positional option is a plain ``TypeError``."""
 
     def test_run_ssam_rejects_extra_positionals(self, make_instance):
         with pytest.raises(TypeError, match="positional"):
@@ -36,17 +28,6 @@ class TestPositionalPaymentRuleShim:
                 PaymentRule.ITERATION_RUNNER_UP,
                 PaymentRule.CRITICAL_RERUN,
             )
-
-    def test_run_msoa_warns_and_forwards(self, make_horizon):
-        rounds, capacities = make_horizon(rounds=2)
-        with pytest.warns(DeprecationWarning, match="run_msoa"):
-            old_style = run_msoa(
-                rounds, capacities, PaymentRule.ITERATION_RUNNER_UP
-            )
-        new_style = run_msoa(
-            rounds, capacities, payment_rule=PaymentRule.ITERATION_RUNNER_UP
-        )
-        assert old_style.social_cost == pytest.approx(new_style.social_cost)
 
     def test_run_msoa_rejects_extra_positionals(self):
         with pytest.raises(TypeError, match="positional"):
@@ -65,52 +46,76 @@ class TestPositionalPaymentRuleShim:
             )
 
 
-class TestDeprecatedResultAliases:
-    # (alias, canonical name) pairs — every old result class must still
-    # import from both its home module and the baselines package, warn
-    # once at access, and resolve to the uniform outcome type.
-    CASES = [
-        ("VCGResult", "AuctionOutcome"),
-        ("PayAsBidResult", "AuctionOutcome"),
-        ("RandomSelectionResult", "AuctionOutcome"),
-        ("PostedPriceResult", "PostedPriceOutcome"),
-        ("GreedyVariantResult", "GreedyVariantOutcome"),
-        ("OfflineResult", "OfflineOutcome"),
-    ]
+class TestRetiredEngineOptions:
+    """``parallelism=``, ``shard_workers=`` and ``engine="fast"`` warn on
+    every public entry point and leave the outcome bit-identical."""
 
-    @pytest.mark.parametrize("alias,canonical", CASES)
-    def test_alias_warns_and_resolves(self, alias, canonical):
-        import repro.baselines as baselines
+    @pytest.mark.parametrize(
+        "retired",
+        [{"parallelism": 4}, {"parallelism": "auto"}, {"engine": "fast"}],
+        ids=["parallelism", "parallelism-auto", "engine-fast"],
+    )
+    def test_run_ssam(self, make_instance, retired):
+        instance = make_instance(3)
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            old_style = run_ssam(instance, **retired)
+        assert old_style.to_dict() == run_ssam(instance).to_dict()
 
-        with pytest.warns(DeprecationWarning, match=alias):
-            resolved = getattr(baselines, alias)
-        canonical_type = self._canonical(canonical)
-        assert resolved is canonical_type
+    @pytest.mark.parametrize(
+        "retired",
+        [{"parallelism": 2}, {"engine": "fast"}],
+        ids=["parallelism", "engine-fast"],
+    )
+    def test_run_msoa(self, make_horizon, retired):
+        rounds, capacities = make_horizon(rounds=3)
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            old_style = run_msoa(rounds, capacities, **retired)
+        assert old_style.to_dict() == run_msoa(rounds, capacities).to_dict()
 
-    def _canonical(self, name):
-        if name == "AuctionOutcome":
-            from repro.core.outcomes import AuctionOutcome
+    @pytest.mark.parametrize(
+        "sharded,retired",
+        [
+            (False, {"parallelism": 2}),
+            (False, {"engine": "fast"}),
+            (True, {"parallelism": 2}),
+            (True, {"engine": "fast"}),
+            (True, {"shard_workers": 2}),
+            (True, {"shard_workers": "auto", "parallelism": 1}),
+        ],
+        ids=[
+            "msoa-parallelism",
+            "msoa-engine-fast",
+            "sharded-parallelism",
+            "sharded-engine-fast",
+            "sharded-shard-workers",
+            "sharded-both-pools",
+        ],
+    )
+    def test_online_auctions(self, make_horizon, sharded, retired):
+        from repro.core.msoa import MultiStageOnlineAuction
+        from repro.shard import ShardedOnlineAuction
 
-            return AuctionOutcome
-        import repro.baselines as baselines
+        rounds, capacities = make_horizon(rounds=3)
 
-        return getattr(baselines, name)
+        def digests(**options):
+            if sharded:
+                auction = ShardedOnlineAuction(capacities, shards=2, **options)
+            else:
+                auction = MultiStageOnlineAuction(capacities, **options)
+            return [auction.process_round(r).outcome.to_dict() for r in rounds]
 
-    def test_unknown_attribute_still_raises(self):
-        import repro.baselines as baselines
+        with pytest.warns(DeprecationWarning, match="deprecated"):
+            old_style = digests(**retired)
+        assert old_style == digests()
 
-        with pytest.raises(AttributeError):
-            baselines.NoSuchResult
+    def test_defaults_stay_silent(self, make_horizon):
+        from repro.shard import ShardedOnlineAuction
 
-    def test_old_isinstance_checks_keep_working(self, make_instance):
-        # The pattern old downstream code used: run a baseline, check the
-        # result against the legacy class name.
-        from repro.baselines.pay_as_bid import run_pay_as_bid
-
-        outcome = run_pay_as_bid(make_instance())
-        with pytest.warns(DeprecationWarning):
-            from repro.baselines.pay_as_bid import PayAsBidResult
-        assert isinstance(outcome, PayAsBidResult)
+        rounds, capacities = make_horizon(rounds=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run_msoa(rounds, capacities)
+            ShardedOnlineAuction(capacities, shards=2)
 
 
 class TestDirectPlatformWiring:

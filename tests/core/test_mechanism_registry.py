@@ -119,11 +119,11 @@ class TestSingleRoundDispatch:
 
     def test_reference_engine_entry_matches_fast_ssam(self, make_instance):
         instance = make_instance()
-        fast = get_mechanism("ssam")(instance)
+        ssam = get_mechanism("ssam")(instance)
         reference = get_mechanism("ssam-reference")(instance)
         assert reference.mechanism == "ssam-reference"
-        assert reference.social_cost == pytest.approx(fast.social_cost)
-        assert reference.total_payment == pytest.approx(fast.total_payment)
+        assert reference.social_cost == pytest.approx(ssam.social_cost)
+        assert reference.total_payment == pytest.approx(ssam.total_payment)
 
     def test_random_mechanism_is_seeded(self, make_instance):
         instance = make_instance()

@@ -40,17 +40,14 @@ class TestRun:
     def test_payload_schema_and_equivalence(self):
         payload = run_engine_bench(cases=[TINY])
         assert payload["bench"] == "engine"
-        assert payload["parallelism"] == 1
         (row,) = payload["cases"]
         assert row["case"] == "tiny"
         assert row["equivalent"] is True
-        assert row["reference_ms"] > 0 and row["fast_ms"] > 0
-        assert row["fast_parallel_ms"] == row["fast_ms"]  # serial: not re-timed
+        assert row["reference_ms"] > 0 and row["columnar_ms"] > 0
+        assert row["speedup_columnar"] == pytest.approx(
+            row["reference_ms"] / row["columnar_ms"]
+        )
         assert row["winners"] >= 1 and row["bids"] >= 8
-
-    def test_invalid_parallelism_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_engine_bench(parallelism=0, cases=[TINY])
 
     def test_unwritable_path_rejected(self, tmp_path):
         payload = run_engine_bench(cases=[TINY])

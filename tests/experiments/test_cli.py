@@ -30,19 +30,11 @@ class TestParser:
         args = build_parser().parse_args(["fig", "3a", "--quick"])
         assert args.panel == "3a" and args.quick is True
 
-    def test_fig_parallelism_flag_parsed(self):
-        args = build_parser().parse_args(["fig", "4b", "--parallelism", "4"])
-        assert args.parallelism == 4
-        assert build_parser().parse_args(["fig", "4b"]).parallelism == "auto"
-        args = build_parser().parse_args(["fig", "4b", "--parallelism", "auto"])
-        assert args.parallelism == "auto"
-
     def test_bench_flags_parsed(self):
         args = build_parser().parse_args(
-            ["bench", "--quick", "--parallelism", "2", "--out", "x.json"]
+            ["bench", "--quick", "--out", "x.json"]
         )
         assert args.quick is True
-        assert args.parallelism == 2
         assert args.out == "x.json"
         # --out defaults to None; _cmd_bench resolves it per tier
         # (BENCH_engine.json, or BENCH_scale.json under --scale).
@@ -57,14 +49,6 @@ class TestParser:
 
     def test_all_figures_registered(self):
         assert set(FIGURES) == {"3a", "3b", "4a", "4b", "5a", "6a", "6b"}
-
-    def test_invalid_parallelism_reports_cleanly(self, capsys):
-        # Configuration errors surface as one-line messages, not
-        # tracebacks, on every subcommand.
-        assert main(["fig", "4a", "--parallelism", "0"]) == 2
-        assert "parallelism" in capsys.readouterr().err
-        assert main(["bench", "--quick", "--parallelism", "0"]) == 2
-        assert "parallelism" in capsys.readouterr().err
 
 
 class TestFigureExecution:
@@ -164,7 +148,9 @@ class TestMechanismCommands:
     def test_fig_engine_flag_parsed(self):
         args = build_parser().parse_args(["fig", "4a", "--engine", "reference"])
         assert args.engine == "reference"
-        assert build_parser().parse_args(["fig", "4a"]).engine == "fast"
+        assert build_parser().parse_args(["fig", "4a"]).engine == "columnar"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig", "4a", "--engine", "fast"])
 
     def test_fig_runs_on_reference_engine(self, capsys):
         assert main(["fig", "4a", "--quick", "--engine", "reference"]) == 0

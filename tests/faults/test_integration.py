@@ -57,7 +57,7 @@ class TestZeroProbabilityProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(plan=null_plans(), engine=st.sampled_from(["fast", "reference"]))
+    @given(plan=null_plans(), engine=st.sampled_from(["columnar", "reference"]))
     def test_null_plan_is_bit_identical(self, make_horizon, plan, engine):
         assert plan.is_null
         horizon, capacities = make_horizon(11, rounds=2)

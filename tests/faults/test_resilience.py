@@ -48,7 +48,7 @@ NULL_PLANS = [
 
 
 class TestNullPlanBitIdentity:
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("engine", ["columnar", "reference"])
     def test_msoa_unchanged_on_both_engines(self, make_horizon, engine):
         horizon, capacities = make_horizon(11, rounds=3)
         reference = run_msoa(horizon, capacities, engine=engine)

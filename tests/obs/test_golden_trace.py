@@ -17,7 +17,7 @@ from repro.obs import observing, read_trace, summarize
 from repro.obs.tracer import TRACE_SCHEMA, TRACE_SCHEMA_VERSION, iter_spans
 from repro.workload.bidgen import generate_horizon
 
-ENGINES = ("fast", "reference")
+ENGINES = ("columnar", "reference")
 
 
 def _trace_ssam(tmp_path, instance, engine, **options):
@@ -45,17 +45,15 @@ class TestTraceSchema:
         assert all(a < b for a, b in zip(seqs, seqs[1:]))
 
     def test_auction_phases_are_nested_spans(self, tmp_path, make_instance):
-        path, _ = _trace_ssam(tmp_path, make_instance(seed=7), "fast")
+        path, _ = _trace_ssam(tmp_path, make_instance(seed=7), "columnar")
         starts = {s["name"]: s for s in iter_spans(read_trace(path))}
         auction = starts["auction"]
         assert auction["parent"] == 0
         assert starts["greedy-selection"]["parent"] == auction["id"]
         assert starts["payment-computation"]["parent"] == auction["id"]
-        # The fast engine's indexing phase nests under the selection span.
-        assert starts["bid-indexing"]["parent"] == starts["greedy-selection"]["id"]
 
     def test_trace_is_complete_not_truncated(self, tmp_path, make_instance):
-        path, _ = _trace_ssam(tmp_path, make_instance(seed=7), "fast")
+        path, _ = _trace_ssam(tmp_path, make_instance(seed=7), "columnar")
         assert summarize(path).truncated is False
 
 
@@ -101,7 +99,7 @@ class TestGoldenSsam:
         path, outcome = _trace_ssam(
             tmp_path,
             make_instance(seed=7),
-            "fast",
+            "columnar",
             payment_rule=PaymentRule.ITERATION_RUNNER_UP,
         )
         summary = summarize(path)

@@ -185,10 +185,10 @@ class TestSummarizeValidation:
     def test_state_singleton_identity(self):
         # Hot paths read this exact object; rebinding it would silently
         # disconnect the instrumentation.
-        from repro.core.engine import _OBS as engine_state
+        from repro.core.columnar import _OBS as columnar_state
         from repro.core.msoa import _OBS as msoa_state
         from repro.core.ssam import _OBS as ssam_state
 
-        assert engine_state is STATE
+        assert columnar_state is STATE
         assert msoa_state is STATE
         assert ssam_state is STATE

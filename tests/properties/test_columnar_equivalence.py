@@ -1,16 +1,16 @@
-"""The columnar engine is bit-identical to the fast and reference engines.
+"""The columnar engine is bit-identical to the reference engine.
 
 :mod:`repro.core.columnar` re-implements the greedy selection and the
 critical-payment replay on numpy column arrays, batching every winner's
 replay through one shared greedy prefix; its whole claim to correctness
-is *exact* equivalence with both scalar engines.  These tests pin that
+is *exact* equivalence with the scalar reference loops.  These tests pin that
 claim across every layer that can select an engine:
 
 * the full selection trace (winner sequence, utilities, ratios,
   runner-up ratios, coverage snapshots) matches the reference oracle
   step by step,
 * complete auction outcomes — winners, payments, and dual certificates —
-  serialize identically across all three engines under both payment
+  serialize identically across both engines under both payment
   rules, over a 300-instance seeded generator sweep plus hypothesis
   draws, with and without the feasibility guard,
 * MSOA horizons agree across engines, with and without seeded
@@ -62,7 +62,7 @@ COMMON = settings(
 RULES = [PaymentRule.CRITICAL_RERUN, PaymentRule.ITERATION_RUNNER_UP]
 
 
-def outcomes_for(instance, rule, *, engines=("reference", "fast", "columnar")):
+def outcomes_for(instance, rule, *, engines=("reference", "columnar")):
     """One outcome per engine, or None if the instance is infeasible —
     in which case every engine must agree on the infeasibility too."""
     outcomes = {}
@@ -107,20 +107,18 @@ def test_selection_trace_identical(instance):
 @COMMON
 @given(instance=wsp_instances())
 @pytest.mark.parametrize("rule", list(PaymentRule))
-def test_outcome_identical_three_engines(instance, rule):
+def test_outcome_identical_both_engines(instance, rule):
     """Winners, payments, and dual certificates match bit for bit."""
     outcomes = outcomes_for(instance, rule)
     if outcomes is None:
         return
-    reference = outcomes["reference"].to_dict()
-    assert outcomes["fast"].to_dict() == reference
-    assert outcomes["columnar"].to_dict() == reference
+    assert outcomes["columnar"].to_dict() == outcomes["reference"].to_dict()
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_market_generator_sweep_identical(rule, make_instance):
     """300 seeded generator instances (150 per payment rule, disjoint
-    seed ranges) agree across all three engines end to end — winner
+    seed ranges) agree across both engines end to end — winner
     keys, payments, duals, metadata."""
     offset = 0 if rule is PaymentRule.CRITICAL_RERUN else 150
     for seed in range(offset, offset + 150):
@@ -129,7 +127,6 @@ def test_market_generator_sweep_identical(rule, make_instance):
         if outcomes is None:
             continue
         reference = outcomes["reference"].to_dict()
-        assert outcomes["fast"].to_dict() == reference, f"seed {seed}"
         assert outcomes["columnar"].to_dict() == reference, f"seed {seed}"
 
 
@@ -138,10 +135,10 @@ def test_guard_disabled_paths_agree(make_instance):
     for seed in range(20):
         instance = make_instance(1000 + seed, n_sellers=10, n_buyers=3)
         try:
-            fast = run_ssam(
+            reference = run_ssam(
                 instance,
                 payment_rule=PaymentRule.CRITICAL_RERUN,
-                engine="fast",
+                engine="reference",
                 guard=False,
             )
         except InfeasibleInstanceError:
@@ -159,7 +156,7 @@ def test_guard_disabled_paths_agree(make_instance):
             engine="columnar",
             guard=False,
         )
-        assert columnar.to_dict() == fast.to_dict(), f"seed {seed}"
+        assert columnar.to_dict() == reference.to_dict(), f"seed {seed}"
 
 
 TIE_PRICES = (1.0, 2.0, 3.0, 4.0, 6.0)
@@ -230,14 +227,17 @@ class TestMsoaEquivalence:
     def test_horizons_identical_across_engines(self, make_horizon):
         for seed in (11, 23, 37, 53):
             rounds, capacities = make_horizon(seed, rounds=4)
-            fast = run_msoa(rounds, capacities, engine="fast")
+            reference = run_msoa(rounds, capacities, engine="reference")
             columnar = run_msoa(rounds, capacities, engine="columnar")
-            assert columnar.to_dict() == fast.to_dict(), f"seed {seed}"
+            assert columnar.to_dict() == reference.to_dict(), f"seed {seed}"
 
     def test_reference_agrees_too(self, make_horizon):
+        # ... with the cross-round layout carry off (cold rebuilds).
         rounds, capacities = make_horizon(11, rounds=3)
         reference = run_msoa(rounds, capacities, engine="reference")
-        columnar = run_msoa(rounds, capacities, engine="columnar")
+        columnar = run_msoa(
+            rounds, capacities, engine="columnar", columnar_incremental=False
+        )
         assert columnar.to_dict() == reference.to_dict()
 
     @pytest.mark.parametrize("plan_seed", [3, 9])
@@ -248,12 +248,14 @@ class TestMsoaEquivalence:
         )
         for seed in (11, 23):
             rounds, capacities = make_horizon(seed, rounds=4)
-            fast = run_msoa(rounds, capacities, engine="fast", faults=plan)
+            reference = run_msoa(
+                rounds, capacities, engine="reference", faults=plan
+            )
             columnar = run_msoa(
                 rounds, capacities, engine="columnar", faults=plan
             )
-            assert columnar.to_dict() == fast.to_dict(), f"seed {seed}"
-            assert fast.fault_events == columnar.fault_events
+            assert columnar.to_dict() == reference.to_dict(), f"seed {seed}"
+            assert reference.fault_events == columnar.fault_events
 
 
 class TestMsoaIncrementality:
@@ -350,31 +352,31 @@ class TestPlatformLedgerEquivalence:
 
     @pytest.mark.parametrize("mechanism", [None, "pay-as-bid", "vcg"])
     def test_reports_and_ledger_identical(self, mechanism):
-        fast_reports, fast_ledger = self._run("fast", mechanism)
+        ref_reports, ref_ledger = self._run("reference", mechanism)
         col_reports, col_ledger = self._run("columnar", mechanism)
-        assert len(fast_reports) == len(col_reports)
-        for fast_report, col_report in zip(fast_reports, col_reports):
-            assert (fast_report.auction is None) == (
+        assert len(ref_reports) == len(col_reports)
+        for ref_report, col_report in zip(ref_reports, col_reports):
+            assert (ref_report.auction is None) == (
                 col_report.auction is None
             )
-            if fast_report.auction is not None:
+            if ref_report.auction is not None:
                 assert (
                     col_report.auction.outcome.to_dict()
-                    == fast_report.auction.outcome.to_dict()
+                    == ref_report.auction.outcome.to_dict()
                 )
-        assert col_ledger.total_paid == fast_ledger.total_paid
-        assert col_ledger.total_charged == fast_ledger.total_charged
+        assert col_ledger.total_paid == ref_ledger.total_paid
+        assert col_ledger.total_charged == ref_ledger.total_charged
 
     def test_faulted_platform_identical(self):
         plan = FaultPlan(
             seed=3, seller_defaults=(SellerDefault(probability=0.4),)
         )
-        fast_reports, fast_ledger = self._run("fast", None, faults=plan)
+        ref_reports, ref_ledger = self._run("reference", None, faults=plan)
         col_reports, col_ledger = self._run("columnar", None, faults=plan)
-        for fast_report, col_report in zip(fast_reports, col_reports):
-            if fast_report.auction is not None:
+        for ref_report, col_report in zip(ref_reports, col_reports):
+            if ref_report.auction is not None:
                 assert (
                     col_report.auction.outcome.to_dict()
-                    == fast_report.auction.outcome.to_dict()
+                    == ref_report.auction.outcome.to_dict()
                 )
-        assert col_ledger.total_paid == fast_ledger.total_paid
+        assert col_ledger.total_paid == ref_ledger.total_paid

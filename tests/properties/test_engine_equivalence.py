@@ -1,9 +1,12 @@
-"""The fast engine is bit-identical to the reference oracle.
+"""The default engine is bit-identical to the reference oracle.
 
-:mod:`repro.core.engine` re-implements the greedy selection and the
-critical-payment replay on incremental bookkeeping plus a lazy heap; its
-whole claim to correctness is *exact* equivalence with the naive loops in
-:mod:`repro.core.ssam`.  These tests pin that claim:
+``run_ssam``'s default engine (``"columnar"``, :mod:`repro.core.columnar`)
+re-implements the greedy selection and the critical-payment replay on
+numpy column arrays; its whole claim to correctness is *exact*
+equivalence with the naive loops in :mod:`repro.core.ssam`.  These tests
+pin that claim through the default dispatch (no ``engine=`` argument);
+``test_columnar_equivalence.py`` covers the MSOA, platform and
+tie-breaking layers:
 
 * the full selection trace (winner sequence, utilities, ratios,
   runner-up ratios) matches step by step,
@@ -11,13 +14,13 @@ whole claim to correctness is *exact* equivalence with the naive loops in
   serialize identically under both payment rules,
 * a seeded sweep over 200 market-generator instances (the distribution
   the experiments actually run on) agrees end to end,
-* individual rationality survives the fast path under both rules.
+* individual rationality survives the default engine under both rules.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.engine import fast_greedy_selection
+from repro.core.columnar import columnar_greedy_selection
 from repro.core.ssam import PaymentRule, greedy_selection, run_ssam
 from repro.errors import InfeasibleInstanceError
 
@@ -35,32 +38,31 @@ COMMON = settings(
 
 
 def outcomes_for(instance, rule):
-    """(reference, fast) outcomes, or None if the instance is infeasible
-    for the greedy even after exact-guard escalation."""
+    """(reference, default) outcomes, or None if the instance is
+    infeasible for the greedy even after exact-guard escalation."""
     try:
         reference = run_ssam(instance, payment_rule=rule, engine="reference")
     except InfeasibleInstanceError:
         with pytest.raises(InfeasibleInstanceError):
-            run_ssam(instance, payment_rule=rule, engine="fast")
+            run_ssam(instance, payment_rule=rule)
         return None
-    fast = run_ssam(instance, payment_rule=rule, engine="fast")
-    return reference, fast
+    return reference, run_ssam(instance, payment_rule=rule)
 
 
 @COMMON
 @given(instance=wsp_instances())
 def test_selection_trace_identical(instance):
-    """fast_greedy_selection replays greedy_selection step for step."""
+    """columnar_greedy_selection replays greedy_selection step for step."""
     demand = dict(instance.demand)
     try:
         reference = greedy_selection(instance.bids, dict(demand))
     except InfeasibleInstanceError:
         with pytest.raises(InfeasibleInstanceError):
-            fast_greedy_selection(instance.bids, dict(demand))
+            columnar_greedy_selection(instance.bids, dict(demand))
         return
-    fast = fast_greedy_selection(instance.bids, dict(demand))
-    assert len(fast) == len(reference)
-    for ours, theirs in zip(fast, reference):
+    columnar = columnar_greedy_selection(instance.bids, dict(demand))
+    assert len(columnar) == len(reference)
+    for ours, theirs in zip(columnar, reference):
         assert ours.bid.key == theirs.bid.key
         assert ours.iteration == theirs.iteration
         assert ours.utility == theirs.utility
@@ -77,8 +79,8 @@ def test_outcome_identical(instance, rule):
     pair = outcomes_for(instance, rule)
     if pair is None:
         return
-    reference, fast = pair
-    assert fast.to_dict() == reference.to_dict()
+    reference, default = pair
+    assert default.to_dict() == reference.to_dict()
 
 
 @pytest.mark.parametrize("rule", list(PaymentRule))
@@ -90,8 +92,8 @@ def test_market_generator_sweep_identical(rule, make_instance):
         pair = outcomes_for(instance, rule)
         if pair is None:
             continue
-        reference, fast = pair
-        assert fast.to_dict() == reference.to_dict(), f"seed {seed}"
+        reference, default = pair
+        assert default.to_dict() == reference.to_dict(), f"seed {seed}"
 
 
 @COMMON
@@ -99,11 +101,11 @@ def test_market_generator_sweep_identical(rule, make_instance):
 @pytest.mark.parametrize(
     "rule", [PaymentRule.ITERATION_RUNNER_UP, PaymentRule.CRITICAL_RERUN]
 )
-def test_fast_engine_keeps_individual_rationality(instance, rule):
+def test_default_engine_keeps_individual_rationality(instance, rule):
     """Regression: no payment ever drops below the announced bid price
-    under the fast engine (Theorem 5 must survive the optimisation)."""
+    under the default engine (Theorem 5 must survive the optimisation)."""
     try:
-        outcome = run_ssam(instance, payment_rule=rule, engine="fast")
+        outcome = run_ssam(instance, payment_rule=rule)
     except InfeasibleInstanceError:
         return
     for winner in outcome.winners:
@@ -123,10 +125,7 @@ def test_guard_disabled_paths_agree(make_instance):
             )
         except InfeasibleInstanceError:
             continue
-        fast = run_ssam(
-            instance,
-            payment_rule=PaymentRule.CRITICAL_RERUN,
-            engine="fast",
-            guard=False,
+        default = run_ssam(
+            instance, payment_rule=PaymentRule.CRITICAL_RERUN, guard=False
         )
-        assert fast.to_dict() == reference.to_dict(), f"seed {seed}"
+        assert default.to_dict() == reference.to_dict(), f"seed {seed}"

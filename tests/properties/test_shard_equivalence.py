@@ -38,7 +38,7 @@ COMMON = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-ENGINES = ("fast", "reference", "columnar")
+ENGINES = ("reference", "columnar")
 
 FAULTS = FaultPlan(
     seed=23,

@@ -5,9 +5,9 @@ import pytest
 from repro.core.bids import Bid
 from repro.core.ssam import run_ssam
 from repro.core.wsp import WSPInstance
-from repro.errors import ConfigurationError, InfeasibleInstanceError
+from repro.errors import InfeasibleInstanceError
 from repro.shard.plan import RegionShardPlan
-from repro.shard.ssam import resolve_shard_workers, run_sharded_ssam
+from repro.shard.ssam import run_sharded_ssam
 
 pytestmark = pytest.mark.shard
 
@@ -89,17 +89,12 @@ class TestTwoShards:
         instance = split_market()
         outcomes = {
             engine: run_sharded_ssam(instance, PLAN, engine=engine)
-            for engine in ("fast", "reference", "columnar")
+            for engine in ("reference", "columnar")
         }
-        base = outcomes["fast"].outcome.to_dict()
-        assert outcomes["reference"].outcome.to_dict() == base
-        assert outcomes["columnar"].outcome.to_dict() == base
-
-    def test_explicit_workers_match_serial(self):
-        instance = split_market()
-        serial = run_sharded_ssam(instance, PLAN, shard_workers=1)
-        threaded = run_sharded_ssam(instance, PLAN, shard_workers=2)
-        assert serial.outcome.to_dict() == threaded.outcome.to_dict()
+        assert (
+            outcomes["columnar"].outcome.to_dict()
+            == outcomes["reference"].outcome.to_dict()
+        )
 
 
 class TestReconciliation:
@@ -189,28 +184,3 @@ class TestReconciliation:
             len(v) for v in result.outcome.duals.unit_prices.values()
         )
         assert covered_units == 2  # buyers 0 and 2 served, buyer 1 not
-
-
-class TestResolveShardWorkers:
-    def test_explicit_values(self):
-        assert resolve_shard_workers(1, 4) == 1
-        assert resolve_shard_workers(3, 2) == 2  # capped at active shards
-        assert resolve_shard_workers(2, 0) == 1
-
-    def test_auto_caps_at_cpus_and_shards(self):
-        import os
-
-        expected = min(os.cpu_count() or 1, 4)
-        assert resolve_shard_workers("auto", 4) == expected
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_shard_workers(0, 4)
-        with pytest.raises(ConfigurationError):
-            resolve_shard_workers("many", 4)
-
-    def test_observability_forces_serial(self, tmp_path):
-        from repro.obs.runtime import observing
-
-        with observing(metrics=tmp_path / "metrics.json"):
-            assert resolve_shard_workers(4, 4) == 1

@@ -6,7 +6,7 @@ declared claims; the suite pins both directions of the contract — SSAM
 baselines must FAIL truthfulness *as predicted* without breaking
 conformance.  The oracle-agreement sweep is the PR's acceptance bar:
 the bisection critical prices match the engine payments on hundreds of
-generated instances for the fast and the reference engine alike.
+generated instances for the columnar and the reference engine alike.
 """
 
 import json
@@ -88,7 +88,7 @@ class TestOracleEngineAgreement:
     """
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("engine", ["columnar", "reference"])
     def test_bisection_matches_engine_payments_at_scale(self, engine):
         report = certify(
             "ssam",
