@@ -2,8 +2,9 @@
 
 DESIGN.md design decision 3: the ψ update (Algorithm 2 line 11) is what
 protects sellers' future participation.  This bench runs the same horizon
-(a) with the normal update and (b) with ψ effectively frozen at 0 (α→∞),
-on a market engineered so that cheap sellers are scarce: the scaling-free
+(a) with the normal update and (b) with ψ frozen at exactly 0 — SSAM
+driven through the baseline adapter, the same online loop at face
+prices — on a market engineered so that cheap sellers are scarce: the scaling-free
 variant burns the cheap capacity early and pays more in later rounds.
 
 Reported: total social cost of both variants plus the late-round premium
@@ -15,6 +16,7 @@ import numpy as np
 from repro.analysis.reporting import ResultTable
 from repro.core.bids import Bid
 from repro.core.msoa import run_msoa
+from repro.core.registry import make_online
 from repro.core.ssam import PaymentRule
 from repro.core.wsp import WSPInstance
 
@@ -48,17 +50,21 @@ def test_ablation_psi_scaling(benchmark, show):
     rng = np.random.default_rng(42)
     horizon, capacities = _scarce_market_horizon(rounds=10, rng=rng)
 
-    def run(alpha):
-        return run_msoa(
-            horizon,
-            capacities,
-            alpha=alpha,
-            payment_rule=PaymentRule.ITERATION_RUNNER_UP,
-            on_infeasible="best_effort",
-        )
+    options = dict(
+        payment_rule=PaymentRule.ITERATION_RUNNER_UP, on_infeasible="best_effort"
+    )
 
-    scaled = run(alpha=None)  # normal MSOA (auto α)
-    frozen = run(alpha=1e12)  # ψ ≈ 0 forever: no scarcity pricing
+    def run():
+        return run_msoa(horizon, capacities, **options)
+
+    def run_frozen():
+        auction = make_online("ssam", capacities, **options)
+        for instance in horizon:
+            auction.process_round(instance)
+        return auction.finalize()
+
+    scaled = run()  # normal MSOA (auto α)
+    frozen = run_frozen()  # ψ ≡ 0: no scarcity pricing
 
     table = ResultTable(
         title="Ablation: ψ price scaling on a scarce-cheap-seller market",
@@ -77,4 +83,4 @@ def test_ablation_psi_scaling(benchmark, show):
     # The scaling spreads cheap capacity across the horizon, so its
     # late-round spending is no worse than the frozen variant's.
     assert scaled.rounds[-1].social_cost <= frozen.rounds[-1].social_cost + 1e-9
-    benchmark(run, None)
+    benchmark(run)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.core.msoa import run_msoa
+from repro.core.registry import make_online
 from repro.errors import SolverError
 from repro.core.wsp import WSPInstance
 from repro.solvers.milp import solve_horizon_optimal
@@ -93,14 +93,15 @@ def run_offline_greedy(
 ) -> OfflineOutcome:
     """A fast offline heuristic: MSOA with the ψ scaling disabled.
 
-    Running the per-round greedy with an enormous α freezes the scarcity
-    prices at ≈ 0, i.e. each round is solved greedily at face prices with
-    only the hard capacity exclusions — a useful, cheap upper bound on
-    the offline optimum for very large sweeps.  Flagged ``exact=False``.
+    Runs SSAM through the baseline adapter (``ψ ≡ 0`` exactly), i.e. each
+    round is solved greedily at face prices with only the hard capacity
+    exclusions — a useful, cheap upper bound on the offline optimum for
+    very large sweeps.  Flagged ``exact=False``.
     """
-    outcome = run_msoa(
-        rounds, capacities, alpha=1e12, on_infeasible="skip"
-    )
+    auction = make_online("ssam", capacities, on_infeasible="skip")
+    for instance in rounds:
+        auction.process_round(instance)
+    outcome = auction.finalize()
     return OfflineOutcome(
         social_cost=outcome.social_cost,
         per_round_cost=tuple(r.social_cost for r in outcome.rounds),

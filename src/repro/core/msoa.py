@@ -18,6 +18,15 @@ Winners are paid during each round's SSAM execution (on the scaled
 prices), which preserves individual rationality — a scaled price is never
 below the announced price, and the critical payment is never below the
 scaled price.
+
+:class:`MultiStageOnlineAuction` is the repo's one online round loop.
+Subclasses change how a round is priced or cleared through a few
+overridable seams — ``_scaled_bids`` (line 8), ``_execute_ssam`` (the
+clearing), ``_skip_outcome``, ``_apply_win`` (lines 11–12) — and keep
+the screen, fault handling and ``on_infeasible`` dispatch.
+:class:`~repro.shard.msoa.ShardedOnlineAuction` swaps the clearing for
+the sharded pipeline; :class:`~repro.core.mechanism.
+SingleRoundOnlineAdapter` runs a single-round baseline with ``ψ ≡ 0``.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.bids import Bid
-from repro.core.mechanism import resolve_fault_args
 from repro.core.outcomes import OnlineOutcome, RoundResult
 from repro.core.ratios import (
     capacity_margin,
@@ -40,7 +48,7 @@ from repro.core.ssam import (
     run_ssam,
     warn_ignored,
 )
-from repro.core.wsp import WSPInstance
+from repro.core.wsp import WSPInstance, supply_clamped_demand
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
@@ -51,6 +59,49 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults → core)
     from repro.faults.policies import ResiliencePolicy
 
 __all__ = ["MultiStageOnlineAuction", "run_msoa"]
+
+
+def resolve_fault_args(faults, resilience):
+    """Resolve ``faults=``/``resilience=`` kwargs into (injector, policy).
+
+    Shared by every fault-aware online loop (MSOA and its subclasses,
+    the baseline adapters included).  Imports :mod:`repro.faults`
+    lazily so :mod:`repro.core` never depends on it at import time
+    (faults imports core, not vice versa).  A null plan resolves to *no*
+    injector: the round loop then takes the exact unfaulted code path,
+    which is what makes the all-zero-plan bit-identity guarantee true by
+    construction.
+    """
+    if faults is None:
+        if resilience is not None:
+            raise ConfigurationError(
+                "resilience= requires faults= (a policy alone has nothing "
+                "to recover from)"
+            )
+        return None, None
+    from repro.faults.injector import FaultInjector
+    from repro.faults.models import FaultPlan
+    from repro.faults.policies import DEFAULT_POLICY, ResiliencePolicy
+
+    if isinstance(faults, FaultPlan):
+        injector = None if faults.is_null else FaultInjector(faults)
+    elif isinstance(faults, FaultInjector):
+        injector = None if faults.is_null else faults
+    else:
+        raise ConfigurationError(
+            f"faults must be a FaultPlan or FaultInjector, got "
+            f"{type(faults).__name__}"
+        )
+    if resilience is None:
+        policy = DEFAULT_POLICY
+    elif isinstance(resilience, ResiliencePolicy):
+        policy = resilience
+    else:
+        raise ConfigurationError(
+            f"resilience must be a ResiliencePolicy, got "
+            f"{type(resilience).__name__}"
+        )
+    return injector, (policy if injector is not None else None)
 
 
 class MultiStageOnlineAuction:
@@ -206,9 +257,18 @@ class MultiStageOnlineAuction:
         remaining = self.remaining_capacity(bid.seller)
         return remaining is None or bid.size <= remaining
 
-    def _scaled_price(self, bid: Bid) -> float:
-        """Line 8: ``∇ᵗᵢⱼ = Jᵗᵢⱼ + |Sᵗᵢⱼ|·ψᵢᵗ⁻¹``."""
-        return bid.price + bid.size * self._psi.get(bid.seller, 0.0)
+    def _scaled_bids(self, admissible: tuple[Bid, ...]) -> tuple[Bid, ...]:
+        """Line 8: re-price each bid at ``∇ᵗᵢⱼ = Jᵗᵢⱼ + |Sᵗᵢⱼ|·ψᵢᵗ⁻¹``."""
+        return tuple(
+            Bid(
+                seller=bid.seller,
+                index=bid.index,
+                covered=bid.covered,
+                price=bid.price + bid.size * self._psi.get(bid.seller, 0.0),
+                true_cost=bid.cost,
+            )
+            for bid in admissible
+        )
 
     def _columnar_kwargs(self, instance: WSPInstance) -> dict:
         """The ``columnar=`` forward for a round's :func:`run_ssam` call.
@@ -298,16 +358,7 @@ class MultiStageOnlineAuction:
                 bid for bid in instance.bids if self._admissible(bid)
             )
             original_by_key = {bid.key: bid for bid in instance.bids}
-            scaled_bids = tuple(
-                Bid(
-                    seller=bid.seller,
-                    index=bid.index,
-                    covered=bid.covered,
-                    price=self._scaled_price(bid),
-                    true_cost=bid.cost,
-                )
-                for bid in admissible
-            )
+            scaled_bids = self._scaled_bids(admissible)
             scaled_prices = {bid.key: bid.price for bid in scaled_bids}
             if _OBS.enabled:
                 metrics = _OBS.metrics
@@ -333,43 +384,19 @@ class MultiStageOnlineAuction:
                 self._alpha = max(
                     1.0, ssam_ratio_bound(instance.total_demand, admissible)
                 )
-            resilience = None
-            if self._injector is not None:
-                outcome, resilience = self._resilient_round(
-                    scaled_instance,
-                    original_by_key,
-                    pre_events=pre_events,
-                    round_index=round_index,
-                )
-                if (
-                    resilience is not None
-                    and self._policy.carry_uncovered
-                    and resilience.uncovered
-                ):
-                    for buyer, units in resilience.uncovered.items():
-                        self._carry[buyer] = self._carry.get(buyer, 0) + units
-            else:
-                try:
-                    outcome = self._execute_ssam(
-                        scaled_instance,
-                        original_prices={
-                            key: original_by_key[key].price
-                            for key in scaled_prices
-                        },
-                    )
-                except InfeasibleInstanceError:
-                    if self._on_infeasible == "raise":
-                        raise
-                    if self._on_infeasible == "best_effort":
-                        outcome = self._best_effort_round(
-                            scaled_instance, original_by_key
-                        )
-                    else:
-                        outcome = self._execute_ssam(
-                            WSPInstance(
-                                bids=scaled_bids, demand={}, price_ceiling=None
-                            )
-                        )
+            outcome, resilience = self._clear_round(
+                scaled_instance,
+                {key: original_by_key[key].price for key in scaled_prices},
+                pre_events=pre_events,
+                round_index=round_index,
+            )
+            if (
+                resilience is not None
+                and self._policy.carry_uncovered
+                and resilience.uncovered
+            ):
+                for buyer, units in resilience.uncovered.items():
+                    self._carry[buyer] = self._carry.get(buyer, 0) + units
             self._beta_observed = min(
                 self._beta_observed, capacity_margin(self._capacities, admissible)
             )
@@ -390,7 +417,7 @@ class MultiStageOnlineAuction:
                 scaled_prices=scaled_prices,
                 psi_after=self.psi,
                 capacity_used=self.capacity_used,
-                resilience=resilience if self._injector is not None else None,
+                resilience=resilience,
             )
             tracer.annotate(
                 round_span,
@@ -403,36 +430,37 @@ class MultiStageOnlineAuction:
                 self._rounds.append(result)
             return result
 
-    def _resilient_round(
+    def _clear_round(
         self,
         scaled_instance: WSPInstance,
-        original_by_key: Mapping[tuple[int, int], Bid],
+        original_prices: Mapping[tuple[int, int], float],
         *,
         pre_events: Sequence,
         round_index: int,
     ):
-        """Run the round through the fault-recovery engine.
+        """Clear a screened, price-scaled round; ``(outcome, resilience)``.
 
-        A degradation-policy ``"raise"`` escalation falls back to this
-        auctioneer's own ``on_infeasible`` handling, so faulted and
-        unfaulted runs treat unrecoverable rounds uniformly.
+        With faults active the round runs through the fault-recovery
+        engine.  An infeasible round — or a degradation-policy
+        ``"raise"`` escalation — is then handled by ``on_infeasible``
+        alone, so faulted and unfaulted runs treat unrecoverable rounds
+        uniformly.
         """
-        from repro.faults.report import RoundResilience
-        from repro.faults.resilience import execute_with_resilience
 
-        def runner(inst: WSPInstance):
-            return self._execute_ssam(
-                inst,
-                original_prices={
-                    bid.key: original_by_key[bid.key].price
-                    for bid in inst.bids
-                },
-            )
+        def clear(inst: WSPInstance):
+            # ``inst`` is the round or a subset of its bids (fault
+            # re-auctions, best-effort clamping); prices are looked up
+            # per winner, so the round's full map serves every call.
+            return self._execute_ssam(inst, original_prices=original_prices)
 
         try:
+            if self._injector is None:
+                return clear(scaled_instance), None
+            from repro.faults.resilience import execute_with_resilience
+
             return execute_with_resilience(
                 scaled_instance,
-                runner,
+                clear,
                 round_index=round_index,
                 injector=self._injector,
                 policy=self._policy,
@@ -441,45 +469,25 @@ class MultiStageOnlineAuction:
         except InfeasibleInstanceError:
             if self._on_infeasible == "raise":
                 raise
-            if self._on_infeasible == "best_effort":
-                outcome = self._best_effort_round(
-                    scaled_instance, original_by_key
-                )
-            else:
-                outcome = self._execute_ssam(
-                    WSPInstance(
-                        bids=scaled_instance.bids,
-                        demand={},
-                        price_ceiling=None,
-                    )
-                )
-            report = (
-                RoundResilience(events=tuple(pre_events))
-                if pre_events
-                else None
-            )
-            return outcome, report
+        if self._on_infeasible == "best_effort":
+            outcome = self._best_effort_round(scaled_instance, clear)
+        else:
+            outcome = self._skip_outcome(scaled_instance)
+        if not pre_events:
+            return outcome, None
+        from repro.faults.report import RoundResilience
 
-    def _best_effort_round(
-        self,
-        scaled_instance: WSPInstance,
-        original_by_key: Mapping[tuple[int, int], Bid],
-    ):
+        return outcome, RoundResilience(events=tuple(pre_events))
+
+    def _best_effort_round(self, scaled_instance: WSPInstance, clear):
         """Serve the largest demand the admissible bids can still cover.
 
         Clamps each buyer's requirement to the number of distinct
-        admissible sellers covering it and re-runs SSAM.  If even the
+        admissible sellers covering it and clears again.  If even the
         clamped round is stuck (pathological seller overlap), falls back
-        to an empty round.
+        to the skipped round.
         """
-        sellers_covering: dict[int, set[int]] = {}
-        for bid in scaled_instance.bids:
-            for buyer in bid.covered:
-                sellers_covering.setdefault(buyer, set()).add(bid.seller)
-        clamped = {
-            buyer: min(units, len(sellers_covering.get(buyer, ())))
-            for buyer, units in scaled_instance.demand.items()
-        }
+        clamped = supply_clamped_demand(scaled_instance)
         if _OBS.enabled:
             _OBS.metrics.counter("msoa.capacity_repairs").inc()
             _OBS.tracer.event(
@@ -487,25 +495,22 @@ class MultiStageOnlineAuction:
                 demand={str(b): u for b, u in scaled_instance.demand.items()},
                 clamped={str(b): u for b, u in clamped.items()},
             )
-        clamped_instance = WSPInstance(
-            bids=scaled_instance.bids,
-            demand=clamped,
-            price_ceiling=scaled_instance.price_ceiling,
-        )
         try:
-            return self._execute_ssam(
-                clamped_instance,
-                original_prices={
-                    key: original_by_key[key].price
-                    for key in (bid.key for bid in scaled_instance.bids)
-                },
-            )
-        except InfeasibleInstanceError:
-            return self._execute_ssam(
+            return clear(
                 WSPInstance(
-                    bids=scaled_instance.bids, demand={}, price_ceiling=None
+                    bids=scaled_instance.bids,
+                    demand=clamped,
+                    price_ceiling=scaled_instance.price_ceiling,
                 )
             )
+        except InfeasibleInstanceError:
+            return self._skip_outcome(scaled_instance)
+
+    def _skip_outcome(self, instance: WSPInstance):
+        """The empty-winner outcome recorded for a skipped round."""
+        return self._execute_ssam(
+            WSPInstance(bids=instance.bids, demand={}, price_ceiling=None)
+        )
 
     def _apply_win(self, bid: Bid) -> None:
         """Lines 11–12: multiplicative ψ update and χ accounting."""
@@ -522,14 +527,20 @@ class MultiStageOnlineAuction:
     def finalize(self) -> OnlineOutcome:
         """Package the horizon's rounds into an :class:`OnlineOutcome`."""
         alpha = self._alpha if self._alpha is not None else 1.0
-        beta = self._beta_observed
+        return self._package(
+            "msoa", alpha, msoa_competitive_bound(alpha, self._beta_observed)
+        )
+
+    def _package(
+        self, mechanism: str, alpha: float, competitive_bound: float
+    ) -> OnlineOutcome:
         outcome = OnlineOutcome(
             rounds=tuple(self._rounds),
             capacities=dict(self._capacities),
             alpha=alpha,
-            beta=beta,
-            competitive_bound=msoa_competitive_bound(alpha, beta),
-            mechanism="msoa",
+            beta=self._beta_observed,
+            competitive_bound=competitive_bound,
+            mechanism=mechanism,
         )
         outcome.verify_capacities()
         return outcome

@@ -185,10 +185,12 @@ def make_online(
 
     ``online`` mechanisms construct their native auctioneer; ``single``
     mechanisms are wrapped in a
-    :class:`~repro.core.mechanism.SingleRoundOnlineAdapter` so any
-    baseline can drive the multi-round platform loop under MSOA's
-    capacity discipline.  Unknown keyword options (per the spec's
-    ``options`` set) are rejected up front.
+    :class:`~repro.core.mechanism.SingleRoundOnlineAdapter` — MSOA's
+    round loop with the mechanism as its clearing step and ``ψ ≡ 0`` —
+    so any baseline drives the multi-round platform loop under MSOA's
+    capacity discipline and accepts every ``on_infeasible`` value MSOA
+    does.  Unknown keyword options (per the spec's ``options`` set) are
+    rejected up front.
 
     ``faults`` (a :class:`~repro.faults.models.FaultPlan`) and
     ``resilience`` (a :class:`~repro.faults.policies.ResiliencePolicy`)

@@ -75,6 +75,21 @@ def _relaxed(capacities: Mapping[int, int], factor: float) -> dict[int, int]:
     return {seller: int(math.ceil(cap * factor)) for seller, cap in capacities.items()}
 
 
+def _run_variant(
+    scenario: HorizonScenario,
+    *,
+    true_demand: bool,
+    relaxation: float | None = None,
+    **msoa_options,
+) -> OnlineOutcome:
+    """Run MSOA on one demand view, optionally with relaxed capacities."""
+    rounds = scenario.rounds_true if true_demand else scenario.rounds_estimated
+    capacities = scenario.capacities
+    if relaxation is not None:
+        capacities = _relaxed(capacities, relaxation)
+    return run_msoa(rounds, capacities, **msoa_options)
+
+
 def run_msoa_base(
     scenario: HorizonScenario,
     *,
@@ -85,13 +100,9 @@ def run_msoa_base(
     resilience=None,
 ) -> OnlineOutcome:
     """Plain MSOA: estimated demands, baseline capacities."""
-    return run_msoa(
-        scenario.rounds_estimated,
-        scenario.capacities,
-        payment_rule=payment_rule,
-        engine=engine,
-        on_infeasible=on_infeasible,
-        faults=faults,
+    return _run_variant(
+        scenario, true_demand=False, payment_rule=payment_rule,
+        engine=engine, on_infeasible=on_infeasible, faults=faults,
         resilience=resilience,
     )
 
@@ -106,13 +117,9 @@ def run_msoa_da(
     resilience=None,
 ) -> OnlineOutcome:
     """MSOA-DA: oracle demands, baseline capacities."""
-    return run_msoa(
-        scenario.rounds_true,
-        scenario.capacities,
-        payment_rule=payment_rule,
-        engine=engine,
-        on_infeasible=on_infeasible,
-        faults=faults,
+    return _run_variant(
+        scenario, true_demand=True, payment_rule=payment_rule,
+        engine=engine, on_infeasible=on_infeasible, faults=faults,
         resilience=resilience,
     )
 
@@ -128,14 +135,10 @@ def run_msoa_rc(
     resilience=None,
 ) -> OnlineOutcome:
     """MSOA-RC: estimated demands, capacities inflated by ``relaxation``."""
-    return run_msoa(
-        scenario.rounds_estimated,
-        _relaxed(scenario.capacities, relaxation),
-        payment_rule=payment_rule,
-        engine=engine,
-        on_infeasible=on_infeasible,
-        faults=faults,
-        resilience=resilience,
+    return _run_variant(
+        scenario, true_demand=False, relaxation=relaxation,
+        payment_rule=payment_rule, engine=engine,
+        on_infeasible=on_infeasible, faults=faults, resilience=resilience,
     )
 
 
@@ -150,14 +153,10 @@ def run_msoa_oa(
     resilience=None,
 ) -> OnlineOutcome:
     """MSOA-OA: oracle demands *and* relaxed capacities."""
-    return run_msoa(
-        scenario.rounds_true,
-        _relaxed(scenario.capacities, relaxation),
-        payment_rule=payment_rule,
-        engine=engine,
-        on_infeasible=on_infeasible,
-        faults=faults,
-        resilience=resilience,
+    return _run_variant(
+        scenario, true_demand=True, relaxation=relaxation,
+        payment_rule=payment_rule, engine=engine,
+        on_infeasible=on_infeasible, faults=faults, resilience=resilience,
     )
 
 

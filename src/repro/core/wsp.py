@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.bids import Bid, group_bids_by_seller, validate_bids
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 
-__all__ = ["WSPInstance", "CoverageState"]
+__all__ = ["WSPInstance", "CoverageState", "supply_clamped_demand"]
 
 
 @dataclass(frozen=True)
@@ -357,6 +357,25 @@ class WSPInstance:
                     f"buyer {buyer} covered {coverage[buyer]} < demand "
                     f"{self.demand[buyer]}"
                 )
+
+
+def supply_clamped_demand(instance: WSPInstance) -> dict[int, int]:
+    """Clamp each buyer's demand to the distinct sellers covering it.
+
+    Each seller wins at most one bid (constraint 14), so a buyer can be
+    granted at most one unit per distinct covering seller.  The
+    best-effort repairs (MSOA's ``on_infeasible="best_effort"``, a
+    shard's local clearing, partial fault degradation) re-run the round
+    on this demand to serve what the bid pool can still supply.
+    """
+    sellers_covering: dict[int, set[int]] = {}
+    for bid in instance.bids:
+        for buyer in bid.covered:
+            sellers_covering.setdefault(buyer, set()).add(bid.seller)
+    return {
+        buyer: min(units, len(sellers_covering.get(buyer, ())))
+        for buyer, units in instance.demand.items()
+    }
 
 
 @dataclass

@@ -30,7 +30,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro.core.mechanism import outcome_from_selection
 from repro.core.outcomes import AuctionOutcome, WinningBid
-from repro.core.wsp import CoverageState, WSPInstance
+from repro.core.wsp import CoverageState, WSPInstance, supply_clamped_demand
 from repro.errors import InfeasibleInstanceError
 from repro.faults.injector import FaultInjector
 from repro.faults.policies import ResiliencePolicy
@@ -234,19 +234,11 @@ def _run_clamped(instance: WSPInstance, runner: Runner) -> AuctionOutcome:
     it and re-run.  Falls back to an empty round if even the clamped
     instance is stuck (e.g. every bid priced above the ceiling).
     """
-    sellers_covering: dict[int, set[int]] = {}
-    for bid in instance.bids:
-        for buyer in bid.covered:
-            sellers_covering.setdefault(buyer, set()).add(bid.seller)
-    clamped = {
-        buyer: min(units, len(sellers_covering.get(buyer, ())))
-        for buyer, units in instance.demand.items()
-    }
     try:
         return runner(
             WSPInstance(
                 bids=instance.bids,
-                demand=clamped,
+                demand=supply_clamped_demand(instance),
                 price_ceiling=instance.price_ceiling,
             )
         )

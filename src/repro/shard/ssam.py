@@ -39,7 +39,7 @@ from repro.core.duals import DualSolution
 from repro.core.outcomes import AuctionOutcome, WinningBid
 from repro.core.ratios import ssam_ratio_bound
 from repro.core.ssam import PaymentRule, run_ssam
-from repro.core.wsp import WSPInstance
+from repro.core.wsp import WSPInstance, supply_clamped_demand
 from repro.errors import InfeasibleInstanceError
 from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
@@ -93,18 +93,6 @@ class ShardedRoundOutcome:
     stats: ShardRoundStats
 
 
-def _clamp_to_local_supply(sub: WSPInstance) -> dict[int, int]:
-    """Clamp each buyer to the distinct local sellers covering it."""
-    sellers_covering: dict[int, set[int]] = {}
-    for bid in sub.bids:
-        for buyer in bid.covered:
-            sellers_covering.setdefault(buyer, set()).add(bid.seller)
-    return {
-        buyer: min(units, len(sellers_covering.get(buyer, ())))
-        for buyer, units in sub.demand.items()
-    }
-
-
 def _empty_outcome(
     bids: tuple, payment_rule: PaymentRule, **options
 ) -> AuctionOutcome:
@@ -137,7 +125,7 @@ def _clear_local(
         )
     except InfeasibleInstanceError:
         pass
-    clamped = _clamp_to_local_supply(sub)
+    clamped = supply_clamped_demand(sub)
     if clamped != dict(sub.demand):
         try:
             return (

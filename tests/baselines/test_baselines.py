@@ -9,6 +9,7 @@ from repro.baselines.pay_as_bid import run_pay_as_bid
 from repro.baselines.random_mechanism import run_random_selection
 from repro.baselines.vcg import run_vcg
 from repro.core.bids import Bid
+from repro.core.registry import make_online
 from repro.core.ssam import run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError, InfeasibleInstanceError
@@ -172,3 +173,20 @@ class TestOffline:
         greedy = run_offline_greedy(horizon, capacities)
         assert not greedy.exact
         assert greedy.social_cost >= exact.social_cost - 1e-9
+
+    def test_greedy_is_the_ssam_adapter_at_face_prices(self):
+        # Offline-greedy is SSAM under MSOA's capacity screen with ψ ≡ 0
+        # exactly; quartered capacities skip rounds 1 and 2.
+        rng = np.random.default_rng(0)
+        horizon, capacities = generate_horizon(
+            MarketConfig(n_sellers=8, n_buyers=4), rng, rounds=4
+        )
+        capacities = {s: max(1, c // 4) for s, c in capacities.items()}
+        adapter = make_online("ssam", capacities, on_infeasible="skip")
+        results = [adapter.process_round(instance) for instance in horizon]
+        greedy = run_offline_greedy(horizon, capacities)
+        assert greedy.per_round_cost == tuple(r.social_cost for r in results)
+        assert greedy.per_round_cost[1:3] == (0.0, 0.0)
+        assert all(
+            psi == 0.0 for r in results for psi in r.psi_after.values()
+        )

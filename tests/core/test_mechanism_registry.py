@@ -33,6 +33,8 @@ from repro.core.ssam import run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 from repro.experiments.storage import load_outcome, save_outcome
+from repro.obs import observing, read_trace
+from repro.obs.tracer import iter_spans
 from tests.properties.strategies import wsp_instances
 
 EXPECTED_NAMES = {
@@ -209,6 +211,32 @@ class TestMakeOnline:
         for seller, units in used.items():
             assert units <= capacities.get(seller, units)
 
+    def test_adapter_rounds_are_observed_as_msoa_rounds(
+        self, tmp_path, make_horizon
+    ):
+        # The adapter runs MSOA's round loop, so its rounds carry the
+        # msoa.round span, phase and counters, with ψ pinned at 0.
+        horizon, capacities = make_horizon()
+        path = tmp_path / "adapter.jsonl"
+        with observing(trace=path) as metrics:
+            adapter = make_online("pay-as-bid", capacities, on_infeasible="skip")
+            for instance in horizon:
+                adapter.process_round(instance)
+            assert metrics.counter("msoa.rounds").value == len(horizon)
+            assert metrics.counter("phase.msoa.round.calls").value == len(
+                horizon
+            )
+        records = read_trace(path)
+        spans = [span["name"] for span in iter_spans(records)]
+        assert spans.count("msoa.round") == len(horizon)
+        events = [r for r in records if r["kind"] == "event"]
+        assert {
+            r["fields"]["psi_max"] for r in events if r["name"] == "price-scaling"
+        } == {0.0}
+        assert {
+            r["fields"]["psi"] for r in events if r["name"] == "psi-update"
+        } == {0.0}
+
 
 class TestRegistryErrorPaths:
     def test_bad_engine_string_rejected(self, make_instance):
@@ -298,6 +326,20 @@ class TestAdapterCapacityExhaustion:
         adapter.process_round(instance)
         with pytest.raises(InfeasibleInstanceError):
             adapter.process_round(instance)
+
+    def test_exhausted_round_best_effort_clamps_to_supply(self):
+        instance, adapter = self.exhausted_setup("best_effort")
+        assert adapter.process_round(instance).outcome.winner_keys == {(101, 0)}
+        assert adapter.process_round(instance).outcome.winner_keys == {(102, 0)}
+        third = adapter.process_round(instance)
+        # No admissible seller covers buyer 1 any more: its demand
+        # clamps to zero and the round serves nothing.
+        assert dict(third.outcome.instance.demand) == {1: 0}
+        assert third.outcome.winner_keys == frozenset()
+        assert adapter.capacity_used == {101: 1, 102: 1}
+        online = adapter.finalize()
+        online.verify_capacities()
+        assert online.social_cost == pytest.approx(11.0)
 
 
 class TestOutcomeFromSelection:
