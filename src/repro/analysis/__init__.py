@@ -1,51 +1,16 @@
-"""Economic-property audits and empirical ratio computation.
+"""Text rendering for experiment results.
 
-Verifies Theorems 3–8 on concrete runs: truthfulness probes, individual
-rationality audits, performance/competitive ratios against the exact
-solvers, and the text tables the benchmark harness prints.
+The text tables the figure sweeps and benchmark harness print, plus
+ASCII spark-lines and bar charts.  The paper's economic properties are
+certified by :mod:`repro.verify`.
 """
 
-from repro.analysis.economics import (
-    DeviationResult,
-    IRViolation,
-    audit_individual_rationality,
-    payment_price_pairs,
-    probe_truthfulness,
-)
-from repro.analysis.ratios import (
-    RatioReport,
-    msoa_performance_ratio,
-    ssam_performance_ratio,
-)
 from repro.analysis.reporting import ResultTable
-from repro.analysis.sensitivity import SensitivityResult, sweep_parameter
-from repro.analysis.statistics import (
-    SummaryStats,
-    bootstrap_ci,
-    geometric_mean,
-    paired_delta,
-    summarize,
-)
 from repro.analysis.visualize import bar_chart, series_panel, sparkline
 
 __all__ = [
-    "DeviationResult",
-    "IRViolation",
-    "audit_individual_rationality",
-    "payment_price_pairs",
-    "probe_truthfulness",
-    "RatioReport",
-    "msoa_performance_ratio",
-    "ssam_performance_ratio",
     "ResultTable",
-    "SummaryStats",
-    "bootstrap_ci",
-    "geometric_mean",
-    "paired_delta",
-    "summarize",
     "bar_chart",
     "series_panel",
     "sparkline",
-    "SensitivityResult",
-    "sweep_parameter",
 ]

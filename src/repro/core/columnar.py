@@ -500,7 +500,6 @@ def columnar_greedy_selection(
     bids: Sequence[Bid],
     demand: Mapping[int, int],
     *,
-    require_feasible: bool = True,
     guard_feasibility: bool = True,
     exact_guard: bool = False,
     columnar: ColumnarInstance | None = None,
@@ -526,12 +525,10 @@ def columnar_greedy_selection(
                 int(order.size)
             )
         if order.size == 0:
-            if require_feasible:
-                raise InfeasibleInstanceError(
-                    f"{state.unmet} demand units cannot be covered by the "
-                    "remaining bids"
-                )
-            break
+            raise InfeasibleInstanceError(
+                f"{state.unmet} demand units cannot be covered by the "
+                "remaining bids"
+            )
         chosen_pos = _guarded_choice(
             state,
             order,

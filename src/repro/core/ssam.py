@@ -215,7 +215,6 @@ def greedy_selection(
     bids: tuple[Bid, ...],
     demand: dict[int, int],
     *,
-    require_feasible: bool = True,
     guard_feasibility: bool = True,
     exact_guard: bool = False,
 ) -> list[GreedyStep]:
@@ -234,8 +233,7 @@ def greedy_selection(
     monotonicity that truthfulness rests on.
 
     Raises :class:`~repro.errors.InfeasibleInstanceError` when demand
-    remains but no active bid contributes, unless ``require_feasible`` is
-    False (payment re-runs tolerate a stuck reduced market).
+    remains but no active bid contributes.
     """
     coverage = CoverageState(demand=demand)
     active: list[Bid] = list(bids)
@@ -254,12 +252,10 @@ def greedy_selection(
                 len(candidates)
             )
         if not candidates:
-            if require_feasible:
-                raise InfeasibleInstanceError(
-                    f"{coverage.unmet} demand units cannot be covered by the "
-                    "remaining bids"
-                )
-            break
+            raise InfeasibleInstanceError(
+                f"{coverage.unmet} demand units cannot be covered by the "
+                "remaining bids"
+            )
         candidates.sort(key=lambda item: item[0])
         chosen_pos = 0
         if guard_feasibility:

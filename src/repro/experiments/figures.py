@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 
-from repro.analysis.economics import payment_price_pairs
 from repro.analysis.reporting import ResultTable
 from repro.baselines.offline import run_offline_optimal
 from repro.core.ssam import PaymentRule, run_ssam
@@ -154,9 +153,8 @@ def fig4a(
     )
     instance = build_single_round(PAPER_DEFAULTS, config.seeds[0])
     outcome = run_configured_mechanism(config, instance, seed=config.seeds[0])
-    for i, (price, payment) in enumerate(payment_price_pairs(outcome)):
-        if i >= max_winners:
-            break
+    for i, winner in enumerate(outcome.winners[:max_winners]):
+        price, payment = winner.bid.price, winner.payment
         table.add_row(
             winner=i,
             price=price,

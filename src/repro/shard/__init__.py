@@ -1,8 +1,9 @@
 """Sharded, streaming MSOA: geographic decomposition of the auction.
 
 The scaling layer for ROADMAP item 3.  A :class:`ShardPlan` partitions
-buyers (edge cloudlets) into shards; each round clears shard-locally in
-parallel and reconciles cross-shard bids in a deterministic second pass
+buyers (edge cloudlets) into shards; each round clears shard-locally,
+one shard after another, and reconciles cross-shard bids in a
+deterministic second pass
 (:func:`run_sharded_ssam`), under the unchanged MSOA ψ/χ state machine
 (:class:`ShardedOnlineAuction`).  :mod:`repro.shard.streaming` feeds the
 auctioneer bounded-memory round streams at 10^6-demand-unit scale.
@@ -31,10 +32,8 @@ from repro.shard.ssam import (
     run_sharded_ssam,
 )
 from repro.shard.streaming import (
-    RoundAssembler,
     StreamConfig,
     region_plan,
-    serve_streaming,
     stream_capacities,
     stream_rounds,
 )
@@ -56,6 +55,4 @@ __all__ = [
     "stream_rounds",
     "stream_capacities",
     "region_plan",
-    "RoundAssembler",
-    "serve_streaming",
 ]

@@ -157,14 +157,11 @@ def run_sharded_ssam(
     guard: bool = True,
     engine: str = "columnar",
     original_prices: Mapping[tuple[int, int], float] | None = None,
-    require_feasible: bool = True,
 ) -> ShardedRoundOutcome:
     """Clear one round through the sharded two-pass pipeline.
 
     Parameters mirror :func:`~repro.core.ssam.run_ssam`; ``plan`` picks
     the decomposition.
-    With ``require_feasible=False`` a post-reconciliation shortfall
-    yields a partial (degraded) outcome instead of raising.
     """
     partition = partition_round(instance, plan)
     active = partition.active_shards
@@ -282,19 +279,11 @@ def run_sharded_ssam(
                     **options,
                 )
             except InfeasibleInstanceError:
-                if require_feasible:
-                    raise InfeasibleInstanceError(
-                        "sharded reconciliation cannot cover "
-                        f"{sum(residual.values())} residual demand units "
-                        f"with {len(eligible)} eligible cross-shard bids"
-                    ) from None
-                cross_outcome, _ = _clear_local(
-                    recon_instance,
-                    payment_rule=payment_rule,
-                    original_prices=original,
-                    columnar=None,
-                    **options,
-                )
+                raise InfeasibleInstanceError(
+                    "sharded reconciliation cannot cover "
+                    f"{sum(residual.values())} residual demand units "
+                    f"with {len(eligible)} eligible cross-shard bids"
+                ) from None
         elif eligible:
             # Nothing left to serve: cross-shard bids all lose.
             cross_outcome = _empty_outcome(eligible, payment_rule, **options)

@@ -1,23 +1,12 @@
-"""Streaming round assembly: bounded-memory markets at 10^6-unit scale.
+"""Streamed round generation: bounded-memory markets at 10^6-unit scale.
 
-Two streaming layers compose with the sharded auctioneer:
-
-* :func:`stream_rounds` — a *lazy, region-structured market generator*.
-  Each round is synthesized vectorized (numpy draws, no per-bid Python
-  RNG calls) and yielded one at a time, so a horizon totalling millions
-  of demand units never materializes more than one round of bids.
-  Regions map one-to-one onto shards via :func:`region_plan`, and a
-  configurable fraction of sellers place *cross-region* bids — exactly
-  the bids the reconciliation pass exists for.
-* :class:`RoundAssembler` / :func:`serve_streaming` — *time-stamped bid
-  ingestion* for the platform loop: bids arrive as a stream of
-  ``(timestamp, bid)`` events drawn from a :mod:`repro.workload` arrival
-  process; the assembler buckets them into rounds holding only the open
-  round in memory, and the driver feeds each closed bucket through
-  ``EdgePlatform.begin_round``/``complete_round``.  A bid stamped after
-  its round's deadline genuinely missed the auction — it is dropped and
-  counted (``shard.stream_late_bids``), mirroring the distributed
-  orchestrator's late-bid rule.
+:func:`stream_rounds` is a *lazy, region-structured market generator*.
+Each round is synthesized vectorized (numpy draws, no per-bid Python
+RNG calls) and yielded one at a time, so a horizon totalling millions
+of demand units never materializes more than one round of bids.
+Regions map one-to-one onto shards via :func:`region_plan`, and a
+configurable fraction of sellers place *cross-region* bids — exactly
+the bids the reconciliation pass exists for.
 
 Long streamed runs pair naturally with the bounded tracer modes
 (``--trace-limit``/``--trace-sample``): tracing stays O(limit), not
@@ -26,7 +15,7 @@ O(rounds).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +23,6 @@ import numpy as np
 from repro.core.bids import Bid
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
-from repro.obs.runtime import STATE as _OBS
 from repro.shard.plan import RegionShardPlan
 
 __all__ = [
@@ -42,8 +30,6 @@ __all__ = [
     "stream_rounds",
     "stream_capacities",
     "region_plan",
-    "RoundAssembler",
-    "serve_streaming",
 ]
 
 _SELLER_BASE = 1_000_000  # seller ids live far above buyer ids
@@ -218,132 +204,3 @@ def stream_rounds(
     """Yield the horizon's rounds lazily — one round resident at a time."""
     for _ in range(config.rounds):
         yield _round_instance(config, rng)
-
-
-class RoundAssembler:
-    """Bucket a time-stamped bid stream into auction rounds.
-
-    Holds exactly one open round in memory.  ``push`` returns the closed
-    round's batch whenever the incoming timestamp crosses a round
-    boundary (possibly several empty rounds in between); ``flush``
-    closes the final round.  Bids stamped *before* the open round (the
-    stream ran ahead) are late: dropped and counted.
-    """
-
-    def __init__(self, round_length: float, start: float = 0.0) -> None:
-        if round_length <= 0:
-            raise ConfigurationError("round_length must be positive")
-        self.round_length = float(round_length)
-        self.round_index = 0
-        self._open_start = float(start)
-        self._open: list[Bid] = []
-        self.late_bids = 0
-
-    @property
-    def open_deadline(self) -> float:
-        return self._open_start + self.round_length
-
-    def push(self, timestamp: float, bid: Bid) -> list[tuple[int, list[Bid]]]:
-        """Ingest one event; return any rounds it closed, in order."""
-        closed: list[tuple[int, list[Bid]]] = []
-        if timestamp < self._open_start:
-            self.late_bids += 1
-            if _OBS.enabled:
-                _OBS.metrics.counter("shard.stream_late_bids").inc()
-            return closed
-        while timestamp >= self.open_deadline:
-            closed.append((self.round_index, self._open))
-            self._open = []
-            self.round_index += 1
-            self._open_start += self.round_length
-        self._open.append(bid)
-        return closed
-
-    def flush(self) -> tuple[int, list[Bid]]:
-        """Close the open round (end of stream)."""
-        batch = (self.round_index, self._open)
-        self._open = []
-        self.round_index += 1
-        self._open_start += self.round_length
-        return batch
-
-
-def serve_streaming(
-    platform,
-    *,
-    rounds: int,
-    arrivals=None,
-    rng: np.random.Generator | None = None,
-) -> list:
-    """Drive an :class:`~repro.edge.platform.EdgePlatform` from a
-    streamed bid feed.
-
-    Each round the platform opens as usual (``begin_round`` simulates
-    and announces demand), the configured bidding policy's bids are
-    emitted as a *stream* stamped by ``arrivals`` (default: uniform over
-    the round window), and only the bids whose stamps beat the round
-    deadline reach ``complete_round`` — late arrivals are dropped and
-    counted, exactly like the distributed orchestrator's grace rule.
-
-    Returns the per-round :class:`PlatformRoundReport` list.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    reports = []
-    round_length = platform.config.round_length
-    for index in range(rounds):
-        context = platform.begin_round()
-        bids = platform.collect_bids(context)
-        if arrivals is not None:
-            stamps = np.sort(
-                np.asarray(arrivals.sample(round_length, rng), dtype=float)
-            )
-        else:
-            stamps = np.sort(rng.uniform(0.0, round_length, size=len(bids)))
-        # Bid `i` rides arrival slot `i`; a bid with no slot before the
-        # deadline genuinely missed the round.
-        events = (
-            (float(stamps[i]) if i < stamps.size else round_length, bid)
-            for i, bid in enumerate(bids)
-        )
-        assembler = RoundAssembler(round_length)
-        on_time: list[Bid] = []
-        for timestamp, bid in events:
-            if timestamp < round_length:
-                for _, batch in assembler.push(timestamp, bid):
-                    on_time.extend(batch)
-            else:
-                assembler.late_bids += 1
-                if _OBS.enabled:
-                    _OBS.metrics.counter("shard.stream_late_bids").inc()
-        on_time.extend(assembler.flush()[1])
-        if _OBS.enabled:
-            _OBS.metrics.counter("shard.stream_rounds").inc()
-            _OBS.metrics.counter("shard.stream_bids").inc(len(on_time))
-            _OBS.tracer.event(
-                "stream-round",
-                round_index=index,
-                bids=len(bids),
-                on_time=len(on_time),
-                late=assembler.late_bids,
-            )
-        reports.append(platform.complete_round(context, on_time))
-    return reports
-
-
-def assemble_bid_stream(
-    events: Iterable[tuple[float, Bid]], round_length: float
-) -> Iterator[tuple[int, list[Bid]]]:
-    """Generator view of :class:`RoundAssembler` over a whole stream."""
-    assembler = RoundAssembler(round_length)
-    for timestamp, bid in events:
-        yield from assembler.push(float(timestamp), bid)
-    yield assembler.flush()
-
-
-def total_demand_units(rounds: Iterable[Mapping[int, int] | WSPInstance]) -> int:
-    """Total positive demand units across rounds (scale-case reporting)."""
-    total = 0
-    for item in rounds:
-        demand = item.demand if isinstance(item, WSPInstance) else item
-        total += sum(u for u in demand.values() if u > 0)
-    return total

@@ -1,21 +1,37 @@
-"""Unit tests for the economics audits, ratio reports, and tables."""
+"""Mechanism-level economics and ratio checks, and the result tables."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.economics import (
-    audit_individual_rationality,
-    payment_price_pairs,
-    probe_truthfulness,
-)
-from repro.analysis.ratios import msoa_performance_ratio, ssam_performance_ratio
 from repro.analysis.reporting import ResultTable
 from repro.core.bids import Bid
 from repro.core.msoa import run_msoa
 from repro.core.ssam import run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
-from repro.workload.bidgen import MarketConfig, generate_horizon, generate_round
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.figures import fig4a
+from repro.experiments.runner import build_single_round, run_configured_mechanism
+from repro.solvers.milp import solve_horizon_optimal, solve_wsp_optimal
+from repro.verify.properties import (
+    CheckSettings,
+    MechanismUnderTest,
+    check_individual_rationality,
+    check_truthfulness,
+)
+from repro.workload.bidgen import (
+    MarketConfig,
+    ensure_online_feasible,
+    generate_horizon,
+    generate_round,
+)
+from repro.workload.scenarios import PAPER_DEFAULTS
+
+SSAM = MechanismUnderTest(
+    name="ssam",
+    runner=run_ssam,
+    allocate=lambda instance: run_ssam(instance).winner_keys,
+)
 
 
 def bid(seller, covered, price, index=0):
@@ -39,52 +55,52 @@ def market():
 class TestEconomics:
     def test_no_ir_violations_on_ssam(self, market):
         outcome = run_ssam(market)
-        assert audit_individual_rationality(outcome) == []
-
-    def test_payment_price_pairs_match_winners(self, market):
-        outcome = run_ssam(market)
-        pairs = payment_price_pairs(outcome)
-        assert len(pairs) == len(outcome.winners)
-        assert all(payment >= price for price, payment in pairs)
-
-    def test_truthfulness_probe_finds_no_gain(self, market):
-        results = probe_truthfulness(
-            market, rng=np.random.default_rng(5), deviations_per_bid=4
+        checked, violations = check_individual_rationality(
+            SSAM, market, outcome, 0, CheckSettings()
         )
-        assert results  # some deviations were evaluated
-        for result in results:
-            assert result.gain <= 1e-9
+        assert checked == len(outcome.winners) > 0
+        assert violations == []
+
+    def test_payment_price_pairs_match_winners(self):
+        config = ExperimentConfig(seeds=(11,))
+        table = fig4a(config, max_winners=1000)
+        instance = build_single_round(PAPER_DEFAULTS, 11)
+        outcome = run_configured_mechanism(config, instance, seed=11)
+        pairs = [(row["price"], row["payment"]) for row in table.rows]
+        assert pairs
+        assert pairs == [(w.bid.price, w.payment) for w in outcome.winners]
+        assert all(payment >= price - 1e-9 for price, payment in pairs)
 
     def test_probe_on_random_single_bid_market(self):
         rng = np.random.default_rng(9)
         instance = generate_round(
             MarketConfig(n_sellers=8, n_buyers=4, bids_per_seller=1), rng
         )
-        results = probe_truthfulness(
-            instance, rng=rng, deviations_per_bid=2
+        settings = CheckSettings(max_truthfulness_bids=len(instance.bids))
+        checked, violations = check_truthfulness(
+            SSAM, instance, run_ssam(instance), 0, settings
         )
-        for result in results:
-            assert result.gain <= 1e-9
+        assert checked > 0
+        assert violations == []
 
 
 class TestRatios:
     def test_ssam_ratio_at_least_one_within_bound(self, market):
-        report = ssam_performance_ratio(run_ssam(market))
-        assert report.ratio >= 1.0 - 1e-9
-        assert report.within_bound
+        # Theorem 3 against the exact optimum: 1 ≤ cost/OPT ≤ bound.
+        outcome = run_ssam(market)
+        ratio = outcome.social_cost / solve_wsp_optimal(market).objective
+        assert 1.0 - 1e-9 <= ratio <= outcome.ratio_bound + 1e-9
 
     def test_msoa_ratio_against_offline(self):
         rng = np.random.default_rng(10)
         horizon, capacities = generate_horizon(
             MarketConfig(n_sellers=8, n_buyers=4), rng, rounds=3
         )
-        from repro.workload.bidgen import ensure_online_feasible
-
         capacities = ensure_online_feasible(horizon, capacities)
         outcome = run_msoa(horizon, capacities)
-        report = msoa_performance_ratio(outcome, horizon, capacities)
-        assert report.ratio >= 1.0 - 1e-9
-        assert report.mechanism_cost == pytest.approx(outcome.social_cost)
+        offline = solve_horizon_optimal(horizon, capacities)
+        assert offline.objective > 0
+        assert outcome.social_cost >= offline.objective - 1e-6
 
 
 class TestResultTable:

@@ -1,90 +1,9 @@
-"""Unit tests for statistics helpers and ASCII visualization."""
+"""Unit tests for the ASCII visualization helpers."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.statistics import (
-    bootstrap_ci,
-    geometric_mean,
-    paired_delta,
-    summarize,
-)
 from repro.analysis.visualize import bar_chart, series_panel, sparkline
 from repro.errors import ConfigurationError
-
-
-class TestSummaries:
-    def test_summarize_basic(self):
-        stats = summarize([1.0, 2.0, 3.0, 4.0])
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.minimum == 1.0 and stats.maximum == 4.0
-        assert stats.n == 4
-        assert stats.ci_low <= stats.mean <= stats.ci_high
-
-    def test_summarize_single_value(self):
-        stats = summarize([7.0])
-        assert stats.mean == 7.0 and stats.std == 0.0
-        assert stats.ci_low == stats.ci_high == 7.0
-
-    def test_summarize_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ConfigurationError):
-            summarize([])
-        with pytest.raises(ConfigurationError):
-            summarize([1.0, float("nan")])
-
-    def test_bootstrap_ci_deterministic_and_covering(self):
-        rng = np.random.default_rng(3)
-        data = list(rng.normal(10.0, 1.0, size=40))
-        low1, high1 = bootstrap_ci(data, rng=np.random.default_rng(1))
-        low2, high2 = bootstrap_ci(data, rng=np.random.default_rng(1))
-        assert (low1, high1) == (low2, high2)
-        assert low1 <= float(np.mean(data)) <= high1
-
-    def test_bootstrap_rejects_bad_confidence(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([1.0, 2.0], confidence=1.5)
-
-    def test_overlap_detection(self):
-        a = summarize([1.0, 1.1, 0.9, 1.0])
-        b = summarize([5.0, 5.1, 4.9, 5.0])
-        assert not a.overlaps(b)
-        assert a.overlaps(a)
-
-    def test_paired_delta(self):
-        base = [1.0, 2.0, 3.0]
-        treat = [1.5, 2.5, 3.5]
-        delta = paired_delta(base, treat)
-        assert delta.mean == pytest.approx(0.5)
-        with pytest.raises(ConfigurationError):
-            paired_delta([1.0], [1.0, 2.0])
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ConfigurationError):
-            geometric_mean([])
-
-    # Regressions for the silent non-finite aggregation bug: every
-    # aggregator must raise loudly instead of emitting NaN summaries.
-    @pytest.mark.parametrize("poison", [float("nan"), float("inf"), -float("inf")])
-    def test_bootstrap_ci_rejects_nonfinite(self, poison):
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            bootstrap_ci([1.0, 2.0, poison])
-
-    @pytest.mark.parametrize("poison", [float("nan"), float("inf")])
-    def test_geometric_mean_rejects_nonfinite(self, poison):
-        # NaN used to slip through the ``v <= 0`` screen (NaN compares
-        # false) and inf was averaged silently.
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            geometric_mean([1.0, 2.0, poison])
-
-    def test_paired_delta_rejects_nonfinite_inputs(self):
-        # inf − inf = NaN: the inputs must be rejected, not the deltas.
-        with pytest.raises(ConfigurationError, match="baseline"):
-            paired_delta([float("inf"), 1.0], [2.0, 2.0])
-        with pytest.raises(ConfigurationError, match="treatment"):
-            paired_delta([1.0, 1.0], [float("nan"), 2.0])
 
 
 class TestVisualize:

@@ -6,6 +6,11 @@ from repro.core.bids import Bid
 from repro.core.ssam import PaymentRule, greedy_selection, run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import InfeasibleInstanceError
+from repro.verify.properties import (
+    CheckSettings,
+    MechanismUnderTest,
+    check_truthfulness,
+)
 
 
 def bid(seller, covered, price, index=0):
@@ -51,13 +56,6 @@ class TestGreedySelection:
         instance = WSPInstance.from_bids([bid(10, {1}, 1.0)], {1: 3})
         with pytest.raises(InfeasibleInstanceError):
             greedy_selection(instance.bids, dict(instance.demand))
-
-    def test_require_feasible_false_truncates(self):
-        instance = WSPInstance.from_bids([bid(10, {1}, 1.0)], {1: 3})
-        steps = greedy_selection(
-            instance.bids, dict(instance.demand), require_feasible=False
-        )
-        assert len(steps) == 1
 
     def test_coverage_before_reflects_history(self, market):
         steps = greedy_selection(market.bids, dict(market.demand))
@@ -126,6 +124,21 @@ class TestRunSSAM:
         outcome = run_ssam(market, payment_rule=rule)
         for winner in outcome.winners:
             assert winner.payment >= winner.bid.price - 1e-9
+
+    def test_no_truthfulness_gain(self, market):
+        # Theorem 4 on every bid of the market, checked by the same
+        # misreport sweep `repro verify` certifies with.
+        mut = MechanismUnderTest(
+            name="ssam",
+            runner=run_ssam,
+            allocate=lambda instance: run_ssam(instance).winner_keys,
+        )
+        settings = CheckSettings(max_truthfulness_bids=len(market.bids))
+        checked, violations = check_truthfulness(
+            mut, market, run_ssam(market), 0, settings
+        )
+        assert checked > 0
+        assert violations == []
 
     def test_payment_rules_share_allocation(self, market):
         critical = run_ssam(market, payment_rule=PaymentRule.CRITICAL_RERUN)

@@ -47,7 +47,7 @@ def test_capacity_safety_and_feasibility(data):
 @COMMON
 @given(data=horizons())
 def test_competitive_bound(data):
-    """Theorem 7: online cost ≤ (αβ/(β−1)) × offline optimum."""
+    """Theorem 7: offline optimum ≤ online cost ≤ (αβ/(β−1)) × optimum."""
     rounds, capacities = data
     try:
         outcome = run_msoa(rounds, capacities, on_infeasible="raise")
@@ -56,6 +56,7 @@ def test_competitive_bound(data):
         return
     if offline.objective <= 0:
         return
+    assert outcome.social_cost >= offline.objective - 1e-6
     bound = outcome.competitive_bound
     if math.isinf(bound):
         return

@@ -171,16 +171,3 @@ class TestReconciliation:
         )
         with pytest.raises(InfeasibleInstanceError):
             run_sharded_ssam(instance, PLAN)
-
-    def test_require_feasible_false_degrades(self):
-        bids = [bid(100, {0}), bid(200, {2})]
-        instance = WSPInstance(
-            bids=tuple(bids),
-            demand={0: 1, 1: 1, 2: 1},
-            price_ceiling=50.0,
-        )
-        result = run_sharded_ssam(instance, PLAN, require_feasible=False)
-        covered_units = sum(
-            len(v) for v in result.outcome.duals.unit_prices.values()
-        )
-        assert covered_units == 2  # buyers 0 and 2 served, buyer 1 not

@@ -1,19 +1,15 @@
-"""Unit tests for streamed round generation and bounded-round assembly."""
+"""Unit tests for streamed round generation."""
 
 import numpy as np
 import pytest
 
-from repro.core.bids import Bid
 from repro.errors import ConfigurationError
 from repro.shard.plan import RegionShardPlan, partition_round
 from repro.shard.streaming import (
-    RoundAssembler,
     StreamConfig,
-    assemble_bid_stream,
     region_plan,
     stream_capacities,
     stream_rounds,
-    total_demand_units,
 )
 
 pytestmark = pytest.mark.shard
@@ -25,13 +21,6 @@ SMALL = StreamConfig(
     sellers_per_region=15,
     cross_region_fraction=0.2,
 )
-
-
-def tick(seller, t=0.0):
-    return (
-        t,
-        Bid(seller=seller, index=0, covered=frozenset({0}), price=10.0),
-    )
 
 
 class TestStreamConfig:
@@ -120,106 +109,3 @@ class TestStreamRounds:
             units == SMALL.rounds * per_round
             for units in capacities.values()
         )
-
-    def test_total_demand_units_counts_instances_and_maps(self):
-        rounds = list(stream_rounds(SMALL, np.random.default_rng(1)))
-        from_instances = total_demand_units(rounds)
-        from_maps = total_demand_units([r.demand for r in rounds])
-        assert from_instances == from_maps > 0
-
-
-class TestRoundAssembler:
-    def test_buckets_in_round_order(self):
-        assembler = RoundAssembler(round_length=1.0)
-        assert assembler.push(*tick(1, 0.2)) == []
-        assert assembler.push(*tick(2, 0.8)) == []
-        closed = assembler.push(*tick(3, 1.1))
-        assert [(i, [b.seller for b in batch]) for i, batch in closed] == [
-            (0, [1, 2])
-        ]
-        index, batch = assembler.flush()
-        assert index == 1
-        assert [b.seller for b in batch] == [3]
-
-    def test_gap_closes_empty_rounds(self):
-        assembler = RoundAssembler(round_length=1.0)
-        assembler.push(*tick(1, 0.5))
-        closed = assembler.push(*tick(2, 3.4))
-        assert [i for i, _ in closed] == [0, 1, 2]
-        assert [len(batch) for _, batch in closed] == [1, 0, 0]
-
-    def test_late_bids_dropped_and_counted(self):
-        assembler = RoundAssembler(round_length=1.0)
-        assembler.push(*tick(1, 2.5))  # opens round 2
-        assert assembler.push(*tick(9, 1.0)) == []  # before open start
-        assert assembler.late_bids == 1
-        _, batch = assembler.flush()
-        assert [b.seller for b in batch] == [1]
-
-    def test_rejects_non_positive_round_length(self):
-        with pytest.raises(ConfigurationError):
-            RoundAssembler(round_length=0.0)
-
-    def test_generator_view(self):
-        events = [tick(1, 0.1), tick(2, 1.2), tick(3, 2.9)]
-        batches = list(assemble_bid_stream(events, round_length=1.0))
-        assert [(i, [b.seller for b in batch]) for i, batch in batches] == [
-            (0, [1]),
-            (1, [2]),
-            (2, [3]),
-        ]
-
-
-class TestServeStreaming:
-    def build_platform(self):
-        from repro.dist.scenario import DistScenario
-        from repro.dist.agents import AgentStreamPolicy
-
-        scenario = DistScenario(seed=9, horizon_rounds=4)
-        return scenario.build_platform(
-            bidding_policy=AgentStreamPolicy(
-                scenario.seed, scenario.policy_factory()
-            )
-        )
-
-    def test_streamed_rounds_complete(self):
-        from repro.shard.streaming import serve_streaming
-
-        platform = self.build_platform()
-        reports = serve_streaming(
-            platform, rounds=3, rng=np.random.default_rng(2)
-        )
-        assert len(reports) == 3
-        assert all(r.round_index == i for i, r in enumerate(reports))
-
-    def test_all_on_time_when_stamps_fit_the_window(self):
-        # Uniform stamps over [0, round_length) are never late, so the
-        # streamed run must clear the same bids as the classic loop.
-        from repro.shard.streaming import serve_streaming
-
-        streamed = serve_streaming(
-            self.build_platform(), rounds=3, rng=np.random.default_rng(2)
-        )
-        classic = self.build_platform().run(3)
-        for s, c in zip(streamed, classic):
-            s_dict = s.auction.outcome.to_dict() if s.auction else None
-            c_dict = c.auction.outcome.to_dict() if c.auction else None
-            assert s_dict == c_dict
-
-    def test_deterministic_arrivals_can_make_bids_late(self):
-        from repro.shard.streaming import serve_streaming
-
-        class BeyondWindow:
-            def sample(self, horizon, rng):
-                return np.array([])  # no slots: every bid misses
-
-        platform = self.build_platform()
-        reports = serve_streaming(
-            platform,
-            rounds=2,
-            arrivals=BeyondWindow(),
-            rng=np.random.default_rng(2),
-        )
-        for report in reports:
-            if report.auction is not None:
-                assert report.auction.outcome.winners == ()
