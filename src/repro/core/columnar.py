@@ -25,11 +25,14 @@ the greedy machinery on flat numpy arrays:
   price-independent, and an ∞-priced bid sorts last so it is never
   preferred while its real-priced twin was still losing).  The kernel
   therefore walks the main trajectory *once*, accumulating every
-  pending winner's threshold per iteration, and forks a state copy only
-  at each winner's own divergence point to finish its private suffix —
-  instead of re-running the whole greedy once per winner.
+  pending winner's threshold per iteration, and forks a state copy at
+  each winner's own divergence point, collecting the forks in chunks.
+* :func:`_lockstep_replays` — a chunk's suffixes advanced side by side
+  on R × bids arrays; a replay whose head is not finite or would strand
+  a buyer leaves the chunk for :func:`_suffix_replay`.
 * :func:`_suffix_replay` — one winner's private suffix, cut to the
-  steps that can still move its threshold.  It stops as soon as the
+  steps that can still move its threshold; the fallback and in-module
+  oracle of the lockstep path.  It stops as soon as the
   winner's marginal utility reaches 0: utilities only fall and sellers
   never re-enter, so no later step can raise the threshold (every
   update, the ceiling-capped terminal cases included, needs a positive
@@ -395,17 +398,6 @@ class ColumnarState:
         avail = self.suppliers - inst.seller_cov[inst.seller_rows[row]]
         return bool(((need > 0) & (avail < need)).any())
 
-    def would_strand_many(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`would_strand` for many candidate rows in one shot."""
-        inst = self.inst
-        need = (inst.demand - self.granted)[None, :] - inst.cover[rows]
-        mask = self.unsat[None, :] & (need > 0)
-        avail = (
-            self.suppliers[None, :]
-            - inst.seller_cov[inst.seller_rows[rows]]
-        )
-        return np.any(mask & (avail < need), axis=1)
-
     def apply_win(self, row: int) -> int:
         """Grant the bid's coverage; propagate utility decrements.
 
@@ -662,6 +654,159 @@ def _suffix_replay(
     return threshold
 
 
+# Size rule of the lockstep path: a chunk holds at most
+# ``_LOCKSTEP_CELLS // n_bids`` replays, and chunks of fewer than
+# ``_LOCKSTEP_MIN`` replays run one by one in ``_suffix_replay`` (few
+# replays over many rows lose to the scalar head scan).
+_LOCKSTEP_CELLS = 65_536
+_LOCKSTEP_MIN = 8
+
+
+def _strands(need, suppliers, cover_rows, seller_cov_rows) -> np.ndarray:
+    """:meth:`ColumnarState.would_strand` for one candidate row per row
+    of ``cover_rows``; ``need`` is the residual demand."""
+    need = need - cover_rows
+    return ((need > 0) & (suppliers - seller_cov_rows < need)).any(axis=1)
+
+
+def _padded_groups(
+    keys: np.ndarray, n_keys: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``k``: the positions ``i`` with ``keys[i] == k``, ascending,
+    padded by repeating a position; plus the mask of real entries."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=n_keys)
+    slots = np.arange(max(int(counts.max()), 1))
+    last = np.cumsum(counts)[:, None] - 1
+    padded = np.minimum(last - counts[:, None] + 1 + slots, last)
+    return order[np.maximum(padded, 0)], slots < counts[:, None]
+
+
+def _lockstep_replays(
+    batch: list[tuple[int, float, ColumnarState]],
+    *,
+    guard_feasibility: bool,
+    ceiling: float,
+) -> list[float]:
+    """Critical values of R forked ``(winner_row, threshold, fork)``
+    replays, advanced side by side on R × bids arrays.
+
+    Each iteration is one :func:`_suffix_replay` step of every live
+    replay.  Bid columns are permuted into ``lexsort`` order of
+    ``(price, seller, index)``, so a row's first minimum of prices (+∞
+    at the winner and removed bids) over utilities — the reference's
+    IEEE-754 quotients — is that replay's reference head.  The +∞
+    winner ties only at +∞, so a replay whose head ratio is not finite,
+    or whose head would strand a buyer, leaves for
+    :func:`_suffix_replay`.  Utilities are float64, exact below 2⁵³.
+    Live rows are compacted once half have finished.
+    """
+    inst = batch[0][2].inst
+    perm = np.lexsort((inst.bid_indices, inst.seller_ids, inst.prices))
+    col_of = np.empty_like(perm)
+    col_of[perm] = np.arange(perm.size)
+    cover, sellers = inst.cover[perm], inst.seller_rows[perm]
+    seller_cov = inst.seller_cov
+    seller_cols, _ = _padded_groups(inst.seller_rows, inst.sellers.size)
+    seller_cols = col_of[seller_cols]
+    cover_cols, cover_buyers = cover.nonzero()
+    buyer_cols, buyer_real = _padded_groups(cover_buyers, inst.n_buyers)
+    buyer_cols, buyer_real = cover_cols[buyer_cols], buyer_real.astype(float)
+    forks = [fork for _, _, fork in batch]
+    winners = np.array([row for row, _, _ in batch], dtype=np.int64)
+    ids = here = np.arange(len(batch))
+    wcol, wseller = col_of[winners], inst.seller_rows[winners]
+    wcover, wseller_cov = cover[wcol], seller_cov[wseller]
+    threshold = np.array([t for _, t, _ in batch], dtype=np.float64)
+    utilities = np.stack([f.utilities for f in forks])[:, perm].astype(float)
+    active = np.stack([f.active for f in forks])[:, perm]
+    prices = np.where(active, inst.prices[perm], np.inf)
+    prices[ids, wcol] = np.inf
+    need = inst.demand - np.stack([f.granted for f in forks])  # unsat: > 0
+    suppliers = np.stack([f.suppliers for f in forks])
+    unmet = np.array([f.unmet for f in forks], dtype=np.int64)
+    live = np.ones(ids.size, dtype=bool)
+    resolved = np.empty(ids.size)
+    lockstep_steps = suffix_steps = exits = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            winner_utility = utilities[here, wcol]
+            live &= (unmet > 0) & (winner_utility > 0)
+            if 2 * np.count_nonzero(live) <= ids.size:
+                resolved[ids] = threshold
+                if not live.any():
+                    break
+                keep = live.nonzero()[0]
+                (ids, wcol, wseller, wcover, wseller_cov, threshold, live,
+                 winner_utility, utilities, prices, active, need, suppliers,
+                 unmet) = (a[keep] for a in (
+                    ids, wcol, wseller, wcover, wseller_cov, threshold, live,
+                    winner_utility, utilities, prices, active, need,
+                    suppliers, unmet))
+                here = np.arange(ids.size)
+            ratios = prices / utilities
+            head = ratios.argmin(axis=1)
+            ratio = ratios[here, head]
+            head_seller = sellers[head]
+            head_cover, head_seller_cov = cover[head], seller_cov[head_seller]
+            leave = live & ~(ratio < np.inf)
+            if guard_feasibility:
+                leave |= live & _strands(
+                    need, suppliers, head_cover, head_seller_cov
+                )
+            for k in leave.nonzero()[0]:
+                fork = forks[ids[k]]  # now carries row k's state
+                fork.granted, fork.unsat = inst.demand - need[k], need[k] > 0
+                fork.active = active[k, col_of]
+                fork.utilities = utilities[k, col_of].astype(np.int64)
+                fork.suppliers, fork.unmet = suppliers[k].copy(), int(unmet[k])
+                threshold[k] = _suffix_replay(
+                    fork,
+                    int(winners[ids[k]]),
+                    float(threshold[k]),
+                    guard_feasibility=guard_feasibility,
+                    exact_guard=False,
+                    ceiling=ceiling,
+                )
+                exits += 1
+            live &= ~leave
+            advanced = int(np.count_nonzero(live))
+            if not advanced:
+                continue
+            lockstep_steps += 1
+            suffix_steps += advanced
+            bid = winner_utility * ratio
+            raised = live & (bid > threshold)
+            if guard_feasibility and raised.any():
+                raised &= ~_strands(need, suppliers, wcover, wseller_cov)
+            threshold = np.where(raised, bid, threshold)
+            was_unsat = (need > 0) & head_cover
+            need -= head_cover
+            unmet -= was_unsat.sum(axis=1)
+            # Each newly saturated buyer costs its covering bids a unit.
+            rows, buyers = (was_unsat & (need <= 0)).nonzero()
+            np.subtract.at(
+                utilities,
+                (rows[:, None], buyer_cols[buyers]),
+                buyer_real[buyers],
+            )
+            # A sibling win ends the replay; the rest drop the seller.
+            live &= head_seller != wseller
+            removed = (here[:, None], seller_cols[head_seller])
+            active[removed] = False
+            prices[removed] = np.inf
+            suppliers -= head_seller_cov
+    if _OBS.enabled:
+        metrics = _OBS.metrics
+        for name, value in (
+            ("lockstep_steps", lockstep_steps),
+            ("lockstep_exits", exits),
+            ("suffix_steps", suffix_steps),
+        ):
+            metrics.counter(f"engine.columnar.payment_{name}").inc(value)
+    return resolved.tolist()
+
+
 @profiled("columnar.payments")
 def columnar_critical_payments(
     instance,
@@ -680,7 +825,8 @@ def columnar_critical_payments(
     accumulates every pending winner's threshold — the winner's current
     marginal utility times the iteration's selected ratio, whenever the
     winner is guard-safe — and a state fork at each winner's own
-    iteration finishes its divergent suffix with the winner priced +∞.
+    iteration, with the winner priced +∞, joins a chunk whose divergent
+    suffixes run in lockstep or one by one (the module's size rule).
     A bid whose seller sibling wins first resolves at that iteration
     (the replay breaks there), matching the scalar replay's early exit.
 
@@ -709,18 +855,47 @@ def columnar_critical_payments(
     winner_rows = [inst.row_of[w.key] for w in winners]
     ceiling = instance.effective_ceiling
 
-    thresholds: dict[int, float] = {}
+    pending = np.array(list(dict.fromkeys(winner_rows)), dtype=np.int64)
+    thresholds = np.zeros(pending.size)
     resolved: dict[int, float] = {}
-    pending: list[int] = []
-    for row in winner_rows:
-        if row not in thresholds:
-            thresholds[row] = 0.0
-            pending.append(row)
+
+    def resolve(done: np.ndarray) -> None:
+        nonlocal pending, thresholds
+        if done.any():
+            resolved.update(
+                zip(pending[done].tolist(), thresholds[done].tolist())
+            )
+            pending, thresholds = pending[~done], thresholds[~done]
 
     state = ColumnarState(inst)
     forks = 0
+    chunk = _LOCKSTEP_CELLS // max(inst.n_bids, 1)
+    if exact_guard or chunk < _LOCKSTEP_MIN:
+        chunk = 1  # no lockstep: replay each fork at once, cache-warm
+    batch: list[tuple[int, float, ColumnarState]] = []
+
+    def finish_batch() -> None:
+        if len(batch) >= _LOCKSTEP_MIN and not exact_guard:
+            payments = _lockstep_replays(
+                batch, guard_feasibility=guard_feasibility, ceiling=ceiling
+            )
+        else:
+            payments = [
+                _suffix_replay(
+                    fork,
+                    row,
+                    threshold,
+                    guard_feasibility=guard_feasibility,
+                    exact_guard=exact_guard,
+                    ceiling=ceiling,
+                )
+                for row, threshold, fork in batch
+            ]
+        resolved.update(zip((row for row, _, _ in batch), payments))
+        batch.clear()
+
     for chosen_row in traj_rows:
-        if not pending:
+        if not pending.size:
             break
         if state.satisfied:
             break
@@ -728,35 +903,34 @@ def columnar_critical_payments(
             state.prices[chosen_row] / state.utilities[chosen_row]
         )
         chosen_seller = int(inst.seller_rows[chosen_row])
-        if chosen_row in thresholds and chosen_row not in resolved:
+        chosen = pending == chosen_row
+        if chosen.any():
             # This winner's replay diverges here: fork a private state
-            # with the winner priced +∞ and run its suffix to the end.
+            # with the winner priced +∞; its suffix runs with its chunk.
             prices = state.prices.copy()
             prices[chosen_row] = math.inf
             fork = state.fork()
             fork.prices = prices
-            resolved[chosen_row] = _suffix_replay(
-                fork,
-                chosen_row,
-                thresholds[chosen_row],
-                guard_feasibility=guard_feasibility,
-                exact_guard=exact_guard,
-                ceiling=ceiling,
-            )
-            pending.remove(chosen_row)
+            batch.append((chosen_row, float(thresholds[chosen][0]), fork))
+            if len(batch) == chunk:
+                finish_batch()
+            pending, thresholds = pending[~chosen], thresholds[~chosen]
             forks += 1
-        survivors = [row for row in pending if row != chosen_row]
-        if survivors:
-            rows = np.asarray(survivors, dtype=np.int64)
+        if pending.size:
             utilities = np.where(
-                state.active[rows], state.utilities[rows], 0
+                state.active[pending], state.utilities[pending], 0
             )
             updatable = utilities > 0
             if guard_feasibility and updatable.any():
-                unsafe = state.would_strand_many(rows)
+                unsafe = _strands(
+                    inst.demand - state.granted,
+                    state.suppliers,
+                    inst.cover[pending],
+                    inst.seller_cov[inst.seller_rows[pending]],
+                )
                 if exact_guard:
                     for k in np.flatnonzero(updatable & ~unsafe):
-                        infinite = inst.bids[int(rows[k])].with_price(
+                        infinite = inst.bids[int(pending[k])].with_price(
                             math.inf
                         )
                         if not _residual_feasible(
@@ -766,21 +940,17 @@ def columnar_critical_payments(
                         ):
                             unsafe[k] = True
                 updatable &= ~unsafe
-            for k in np.flatnonzero(updatable):
-                row = int(rows[k])
-                thresholds[row] = max(
-                    thresholds[row], int(utilities[k]) * ratio
-                )
+            bids = utilities[updatable] * ratio
+            kept = thresholds[updatable]
+            thresholds[updatable] = np.where(bids > kept, bids, kept)
         state.apply_win(chosen_row)
-        for row in list(pending):
-            if int(inst.seller_rows[row]) == chosen_seller:
-                # A sibling of this bid's seller won: the scalar replay
-                # breaks here, freezing the accumulated threshold.
-                resolved[row] = thresholds[row]
-                pending.remove(row)
+        # A sibling of a pending bid's seller won: the scalar replay
+        # breaks here, freezing the accumulated threshold.
+        resolve(inst.seller_rows[pending] == chosen_seller)
         state.remove_seller(chosen_seller)
-    for row in pending:
-        resolved[row] = thresholds[row]
+    if batch:
+        finish_batch()
+    resolve(np.ones(pending.size, dtype=bool))
     if _OBS.enabled:
         metrics = _OBS.metrics
         metrics.counter("engine.columnar.payment_batches").inc()

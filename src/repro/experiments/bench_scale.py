@@ -32,8 +32,10 @@ own market (see ``docs/scaling.md``).
 The payload is written to ``BENCH_scale.json`` (tracked at the repo
 root) and CI re-runs the quick tier against the committed artifact,
 failing on a >20% speedup regression via
-:func:`check_scale_regression`.  The two sides of every gated ratio
-(except the shard case's) are timed round-robin, and the gated value is
+:func:`check_scale_regression`; the committed file lists both shard
+rows (``shard_1m`` and ``shard_quick``) and a fresh shard row is gated
+against the one of the same case name.  The two sides of every gated
+ratio are timed round-robin, and the gated value is
 the median of the per-round ratios: a shared host's CPU speed drifts
 for tens of seconds at a time, and timing one side's repeats before the
 other's let that drift alone move a ratio past the 20% gate between runs
@@ -164,7 +166,9 @@ class ShardScaleCase:
     ``compare_unsharded`` additionally times the identical horizon
     through plain MSOA and checks per-round winner-set equality —
     affordable on the quick tier, prohibitive at 10^6 demand units
-    (exactly like the reference engine at 10^5 bids).
+    (exactly like the reference engine at 10^5 bids).  ``repeats``
+    horizons run per side, round-robin; ``sharded_speedup`` is the
+    median of their per-repeat ratios.
     """
 
     name: str
@@ -200,6 +204,7 @@ def default_shard_case(
             ),
             shards=shards,
             strategy=strategy,
+            repeats=3,
             compare_unsharded=True,
         )
     return ShardScaleCase(
@@ -405,8 +410,10 @@ def _run_shard_case(case: ShardScaleCase) -> dict:
                 )
         return times, totals, keys
 
-    best_times = totals = sharded_keys = stats = None
-    for _ in range(max(1, case.repeats)):
+    sharded_runs: list[tuple] = []
+    unsharded_runs: list[tuple] = []
+
+    def _sharded():
         auction = ShardedOnlineAuction(
             capacities,
             plan=plan,
@@ -414,28 +421,38 @@ def _run_shard_case(case: ShardScaleCase) -> dict:
             on_infeasible="best_effort",
             retain_rounds=False,
         )
-        times, totals, sharded_keys = _horizon(auction)
-        if best_times is None or sum(times) < sum(best_times):
-            best_times, stats = times, auction.shard_stats
+        sharded_runs.append((*_horizon(auction), auction.shard_stats))
+
+    def _unsharded():
+        auction = MultiStageOnlineAuction(
+            capacities,
+            engine="columnar",
+            on_infeasible="best_effort",
+            retain_rounds=False,
+        )
+        unsharded_runs.append(_horizon(auction))
+
+    # Round-robin, like every other gated ratio: both horizons of a
+    # repeat see the same stretch of machine speed.  The ratio compares
+    # the horizons' clearing times, not _interleaved's wall times.
+    _interleaved(
+        case.repeats,
+        *((_sharded, _unsharded) if case.compare_unsharded else (_sharded,)),
+    )
+    best_times, totals, sharded_keys, stats = min(
+        sharded_runs, key=lambda run: sum(run[0])
+    )
     total_s = sum(best_times)
     times_ms = np.asarray(best_times) * 1000.0
 
     unsharded_s = sharded_speedup = equivalent = None
     if case.compare_unsharded:
-        best_unsharded = unsharded_keys = None
-        for _ in range(max(1, case.repeats)):
-            auction = MultiStageOnlineAuction(
-                capacities,
-                engine="columnar",
-                on_infeasible="best_effort",
-                retain_rounds=False,
-            )
-            times, _, unsharded_keys = _horizon(auction)
-            if best_unsharded is None or sum(times) < best_unsharded:
-                best_unsharded = sum(times)
-        unsharded_s = best_unsharded
-        sharded_speedup = unsharded_s / total_s if total_s > 0 else None
-        equivalent = sharded_keys == unsharded_keys
+        unsharded_totals = [sum(run[0]) for run in unsharded_runs]
+        unsharded_s = min(unsharded_totals)
+        sharded_speedup = _median_ratio(
+            unsharded_totals, [sum(run[0]) for run in sharded_runs]
+        )
+        equivalent = sharded_keys == unsharded_runs[-1][2]
 
     return {
         "case": case.name,
@@ -525,6 +542,12 @@ def _fmt_x(value: float | None) -> str:
     return f"{value:>7.1f}x" if value is not None else f"{'-':>8}"
 
 
+def _shard_rows(payload: dict) -> list[dict]:
+    """Shard rows: one in a fresh run, a list in the committed baseline."""
+    shard = payload.get("shard") or []
+    return shard if isinstance(shard, list) else [shard]
+
+
 def _gated_ratios(payload: dict) -> dict[str, dict[str, float | None]]:
     """Every gated ratio in a payload, keyed case name → metric → value.
 
@@ -542,8 +565,7 @@ def _gated_ratios(payload: dict) -> dict[str, dict[str, float | None]]:
         ratios[msoa["case"]] = {
             "incremental_speedup": msoa.get("incremental_speedup")
         }
-    shard = payload.get("shard")
-    if shard:
+    for shard in _shard_rows(payload):
         ratios[shard["case"]] = {
             "sharded_speedup": shard.get("sharded_speedup")
         }
@@ -581,8 +603,7 @@ def render_scale_bench(payload: dict, baseline: dict | None = None) -> str:
             f"({_fmt_x(msoa['incremental_speedup']).strip()}), "
             f"equal {msoa['equivalent']}"
         )
-    shard = payload.get("shard")
-    if shard:
+    for shard in _shard_rows(payload):
         throughput = shard.get("auctions_per_sec")
         lines.append(
             f"{shard['case']:<14} {shard['bids']:>7} x{shard['rounds']} "
@@ -674,15 +695,16 @@ def check_scale_regression(
                     f"{old:.2f}x -> {new:.2f}x "
                     f"(floor {old * (1.0 - tolerance):.2f}x)"
                 )
-    shard, base_shard = payload.get("shard"), baseline.get("shard")
-    if shard:
+    baseline_shards = {row["case"]: row for row in _shard_rows(baseline)}
+    for shard in _shard_rows(payload):
         # `equivalent` is None when the unsharded twin was not run (the
         # 10^6-unit full tier); only an explicit False is a divergence.
         if shard.get("equivalent") is False:
             failures.append(
                 f"{shard['case']}: sharded winners diverged from unsharded"
             )
-        if base_shard and shard["case"] == base_shard["case"]:
+        base_shard = baseline_shards.get(shard["case"])
+        if base_shard:
             new = shard.get("sharded_speedup")
             old = base_shard.get("sharded_speedup")
             if (

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from repro.core.bids import Bid
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
+from repro.obs.profiler import profiled
 
 __all__ = [
     "ShardPlan",
@@ -311,6 +312,7 @@ class ShardPartition:
         )
 
 
+@profiled("shard.partition")
 def partition_round(
     instance: WSPInstance, plan: ShardPlan
 ) -> ShardPartition:

@@ -260,33 +260,14 @@ def run_sharded_ssam(
     reconcile_ms = 0.0
     if residual or partition.cross_bids:
         started = time.perf_counter()
-        eligible = tuple(
-            bid
-            for bid in partition.cross_bids
-            if bid.seller not in local_winner_sellers
+        cross_outcome = _reconcile(
+            partition,
+            residual,
+            local_winner_sellers,
+            payment_rule=payment_rule,
+            original_prices=original,
+            **options,
         )
-        if residual:
-            recon_instance = WSPInstance(
-                bids=eligible,
-                demand=residual,
-                price_ceiling=partition.price_ceiling,
-            )
-            try:
-                cross_outcome = run_ssam(
-                    recon_instance,
-                    payment_rule=payment_rule,
-                    original_prices=original,
-                    **options,
-                )
-            except InfeasibleInstanceError:
-                raise InfeasibleInstanceError(
-                    "sharded reconciliation cannot cover "
-                    f"{sum(residual.values())} residual demand units "
-                    f"with {len(eligible)} eligible cross-shard bids"
-                ) from None
-        elif eligible:
-            # Nothing left to serve: cross-shard bids all lose.
-            cross_outcome = _empty_outcome(eligible, payment_rule, **options)
         reconcile_ms = (time.perf_counter() - started) * 1e3
 
     merged = _merge_outcomes(
@@ -314,6 +295,48 @@ def run_sharded_ssam(
         partition=partition,
         stats=stats,
     )
+
+
+@profiled("shard.reconcile")
+def _reconcile(
+    partition: ShardPartition,
+    residual: dict[int, int],
+    local_winner_sellers: set[int],
+    *,
+    payment_rule: PaymentRule,
+    original_prices: Mapping | None,
+    **options,
+) -> AuctionOutcome | None:
+    """The reconciliation pass: cross-shard bids of sellers that did not
+    win locally, cleared against the residual demand."""
+    eligible = tuple(
+        bid
+        for bid in partition.cross_bids
+        if bid.seller not in local_winner_sellers
+    )
+    if residual:
+        recon_instance = WSPInstance(
+            bids=eligible,
+            demand=residual,
+            price_ceiling=partition.price_ceiling,
+        )
+        try:
+            return run_ssam(
+                recon_instance,
+                payment_rule=payment_rule,
+                original_prices=original_prices,
+                **options,
+            )
+        except InfeasibleInstanceError:
+            raise InfeasibleInstanceError(
+                "sharded reconciliation cannot cover "
+                f"{sum(residual.values())} residual demand units "
+                f"with {len(eligible)} eligible cross-shard bids"
+            ) from None
+    if eligible:
+        # Nothing left to serve: cross-shard bids all lose.
+        return _empty_outcome(eligible, payment_rule, **options)
+    return None
 
 
 def _merge_outcomes(

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import columnar
 from repro.core.bids import Bid
 from repro.core.columnar import (
     ColumnarInstance,
@@ -25,6 +26,12 @@ from repro.core.columnar import (
 from repro.core.ssam import PaymentRule, _critical_payment, run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
+
+_SUFFIX_REPLAY = columnar._suffix_replay
+
+
+def _no_lockstep(*args, **kwargs):
+    pytest.fail("the payment kernel entered the lockstep path")
 
 
 def tiny_instance():
@@ -322,3 +329,130 @@ class TestObservabilityCounters:
             _reset_for_tests()
         assert payments == [_critical_payment(instance, winner)] == [1.5]
         assert steps == 1
+
+
+class TestLockstepReplays:
+    """The lockstep path of the payment kernel and its scalar exits.
+
+    Markets this small have fewer winners than the lockstep floor, so
+    these tests lower ``_LOCKSTEP_MIN`` to 1 to put every replay on it.
+    """
+
+    @staticmethod
+    def _counters(instance, winners):
+        from repro.obs.runtime import STATE, _reset_for_tests, configure
+
+        _reset_for_tests()
+        try:
+            configure()
+            payments = columnar_critical_payments(instance, winners)
+            counts = {
+                name: STATE.metrics.counter(
+                    f"engine.columnar.payment_{name}"
+                ).value
+                for name in (
+                    "lockstep_steps",
+                    "lockstep_exits",
+                    "suffix_steps",
+                )
+            }
+        finally:
+            _reset_for_tests()
+        return payments, counts
+
+    def test_head_that_strands_a_buyer_leaves_the_batch(self, monkeypatch):
+        # Seller 100 wins buyer 0.  In its +∞ replay the head is
+        # seller 101's 1.2 bid, whose acceptance removes buyer 1's only
+        # supplier: the replay leaves the batch before its first step.
+        monkeypatch.setattr(columnar, "_LOCKSTEP_MIN", 1)
+        exits = []
+
+        def scalar_replay(state, row, *args, **kwargs):
+            head, _ = columnar._head_candidate(state)
+            exits.append(state.would_strand(head))
+            return _SUFFIX_REPLAY(state, row, *args, **kwargs)
+
+        monkeypatch.setattr(columnar, "_suffix_replay", scalar_replay)
+        instance = WSPInstance.from_bids(
+            [
+                Bid(seller=100, index=0, covered=frozenset({0}), price=1.0),
+                Bid(seller=101, index=0, covered=frozenset({0}), price=1.2),
+                Bid(seller=101, index=1, covered=frozenset({1}), price=5.0),
+            ],
+            {0: 1, 1: 1},
+            price_ceiling=50.0,
+        )
+        winner = instance.bids[0]
+        payments, counts = self._counters(instance, [winner])
+        assert payments == [_critical_payment(instance, winner)] == [50.0]
+        assert exits == [True]
+        assert counts["lockstep_exits"] == 1
+        # Both steps run in the scalar replay: the stranding one, where
+        # the guard walk takes seller 101's 5.0 bid, then the winner's
+        # own, ceiling-capped.
+        assert counts["lockstep_steps"] == 0
+        assert counts["suffix_steps"] == 2
+
+    def test_replay_that_ends_on_the_winner_is_ceiling_capped(
+        self, monkeypatch
+    ):
+        # Seller 100 is buyer 0's only supplier.  Its +∞ replay takes
+        # seller 101 in lockstep (threshold 1 × 2.0), then its head is
+        # the +∞ winner itself: it leaves the batch and the scalar
+        # replay caps the threshold at utility × ceiling.
+        monkeypatch.setattr(columnar, "_LOCKSTEP_MIN", 1)
+        instance = WSPInstance.from_bids(
+            [
+                Bid(seller=100, index=0, covered=frozenset({0}), price=1.0),
+                Bid(seller=101, index=0, covered=frozenset({1}), price=2.0),
+            ],
+            {0: 1, 1: 1},
+            price_ceiling=50.0,
+        )
+        winner = instance.bids[0]
+        payments, counts = self._counters(instance, [winner])
+        assert payments == [_critical_payment(instance, winner)] == [50.0]
+        assert counts == {
+            "lockstep_steps": 1,
+            "lockstep_exits": 1,
+            "suffix_steps": 2,
+        }
+
+    def test_exact_guard_never_enters_the_lockstep_path(
+        self, make_instance, monkeypatch
+    ):
+        monkeypatch.setattr(columnar, "_LOCKSTEP_MIN", 1)
+        monkeypatch.setattr(columnar, "_lockstep_replays", _no_lockstep)
+        instance = make_instance(3)
+        winners = [
+            step.bid
+            for step in columnar_greedy_selection(
+                instance.bids, instance.demand, exact_guard=True
+            )
+        ]
+        assert columnar_critical_payments(
+            instance, winners, exact_guard=True
+        ) == [
+            _critical_payment(instance, bid, exact_guard=True)
+            for bid in winners
+        ]
+
+    def test_ten_thousand_bid_market_takes_the_scalar_path(
+        self, make_instance, monkeypatch
+    ):
+        # ⌊65 536 / 10⁴⌋ = 6 replays per chunk, below the floor of 8:
+        # scale_10k's payment_batch_speedup times the scalar replays.
+        monkeypatch.setattr(columnar, "_lockstep_replays", _no_lockstep)
+        instance = make_instance(
+            2019, n_sellers=5_000, n_buyers=16, demand_units_range=(1, 3)
+        )
+        assert len(instance.bids) == 10_000
+        winners = [
+            step.bid
+            for step in columnar_greedy_selection(
+                instance.bids, instance.demand
+            )
+        ]
+        assert len(winners) > columnar._LOCKSTEP_MIN
+        payments = columnar_critical_payments(instance, winners)
+        assert len(payments) == len(winners)

@@ -288,3 +288,54 @@ class TestRegressionGate:
         payload, baseline = self._payloads()
         with pytest.raises(ConfigurationError):
             check_scale_regression(payload, baseline, tolerance=1.5)
+
+
+class TestShardBaselineRows:
+    """The committed baseline lists several shard rows; a fresh row is
+    gated against the baseline row of the same case name."""
+
+    def _payloads(self):
+        payload = tiny_payload()
+        baseline = json.loads(json.dumps(payload))
+        other = dict(baseline["shard"], case="shard_1m", sharded_speedup=None)
+        baseline["shard"] = [other, baseline["shard"]]
+        return payload, baseline
+
+    def test_matching_row_is_gated(self):
+        payload, baseline = self._payloads()
+        assert check_scale_regression(payload, baseline) == []
+        payload["shard"]["sharded_speedup"] = (
+            baseline["shard"][1]["sharded_speedup"] * 0.5
+        )
+        failures = check_scale_regression(payload, baseline)
+        assert len(failures) == 1
+        assert "tiny_shard: sharded_speedup regressed" in failures[0]
+
+    def test_every_row_renders_and_joins_the_comparison(self):
+        payload, baseline = self._payloads()
+        rendered = render_scale_bench(baseline, baseline=baseline)
+        assert "shard_1m" in rendered and "tiny_shard" in rendered
+        rendered = render_scale_bench(payload, baseline=baseline)
+        assert "shard_1m" in rendered and "absent" in rendered
+
+    def test_shard_horizons_run_round_robin(self, monkeypatch):
+        from repro.experiments import bench_scale
+
+        calls = []
+        original = bench_scale._interleaved
+
+        def spy(repeats, *fns):
+            calls.append((repeats, len(fns)))
+            return original(repeats, *fns)
+
+        monkeypatch.setattr(bench_scale, "_interleaved", spy)
+        row = bench_scale._run_shard_case(
+            ShardScaleCase(
+                name="tiny_shard",
+                config=TINY_SHARD.config,
+                repeats=2,
+            )
+        )
+        assert calls == [(2, 2)]
+        assert row["equivalent"] is True
+        assert row["sharded_speedup"] > 0

@@ -30,20 +30,25 @@ def wsp_instances(
     min_price: float = 1.0,
     max_price: float = 50.0,
     price_choices: tuple[float, ...] | None = None,
+    min_sellers: int = 2,
+    min_buyers: int = 1,
+    max_covered: int | None = None,
 ):
     """A feasible random WSP instance.
 
     ``price_choices`` draws every price from that small set instead of
     the continuous ``[min_price, max_price]`` range, so selection-key
-    ties (equal ratios, equal prices) become common.
+    ties (equal ratios, equal prices) become common.  ``max_covered``
+    caps a bid's coverage set (default: every buyer), so narrow markets
+    need many winners.
     """
     price_strategy = (
         st.floats(min_price, max_price, allow_nan=False, allow_infinity=False)
         if price_choices is None
         else st.sampled_from(price_choices)
     )
-    n_sellers = draw(st.integers(2, max_sellers))
-    n_buyers = draw(st.integers(1, max_buyers))
+    n_sellers = draw(st.integers(min_sellers, max_sellers))
+    n_buyers = draw(st.integers(min_buyers, max_buyers))
     buyers = list(range(n_buyers))
     sellers = list(range(100, 100 + n_sellers))
     bids = []
@@ -53,7 +58,9 @@ def wsp_instances(
         for index in range(n_bids):
             covered = draw(
                 st.sets(
-                    st.sampled_from(buyers), min_size=1, max_size=n_buyers
+                    st.sampled_from(buyers),
+                    min_size=1,
+                    max_size=min(n_buyers, max_covered or n_buyers),
                 )
             )
             price = draw(price_strategy)

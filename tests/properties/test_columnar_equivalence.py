@@ -22,14 +22,18 @@ claim across every layer that can select an engine:
   yields identical round reports and ledger totals under every engine,
 * on tie-heavy markets (prices from a small integer set), the payment
   kernel's head-candidate fast path breaks ratio and price ties exactly
-  like the reference order, with the guard on, off, and escalated.
+  like the reference order, with the guard on, off, and escalated, and
+  its lockstep replays price every winner exactly like the scalar
+  replays, whichever size rule picks the path.
 """
 
 import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import columnar
 from repro.core.columnar import (
     ColumnarInstance,
     ColumnarState,
@@ -191,6 +195,63 @@ def test_tie_heavy_payments_identical(instance, guard, exact_guard):
     assert columnar_critical_payments(instance, probes, **options) == [
         _critical_payment(instance, bid, **options) for bid in probes
     ]
+
+
+# The payment kernel's size rule, overridden per run: all scalar, all
+# lockstep (one chunk), lockstep in chunks of three replays, defaults.
+KERNEL_MODES = {
+    "scalar": lambda n_bids: {"_LOCKSTEP_MIN": 10**9},
+    "lockstep": lambda n_bids: {"_LOCKSTEP_MIN": 1},
+    "lockstep-chunks": lambda n_bids: {
+        "_LOCKSTEP_MIN": 1,
+        "_LOCKSTEP_CELLS": 3 * n_bids,
+    },
+    "defaults": lambda n_bids: {},
+}
+
+
+@COMMON
+@given(
+    instance=st.one_of(
+        wsp_instances(
+            min_sellers=20,
+            max_sellers=40,
+            min_buyers=6,
+            max_buyers=10,
+            max_covered=3,
+            price_choices=TIE_PRICES,
+        ),
+        # Scarcer supply: more replays meet a head that strands a buyer.
+        wsp_instances(
+            min_sellers=10,
+            max_sellers=30,
+            min_buyers=6,
+            max_buyers=10,
+            max_covered=2,
+            max_demand=6,
+            price_choices=TIE_PRICES,
+        ),
+    )
+)
+@pytest.mark.parametrize("guard", [True, False], ids=["guard", "no-guard"])
+def test_lockstep_payments_identical(instance, guard):
+    """Narrow tie-heavy markets have enough winners for the lockstep
+    replays; every size rule prices every winner exactly like its scalar
+    reference replay."""
+    demand = {b: u for b, u in instance.demand.items() if u > 0}
+    options = dict(guard_feasibility=guard, exact_guard=False)
+    try:
+        steps = greedy_selection(instance.bids, demand, **options)
+    except InfeasibleInstanceError:
+        return
+    winners = [step.bid for step in steps]
+    expected = [_critical_payment(instance, bid, **options) for bid in winners]
+    for mode, constants in KERNEL_MODES.items():
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in constants(len(instance.bids)).items():
+                patch.setattr(columnar, name, value)
+            got = columnar_critical_payments(instance, winners, **options)
+        assert got == expected, mode
 
 
 @COMMON

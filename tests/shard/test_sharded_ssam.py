@@ -171,3 +171,44 @@ class TestReconciliation:
         )
         with pytest.raises(InfeasibleInstanceError):
             run_sharded_ssam(instance, PLAN)
+
+
+class TestProfiledPhases:
+    def test_partition_and_reconcile_are_profiled(self):
+        # A metrics registry alone splits a sharded round into the
+        # partition, the per-shard kernels and the reconciliation.
+        from repro.obs.runtime import STATE, _reset_for_tests, configure
+
+        bids = [
+            bid(100, {0, 1}, 10.0),
+            bid(101, {0}, 9.0),
+            bid(300, {1, 2}, 20.0),  # cross: spans both shards
+            bid(200, {2}, 8.0),
+            bid(201, {3}, 11.0),
+        ]
+        instance = WSPInstance.from_bids(
+            bids, {0: 1, 1: 2, 2: 1, 3: 1}, price_ceiling=50.0
+        )
+        _reset_for_tests()
+        try:
+            configure()
+            run_sharded_ssam(instance, PLAN)
+            metrics = STATE.metrics
+            calls = {
+                phase: metrics.counter(f"phase.{phase}.calls").value
+                for phase in (
+                    "shard.round",
+                    "shard.partition",
+                    "ssam.payments",
+                    "shard.reconcile",
+                )
+            }
+        finally:
+            _reset_for_tests()
+        # Two local shards and the reconciliation each pay their winners.
+        assert calls == {
+            "shard.round": 1,
+            "shard.partition": 1,
+            "ssam.payments": 3,
+            "shard.reconcile": 1,
+        }
