@@ -27,6 +27,7 @@ from repro.demand.indicators import (
     WaitingTimeIndicator,
 )
 from repro.errors import ConfigurationError
+from repro.obs.profiler import profiled
 from repro.sim.metrics import RoundSnapshot
 
 __all__ = ["DemandWeights", "DemandEstimator", "NoisyOracleEstimator"]
@@ -138,6 +139,7 @@ class DemandEstimator:
             return 0
         return min(self.max_units, units)
 
+    @profiled("demand.estimate")
     def estimate_round(
         self, snapshots: Iterable[RoundSnapshot]
     ) -> dict[int, int]:

@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError
 from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import EventKind
+from repro.sim.events import Event, EventKind
 from repro.sim.metrics import RoundSnapshot
 from repro.sim.processes import ArrivalProcess, RequestServer
 
@@ -458,13 +458,19 @@ class EdgePlatform:
             self.auction = mechanism
         self._engine = SimulationEngine()
         self._servers: dict[int, RequestServer] = {}
-        self._arrivals: list[ArrivalProcess] = []
+        self._arrivals: dict[int, ArrivalProcess] = {}
         self._build_simulation()
 
     # ------------------------------------------------------------------
     # simulation wiring
     # ------------------------------------------------------------------
     def _build_simulation(self) -> None:
+        """One server per microservice, one arrival process per loaded one.
+
+        The engine gets one ARRIVAL and one DEPARTURE handler, each routing
+        the event to its microservice's server (and, on ARRIVAL, process)
+        rather than offering it to all of them.
+        """
         horizon = self.config.round_length * self.horizon_rounds
         rate_per_service: dict[int, float] = {}
         for user in self.users:
@@ -478,8 +484,6 @@ class EdgePlatform:
                 speed_per_unit=self.config.speed_per_unit,
             )
             self._servers[sid] = server
-            self._engine.register(EventKind.ARRIVAL, server.handle_arrival)
-            self._engine.register(EventKind.DEPARTURE, server.handle_departure)
             rate = rate_per_service.get(sid, 0.0)
             if rate > 0:
                 process = ArrivalProcess(
@@ -490,10 +494,25 @@ class EdgePlatform:
                     work_mean=self.config.work_mean,
                     user_pool=max(1, len(self.users)),
                 )
-                self._arrivals.append(process)
-                self._engine.register(EventKind.ARRIVAL, process.on_arrival)
-        for process in self._arrivals:
+                self._arrivals[sid] = process
+        self._engine.register(EventKind.ARRIVAL, self._route_arrival)
+        self._engine.register(EventKind.DEPARTURE, self._route_departure)
+        for process in self._arrivals.values():
             process.start(self._engine)
+
+    def _route_arrival(self, engine: SimulationEngine, event: Event) -> None:
+        # Only arrival processes schedule ARRIVALs, so the service has one.
+        # Server before process: a service start's DEPARTURE is sequenced
+        # before the next ARRIVAL, as when each server's handle_arrival is
+        # registered ahead of its process's on_arrival.
+        request = event.payload
+        sid = request.microservice
+        self._servers[sid].accept(engine, request)
+        self._arrivals[sid].schedule_next(engine, event.time)
+
+    def _route_departure(self, engine: SimulationEngine, event: Event) -> None:
+        sid, request_id = event.payload
+        self._servers[sid].complete(engine, request_id, event.time)
 
     # ------------------------------------------------------------------
     # the per-round lifecycle
@@ -512,8 +531,7 @@ class EdgePlatform:
         round_index = len(self.reports)
         round_start = self._engine.now
         round_end = round_start + self.config.round_length
-        with _OBS.tracer.span("platform.simulate", round_index=round_index):
-            self._engine.run_until(round_end)
+        self._simulate(round_index, round_end)
         snapshots = tuple(
             server.stats.snapshot(round_index, round_start, round_end)
             for server in self._servers.values()
@@ -529,6 +547,12 @@ class EdgePlatform:
             buyers=buyers,
             seller_contexts=self.seller_contexts(buyers),
         )
+
+    @profiled("platform.simulate")
+    def _simulate(self, round_index: int, round_end: float) -> None:
+        """Run the request simulator up to the end of round ``round_index``."""
+        with _OBS.tracer.span("platform.simulate", round_index=round_index):
+            self._engine.run_until(round_end)
 
     def seller_contexts(
         self, buyers: Mapping[int, int]

@@ -95,14 +95,19 @@ class SimulationEngine:
         Events scheduled exactly at the horizon are *not* processed (the
         horizon is exclusive), which makes back-to-back calls with touching
         horizons process each event exactly once.  The clock is advanced to
-        the horizon on return even if the queue drains early.
+        the horizon on return even if the queue drains early.  Each event is
+        dispatched exactly as :meth:`step` dispatches it.
         """
         if horizon < self._now:
             raise SimulationError(
                 f"horizon {horizon} is before current time {self._now}"
             )
-        while self._queue and self._queue.peek().time < horizon:
-            self.step()
+        handlers = self._handlers
+        for event in self._queue.pop_before(horizon):
+            self._now = event.time
+            self._processed += 1
+            for handler in handlers[event.kind]:
+                handler(self, event)
         self._now = horizon
 
     def run_all(self, max_events: int = 1_000_000) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -65,29 +66,46 @@ class EventQueue:
     time, kind, and payload.  Popping from an empty queue raises
     :class:`~repro.errors.SimulationError` rather than returning a sentinel,
     because an empty queue mid-simulation indicates a scheduling bug.
+
+    The heap holds ``(time, sequence, event)`` tuples: the same
+    ``(time, sequence)`` order as :class:`Event`'s own comparison, decided
+    by C tuple comparison instead of the dataclass's generated ``__lt__``.
+    Sequence numbers are unique, so the comparison never reaches the event.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event and return the stored record."""
-        event = Event(time=time, sequence=next(self._counter), kind=kind, payload=payload)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, sequence, kind, payload)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("cannot pop from an empty event queue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def peek(self) -> Event:
         """Return the earliest event without removing it."""
         if not self._heap:
             raise SimulationError("cannot peek into an empty event queue")
-        return self._heap[0]
+        return self._heap[0][2]
+
+    def pop_before(self, horizon: float) -> Iterator[Event]:
+        """Pop, in order, every event earlier than ``horizon``.
+
+        The heap is re-checked before each pop, so events pushed while the
+        iteration runs (by the handlers of the events it yields) are popped
+        in their turn when they fall before the horizon.
+        """
+        heap = self._heap
+        while heap and heap[0][0] < horizon:
+            yield heapq.heappop(heap)[2]
 
     def __len__(self) -> int:
         return len(self._heap)

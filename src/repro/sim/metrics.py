@@ -141,13 +141,10 @@ class MicroserviceStats:
             raise SimulationError(
                 f"busy fraction must be in [0, 1], got {fraction}"
             )
-        self._accrue(now)
-        self._busy_fraction = min(1.0, fraction)
-
-    def _accrue(self, now: float) -> None:
         if self._busy_since is not None and self._busy_fraction > 0:
             self.busy_time += self._busy_fraction * (now - self._busy_since)
         self._busy_since = now
+        self._busy_fraction = min(1.0, fraction)
 
     def mark_busy(self, now: float) -> None:
         """Record that the server became fully busy at time ``now``."""

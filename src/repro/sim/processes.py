@@ -11,6 +11,7 @@ Section-III demand estimator keys on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,20 +90,29 @@ class ArrivalProcess:
 
     def start(self, engine: SimulationEngine) -> None:
         """Schedule the first arrival on ``engine``."""
-        self._schedule_next(engine, engine.now)
+        self.schedule_next(engine, engine.now)
 
-    def _schedule_next(self, engine: SimulationEngine, now: float) -> None:
+    def schedule_next(self, engine: SimulationEngine, now: float) -> None:
+        """Draw the arrival after ``now`` and schedule it (none past the horizon).
+
+        Each call draws the gap, the user and the work from the process's
+        RNG, in that order; a gap that reaches the horizon ends the process
+        after the first draw.
+        """
         gap = float(self._rng.exponential(1.0 / self.rate))
         when = now + gap
         if when >= self.horizon:
             return
+        # Positional, in field order (request_id, microservice, user,
+        # arrival_time, work, deadline): keyword arguments make this
+        # once-per-arrival construction about a third slower.
         request = Request(
-            request_id=next(self._ids),
-            microservice=self.microservice,
-            user=int(self._rng.integers(0, self.user_pool)),
-            arrival_time=when,
-            work=float(self._rng.exponential(self.work_mean)),
-            deadline=(
+            next(self._ids),
+            self.microservice,
+            int(self._rng.integers(0, self.user_pool)),
+            when,
+            float(self._rng.exponential(self.work_mean)),
+            (
                 when + self.relative_deadline
                 if self.relative_deadline is not None
                 else None
@@ -111,16 +121,10 @@ class ArrivalProcess:
         engine.schedule(when, EventKind.ARRIVAL, request)
 
     def on_arrival(self, engine: SimulationEngine, event: Event) -> None:
-        """Handler hook: reschedule the next arrival of this process."""
+        """ARRIVAL handler: reschedule if the request is this process's own."""
         request = event.payload
         if isinstance(request, Request) and request.microservice == self.microservice:
-            self._schedule_next(engine, event.time)
-
-
-@dataclass
-class _InService:
-    request: Request
-    started_at: float
+            self.schedule_next(engine, event.time)
 
 
 class RequestServer:
@@ -131,6 +135,11 @@ class RequestServer:
     slots``), so the total service capacity scales linearly with allocated
     resources.  Statistics are accumulated into a
     :class:`~repro.sim.metrics.MicroserviceStats`.
+
+    ``handle_arrival`` / ``handle_departure`` are engine handlers that
+    ignore events of other microservices, so several servers can share one
+    engine's handler lists.  A caller that already routes events by
+    microservice calls :meth:`accept` and :meth:`complete` directly.
     """
 
     def __init__(
@@ -152,9 +161,10 @@ class RequestServer:
         self.speed_per_unit = speed_per_unit
         self.discipline = discipline
         self.stats = MicroserviceStats(microservice=microservice, allocation=allocation)
-        self._allocation = allocation
         self._waiting: list[Request] = []
-        self._in_service: dict[int, _InService] = {}
+        # request id -> (request, service start time)
+        self._in_service: dict[int, tuple[Request, float]] = {}
+        self.set_allocation(allocation, now=0.0)
 
     @property
     def allocation(self) -> float:
@@ -164,12 +174,12 @@ class RequestServer:
     @property
     def slots(self) -> int:
         """Number of parallel service slots (≥ 1)."""
-        return max(1, int(self._allocation))
+        return self._slots
 
     @property
     def speed(self) -> float:
         """Work units per time unit that each busy slot processes."""
-        return self.speed_per_unit * self._allocation / self.slots
+        return self._speed
 
     @property
     def queue_length(self) -> int:
@@ -182,21 +192,24 @@ class RequestServer:
         return len(self._in_service)
 
     def set_allocation(self, allocation: float, now: float) -> None:
-        """Re-allocate resources (takes effect for future service starts)."""
+        """Re-allocate resources (takes effect for future service starts).
+
+        Slot count and per-slot speed are computed here, once per
+        allocation, not on every service start.
+        """
         if allocation <= 0:
             raise SimulationError(f"allocation must be positive, got {allocation}")
         self._allocation = allocation
+        self._slots = max(1, int(allocation))
+        self._speed = self.speed_per_unit * allocation / self._slots
         self.stats.allocation = allocation
         del now  # reallocation is instantaneous in this model
 
     def handle_arrival(self, engine: SimulationEngine, event: Event) -> None:
         """ARRIVAL handler: enqueue the request and try to start service."""
         request = event.payload
-        if not isinstance(request, Request) or request.microservice != self.microservice:
-            return
-        self.stats.record_arrival()
-        self._waiting.append(request)
-        self._try_start(engine)
+        if isinstance(request, Request) and request.microservice == self.microservice:
+            self.accept(engine, request)
 
     def handle_departure(self, engine: SimulationEngine, event: Event) -> None:
         """DEPARTURE handler: complete the request and pull the next one."""
@@ -204,18 +217,29 @@ class RequestServer:
         if not isinstance(payload, tuple) or len(payload) != 2:
             return
         microservice, request_id = payload
-        if microservice != self.microservice:
-            return
+        if microservice == self.microservice:
+            self.complete(engine, request_id, event.time)
+
+    def accept(self, engine: SimulationEngine, request: Request) -> None:
+        """Enqueue an arriving request of this microservice; try to start it."""
+        self.stats.record_arrival()
+        self._waiting.append(request)
+        self._try_start(engine)
+
+    def complete(self, engine: SimulationEngine, request_id: int, now: float) -> None:
+        """Finish request ``request_id`` at ``now`` and pull the next one."""
         record = self._in_service.pop(request_id, None)
         if record is None:
             raise SimulationError(
                 f"departure for unknown request {request_id} at microservice "
                 f"{self.microservice}"
             )
-        waiting = record.started_at - record.request.arrival_time
-        execution = event.time - record.started_at
-        self.stats.record_completion(waiting_time=waiting, execution_time=execution)
-        self._sync_busy_fraction(event.time)
+        request, started_at = record
+        self.stats.record_completion(
+            waiting_time=started_at - request.arrival_time,
+            execution_time=now - started_at,
+        )
+        self._sync_busy_fraction(now)
         self._try_start(engine)
 
     def _sync_busy_fraction(self, now: float) -> None:
@@ -225,7 +249,7 @@ class RequestServer:
         service running past the new slot count; the server counts as
         fully busy until enough of them depart.
         """
-        slots = self.slots
+        slots = self._slots
         self.stats.set_busy_fraction(
             now, min(len(self._in_service), slots) / slots
         )
@@ -233,8 +257,6 @@ class RequestServer:
     def _next_request(self) -> Request:
         """Dequeue per discipline: FIFO order or earliest deadline first."""
         if self.discipline == "edf":
-            import math
-
             position = min(
                 range(len(self._waiting)),
                 key=lambda i: (
@@ -248,16 +270,16 @@ class RequestServer:
         return self._waiting.pop(0)
 
     def _try_start(self, engine: SimulationEngine) -> None:
-        while self._waiting and len(self._in_service) < self.slots:
+        while self._waiting and len(self._in_service) < self._slots:
             request = self._next_request()
             now = engine.now
             if request.deadline is not None and now > request.deadline:
                 # Stale in queue: the client gave up; count and move on.
                 self.stats.record_drop()
                 continue
-            self._in_service[request.request_id] = _InService(request, started_at=now)
+            self._in_service[request.request_id] = (request, now)
             self._sync_busy_fraction(now)
-            duration = request.work / self.speed
+            duration = request.work / self._speed
             engine.schedule_after(
                 duration, EventKind.DEPARTURE, (self.microservice, request.request_id)
             )

@@ -1,0 +1,39 @@
+"""The request simulator and the demand estimator are ``@profiled`` phases.
+
+A metrics registry alone then splits a platform round into simulation,
+estimation and auction time.  Observing must not change the round.
+"""
+
+from repro.dist.scenario import DistScenario, replay_scenario
+from repro.obs import observing
+
+
+def outcome_dicts(reports):
+    return [
+        (
+            report.snapshots,
+            dict(report.demand_units),
+            None if report.auction is None else report.auction.to_dict(),
+        )
+        for report in reports
+    ]
+
+
+def test_simulate_and_estimate_phases_count_each_round():
+    scenario = DistScenario(seed=7, horizon_rounds=4)
+    untraced = replay_scenario(scenario)
+    with observing() as metrics:
+        traced = replay_scenario(scenario)
+        calls = {
+            phase: metrics.counter(f"phase.{phase}.calls").value
+            for phase in ("platform.round", "platform.simulate", "demand.estimate")
+        }
+        simulate_seconds = metrics.histogram("phase.platform.simulate.seconds")
+        assert simulate_seconds.count == 4
+        assert simulate_seconds.total > 0.0
+    assert calls == {
+        "platform.round": 4,
+        "platform.simulate": 4,
+        "demand.estimate": 4,
+    }
+    assert outcome_dicts(traced) == outcome_dicts(untraced)

@@ -17,12 +17,16 @@ import repro.api
 import repro.core.msoa
 import repro.core.ssam
 import repro.faults.models
+import repro.sim.engine
+import repro.sim.rng
 
 DOCUMENTED_MODULES = [
     repro.api,
     repro.core.ssam,
     repro.core.msoa,
     repro.faults.models,
+    repro.sim.engine,
+    repro.sim.rng,
 ]
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[1] / "examples"
