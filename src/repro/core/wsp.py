@@ -218,19 +218,13 @@ class WSPInstance:
         buyer in turn, bids from unused sellers is a matching problem that
         the greedy mechanism resolves (and the MILP confirms).
         """
-        sellers_covering: dict[int, set[int]] = {b: set() for b in self.buyers}
-        for bid in self.bids:
-            for buyer in bid.covered:
-                if buyer in sellers_covering:
-                    sellers_covering[buyer].add(bid.seller)
-        # Distinct-seller coverage per buyer is necessary.  For sufficiency
-        # with overlapping seller constraints we verify via a max-flow style
-        # greedy check below (sellers are shared across buyers).
+        sellers_covering = _sellers_covering(self.bids)
         for buyer in self.buyers:
-            if len(sellers_covering[buyer]) < self.demand[buyer]:
+            covering = len(sellers_covering.get(buyer, ()))
+            if covering < self.demand[buyer]:
                 raise InfeasibleInstanceError(
                     f"buyer {buyer} needs {self.demand[buyer]} units but only "
-                    f"{len(sellers_covering[buyer])} distinct sellers cover it"
+                    f"{covering} distinct sellers cover it"
                 )
         if not self._flow_feasible():
             raise InfeasibleInstanceError(
@@ -238,33 +232,20 @@ class WSPInstance:
             )
 
     def _flow_feasible(self) -> bool:
-        """Exact feasibility via bipartite flow (sellers → buyers).
+        """Exact feasibility for tiny instances, run after the seller count.
 
         One winning bid per seller supplies one unit to *each* buyer it
-        covers, so a seller is usable for buyer ``b`` if *some* bid of the
-        seller covers ``b``.  Demand is satisfiable iff selecting one bid
-        per seller can cover every buyer ``demand[b]`` times.  We check a
-        relaxation first (each seller contributes its best bid per buyer)
-        and fall back to exhaustive search only for tiny instances, because
-        the exact question is itself the NP-hard WSP feasibility; in
-        practice the distinct-seller condition plus the relaxation is tight
-        for the instance families in this library.
+        covers, so the distinct-seller condition of
+        :meth:`check_feasible` is necessary but not sufficient when one
+        seller's bids cover different buyers.  The exact question is
+        itself the NP-hard WSP feasibility, so it is searched
+        exhaustively only for tiny instances; at scale the distinct-seller
+        condition is relied on, which is tight for the instance families
+        in this library.
         """
         by_seller = group_bids_by_seller(self.bids)
-        # Relaxation: union of covered sets per seller (a seller could cover
-        # this union only if a single bid does; check single-bid unions).
-        best_cover: dict[int, int] = {b: 0 for b in self.buyers}
-        for bids in by_seller.values():
-            buyers_reachable: set[int] = set()
-            for bid in bids:
-                buyers_reachable |= bid.covered
-            for buyer in buyers_reachable:
-                if buyer in best_cover:
-                    best_cover[buyer] += 1
-        if any(best_cover[b] < self.demand[b] for b in self.buyers):
-            return False
         if len(by_seller) > 16 or len(self.bids) > 20:
-            return True  # rely on the necessary conditions at scale
+            return True  # rely on the necessary condition at scale
         return self._exhaustive_feasible(by_seller)
 
     def _exhaustive_feasible(self, by_seller: Mapping[int, Sequence[Bid]]) -> bool:
@@ -359,6 +340,15 @@ class WSPInstance:
                 )
 
 
+def _sellers_covering(bids: Iterable[Bid]) -> dict[int, set[int]]:
+    """Map each covered buyer to the distinct sellers with a bid covering it."""
+    sellers_covering: dict[int, set[int]] = {}
+    for bid in bids:
+        for buyer in bid.covered:
+            sellers_covering.setdefault(buyer, set()).add(bid.seller)
+    return sellers_covering
+
+
 def supply_clamped_demand(instance: WSPInstance) -> dict[int, int]:
     """Clamp each buyer's demand to the distinct sellers covering it.
 
@@ -368,10 +358,7 @@ def supply_clamped_demand(instance: WSPInstance) -> dict[int, int]:
     shard's local clearing, partial fault degradation) re-run the round
     on this demand to serve what the bid pool can still supply.
     """
-    sellers_covering: dict[int, set[int]] = {}
-    for bid in instance.bids:
-        for buyer in bid.covered:
-            sellers_covering.setdefault(buyer, set()).add(bid.seller)
+    sellers_covering = _sellers_covering(instance.bids)
     return {
         buyer: min(units, len(sellers_covering.get(buyer, ())))
         for buyer, units in instance.demand.items()

@@ -2,10 +2,10 @@
 
 The message-driven form of the paper's platform: sellers and buyers are
 independent :mod:`asyncio` agents that talk to a long-lived
-:class:`RoundOrchestrator` over a pluggable :class:`Transport` —
+:class:`RoundOrchestrator` over one transport —
 in-process (:class:`InMemoryTransport`) or over real sockets
-(:class:`TcpTransport`, with agents optionally placed in separate OS
-processes via :func:`spawn_agents`) — while simulation, demand
+(its subclass :class:`TcpTransport`, with agents optionally placed in
+separate OS processes via :func:`spawn_agents`) — while simulation, demand
 estimation, and clearing stay on the shared
 :class:`~repro.edge.platform.EdgePlatform` core.  That shared core is
 what makes a seeded ``clock="virtual"`` run bit-identical to the
@@ -46,12 +46,7 @@ from repro.dist.orchestrator import RoundOrchestrator
 from repro.dist.scenario import DistScenario, replay_scenario
 from repro.dist.service import AuctionService, serve
 from repro.dist.tcp import TcpTransport
-from repro.dist.transport import (
-    CLOCK_MODES,
-    InMemoryTransport,
-    Mailbox,
-    Transport,
-)
+from repro.dist.transport import CLOCK_MODES, InMemoryTransport, Mailbox
 from repro.dist.workers import agent_worker, run_agent_worker, spawn_agents
 
 __all__ = [
@@ -68,7 +63,6 @@ __all__ = [
     "seller_endpoint",
     "seller_stream",
     "ORCHESTRATOR_ENDPOINT",
-    "Transport",
     "InMemoryTransport",
     "TcpTransport",
     "CLOCK_MODES",

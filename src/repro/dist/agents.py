@@ -36,7 +36,7 @@ from repro.dist.messages import (
     RoundOpen,
     Shutdown,
 )
-from repro.dist.transport import Mailbox, Transport
+from repro.dist.transport import InMemoryTransport, Mailbox
 from repro.edge.platform import BiddingPolicy, PlatformConfig, TruthfulCostPolicy
 
 __all__ = [
@@ -145,7 +145,7 @@ class AgentHandle:
 
     def __init__(
         self,
-        transport: Transport,
+        transport: InMemoryTransport,
         endpoint: str,
         *,
         seller_id: int | None = None,

@@ -36,7 +36,7 @@ import asyncio
 from repro.core.bids import Bid
 from repro.dist.agents import ORCHESTRATOR_ENDPOINT
 from repro.dist.messages import BidSubmission, OutcomeNotice, RoundOpen, Shutdown
-from repro.dist.transport import CLOCK_MODES, Transport
+from repro.dist.transport import InMemoryTransport
 from repro.edge.platform import EdgePlatform, PlatformRoundReport, RoundContext
 from repro.errors import ConfigurationError, TransportError
 from repro.obs.runtime import STATE as _OBS
@@ -55,7 +55,13 @@ class RoundOrchestrator:
         bids come from the attached agents.
     transport:
         Where the agents live; the orchestrator registers the well-known
-        ``"orchestrator"`` endpoint on it.
+        ``"orchestrator"`` endpoint on it and runs on its clock mode.
+        Under ``clock="wall"`` the grace window is a real timeout — a
+        round closes at ``opened_at + grace_window`` real seconds
+        whether or not every seller answered, so outcomes depend on
+        actual peer latency and the virtual-clock determinism contract
+        is explicitly relaxed (``serve --check`` only asserts outcome
+        equality for virtual-clock runs; see ``docs/serving.md``).
     grace_window:
         Length (virtual-clock units) of the bidding window per round.
         Submissions delivered after ``opened_at + grace_window`` are
@@ -68,47 +74,24 @@ class RoundOrchestrator:
         depend on wall-clock timing, only on virtual delivery times.
         Under ``clock="wall"`` it remains the per-wait ceiling, but the
         grace window itself is already a real timeout.
-    clock:
-        ``"virtual"`` or ``"wall"``; defaults to the transport's own
-        mode, and a mismatch with the transport is refused.  Under
-        ``"wall"`` the grace window is a real timeout — a round closes
-        at ``opened_at + grace_window`` real seconds whether or not
-        every seller answered, so outcomes depend on actual peer
-        latency and the virtual-clock determinism contract is
-        explicitly relaxed (``serve --check`` only asserts outcome
-        equality for virtual-clock runs; see ``docs/serving.md``).
     """
 
     def __init__(
         self,
         platform: EdgePlatform,
-        transport: Transport,
+        transport: InMemoryTransport,
         *,
         grace_window: float = 1.0,
         wall_timeout: float = 5.0,
-        clock: str | None = None,
     ) -> None:
         if grace_window <= 0:
             raise ConfigurationError("grace_window must be positive")
         if wall_timeout <= 0:
             raise ConfigurationError("wall_timeout must be positive")
-        transport_clock = getattr(transport, "clock", "virtual")
-        if clock is None:
-            clock = transport_clock
-        if clock not in CLOCK_MODES:
-            raise ConfigurationError(
-                f"clock must be one of {CLOCK_MODES}, got {clock!r}"
-            )
-        if clock != transport_clock:
-            raise ConfigurationError(
-                f"orchestrator clock {clock!r} does not match the "
-                f"transport's clock {transport_clock!r}"
-            )
         self.platform = platform
         self.transport = transport
         self.grace_window = grace_window
         self.wall_timeout = wall_timeout
-        self.clock = clock
         self.mailbox = transport.register(ORCHESTRATOR_ENDPOINT)
         self._sellers: dict[int, str] = {}
         self._shut_down = False
@@ -217,9 +200,8 @@ class RoundOrchestrator:
             # Close the window on the virtual clock.  The round consumed
             # its grace window; if a straggler's submission was stamped
             # even later, the clock must not run backwards past it.
-            # (The wall clock closes itself.)
-            if self.clock == "virtual":
-                self.transport.advance_to(max(deadline, latest_delivery))
+            # (The wall clock closes itself: advance_to is a no-op.)
+            self.transport.advance_to(max(deadline, latest_delivery))
             bids = [
                 bid
                 for seller_id in sorted(accepted)
@@ -249,11 +231,12 @@ class RoundOrchestrator:
         answered: set[int] = set()
         latest_delivery = deadline
         metrics = _OBS.metrics
+        wall = self.transport.clock == "wall"
         while pending:
             envelope = self.mailbox.get_nowait()
             if envelope is None:
                 timeout = self.wall_timeout
-                if self.clock == "wall":
+                if wall:
                     remaining = deadline - self.transport.now
                     if remaining <= 0:
                         self._note_timeouts(
@@ -267,10 +250,7 @@ class RoundOrchestrator:
                     )
                 except asyncio.TimeoutError:
                     cause = "wall_guard"
-                    if (
-                        self.clock == "wall"
-                        and self.transport.now >= deadline
-                    ):
+                    if wall and self.transport.now >= deadline:
                         cause = "wall_deadline"
                     self._note_timeouts(pending, round_index, cause=cause)
                     break
@@ -317,7 +297,7 @@ class RoundOrchestrator:
                     deadline=deadline,
                 )
                 metrics.counter("dist.submissions_late").inc()
-                if self.clock == "wall":
+                if wall:
                     metrics.counter("transport.late_wall_clock").inc()
                 continue
             accepted[seller_id] = message

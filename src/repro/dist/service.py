@@ -35,7 +35,7 @@ from repro.dist.agents import (
 from repro.dist.orchestrator import RoundOrchestrator
 from repro.dist.scenario import DistScenario
 from repro.dist.tcp import TcpTransport
-from repro.dist.transport import InMemoryTransport, Transport
+from repro.dist.transport import InMemoryTransport
 from repro.dist.workers import spawn_agents
 from repro.edge.platform import PlatformRoundReport
 from repro.errors import ConfigurationError
@@ -70,11 +70,11 @@ class AuctionService:
         determinism contract.
     clock:
         ``"virtual"`` (the default) or ``"wall"``.  Selects the clock
-        mode of the default transport and of the orchestrator; under
-        ``"wall"`` the grace window is a real timeout and the
-        determinism contract is relaxed (see ``docs/serving.md``).
-        Ignored when an explicit ``transport`` is passed (the transport
-        already carries its mode).
+        mode of the transport the service builds, which the orchestrator
+        runs on; under ``"wall"`` the grace window is a real timeout and
+        the determinism contract is relaxed (see ``docs/serving.md``).
+        An explicit ``transport`` already carries its mode, and a
+        ``clock`` that contradicts it is refused.
     listen:
         ``(host, port)`` to serve over TCP instead of in memory: the
         service builds a :class:`~repro.dist.tcp.TcpTransport` router,
@@ -96,7 +96,7 @@ class AuctionService:
         self,
         scenario: DistScenario | None = None,
         *,
-        transport: Transport | None = None,
+        transport: InMemoryTransport | None = None,
         grace_window: float | None = None,
         wall_timeout: float = 5.0,
         seller_delays: dict[int, float] | None = None,
@@ -110,6 +110,11 @@ class AuctionService:
             if listen is not None:
                 raise ConfigurationError(
                     "pass either an explicit transport or listen=, not both"
+                )
+            if clock is not None and clock != transport.clock:
+                raise ConfigurationError(
+                    f"clock {clock!r} does not match the transport's "
+                    f"clock {transport.clock!r}"
                 )
             self.transport = transport
         elif listen is not None:
@@ -133,7 +138,6 @@ class AuctionService:
             self.transport,
             grace_window=grace_window,
             wall_timeout=wall_timeout,
-            clock=clock,
         )
         self._seller_delays = dict(seller_delays or {})
         self.sellers: dict[int, SellerAgent] = {}

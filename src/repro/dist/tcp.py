@@ -1,21 +1,27 @@
 """TCP socket transport: length-prefixed JSON frames over asyncio streams.
 
-:class:`TcpTransport` is the wire implementation of the
-:class:`~repro.dist.transport.Transport` interface.  One transport plays
-one of two roles, fixed by the first call:
+:class:`TcpTransport` is :class:`~repro.dist.transport.InMemoryTransport`
+plus the wire: stamping, sequence numbers, mailboxes, delay validation
+and the clock are inherited unchanged, and this module adds only the two
+network roles.  One transport plays one of them, fixed by the first
+call:
 
 * **router** (:meth:`TcpTransport.listen`) — the orchestrator side.  It
   owns the authoritative envelope sequence and clock; every frame from
-  every peer passes through it and is stamped on arrival, so
-  per-recipient FIFO order and the monotone ``seq`` hold exactly as they
-  do in-memory.  Local endpoints (the orchestrator's own mailbox) and
-  remote endpoints (agents on other connections — typically other OS
+  every peer is passed to the same :meth:`~TcpTransport.send` local
+  callers use and is stamped there, so per-recipient FIFO order and the
+  monotone ``seq`` hold exactly as they do in-memory.  A remote endpoint
+  is an inbox that writes a ``deliver`` frame to its peer connection,
+  so local endpoints (the orchestrator's own mailbox) and remote
+  endpoints (agents on other connections — typically other OS
   processes, see :mod:`repro.dist.workers`) are addressed identically.
 * **client** (:meth:`TcpTransport.dial`) — an agent side.  ``register``
   performs a named-endpoint handshake with the router
   (:meth:`wait_registered` confirms it; a duplicate name is rejected
-  with a :class:`~repro.errors.TransportError`), and delivered envelopes
-  land in local mailboxes exactly as over the in-memory transport.
+  with a :class:`~repro.errors.TransportError`), ``send`` forwards to the
+  router and returns an unstamped ``seq`` 0 echo, and delivered
+  envelopes land in local mailboxes exactly as over the in-memory
+  transport.
 
 Wire format: each frame is a 4-byte big-endian length prefix followed by
 one UTF-8 JSON object with an ``op`` field (``register``, ``registered``,
@@ -24,9 +30,14 @@ Messages travel as their versioned ``to_dict`` forms
 (:func:`~repro.dist.messages.message_to_dict`), envelopes as
 :func:`~repro.dist.messages.envelope_to_dict` — nothing pickled, nothing
 host-specific.  A frame that is oversized (``max_frame_bytes``, default
-1 MiB), undecodable, or semantically malformed is rejected: the router
-counts ``transport.frames_rejected``, answers a best-effort ``error``
-frame, and drops the offending connection.
+1 MiB), undecodable, or semantically malformed (say a non-string
+recipient, a message that is not a protocol object, or a delay that is
+negative, NaN or infinite) is rejected: the router counts
+``transport.frames_rejected``, answers a best-effort ``error`` frame,
+and drops the offending connection.  A send to an unknown endpoint is
+counted and answered the same way, but the peer stays connected.  A
+client counts a malformed frame from the router too, and then treats
+the router as lost.
 
 Error surfaces: sends to an endpoint whose connection died raise
 :class:`~repro.errors.TransportError`; a client whose router connection
@@ -67,7 +78,7 @@ from repro.dist.messages import (
     message_from_dict,
     message_to_dict,
 )
-from repro.dist.transport import CLOCK_MODES, Mailbox, Transport
+from repro.dist.transport import InMemoryTransport, Mailbox
 from repro.errors import ConfigurationError, TransportError
 from repro.obs.runtime import STATE as _OBS
 
@@ -84,22 +95,32 @@ async def read_frame(
 ) -> dict:
     """Read one length-prefixed JSON frame; raise ``TransportError`` if bad.
 
-    Raises :class:`asyncio.IncompleteReadError` on EOF mid-frame (the
-    ordinary disconnect path) and :class:`~repro.errors.TransportError`
-    for frames that are oversized, undecodable, or not an object with an
-    ``op`` field.
+    Raises :class:`asyncio.IncompleteReadError` on EOF between frames
+    (the ordinary disconnect path) and :class:`~repro.errors.TransportError`
+    for frames that are cut short by EOF, oversized, undecodable, or not
+    an object with an ``op`` field.
     """
-    header = await reader.readexactly(_HEADER.size)
+    try:
+        header = await reader.readexactly(_HEADER.size)
+    except asyncio.IncompleteReadError as eof:
+        if eof.partial:
+            raise TransportError("truncated frame header") from None
+        raise
     (length,) = _HEADER.unpack(header)
     if length > max_frame_bytes:
         raise TransportError(
             f"frame of {length} bytes exceeds the "
             f"{max_frame_bytes}-byte limit"
         )
-    body = await reader.readexactly(length)
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as eof:
+        raise TransportError(
+            f"truncated frame: {len(eof.partial)} of {length} bytes"
+        ) from None
     try:
         frame = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise TransportError(f"malformed frame: {error}") from None
     if not isinstance(frame, dict) or "op" not in frame:
         raise TransportError(
@@ -124,19 +145,42 @@ def write_frame(
     writer.write(_HEADER.pack(len(body)) + body)
 
 
-class _Peer:
-    """Router-side bookkeeping for one accepted connection."""
+_MALFORMED = (ArithmeticError, AttributeError, KeyError, TypeError, ValueError)
+"""What decoding a well-framed but semantically malformed frame raises."""
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
+
+class _Peer:
+    """Router-side bookkeeping for one accepted connection.
+
+    Its :meth:`put` makes the connection an inbox of the router, so the
+    stamping and delivery in :meth:`InMemoryTransport.send` reach remote
+    endpoints exactly as they reach local mailboxes.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter, max_frame_bytes: int) -> None:
         self.writer = writer
-        self.endpoints: set[str] = set()
+        self.max_frame_bytes = max_frame_bytes
 
     @property
     def alive(self) -> bool:
         return not self.writer.is_closing()
 
+    def write(self, frame: dict) -> None:
+        if not self.alive:
+            raise TransportError("peer connection is closed")
+        write_frame(self.writer, frame, max_frame_bytes=self.max_frame_bytes)
+        _OBS.metrics.counter("transport.frames_sent").inc()
 
-class TcpTransport(Transport):
+    def put(self, envelope: Envelope) -> None:
+        """Deliver one stamped envelope to the remote endpoint."""
+        if not self.alive:
+            raise TransportError(
+                f"peer serving endpoint {envelope.recipient!r} has disconnected"
+            )
+        self.write({"op": "deliver", "envelope": envelope_to_dict(envelope)})
+
+
+class TcpTransport(InMemoryTransport):
     """The socket transport (see the module docstring for the protocol).
 
     Construct, then fix the role inside a running event loop with
@@ -153,22 +197,12 @@ class TcpTransport(Transport):
         clock: str = "virtual",
         max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
-        if clock not in CLOCK_MODES:
-            raise ConfigurationError(
-                f"clock must be one of {CLOCK_MODES}, got {clock!r}"
-            )
-        self.clock = clock
+        super().__init__(clock=clock)
         self.max_frame_bytes = int(max_frame_bytes)
         self.address: tuple[str, int] | None = None
         self._role: str | None = None  # "router" | "client"
-        self._mailboxes: dict[str, Mailbox] = {}
-        self._seq = 0
-        self._vnow = 0.0
-        self._t0 = time.monotonic()
-        self._closed = False
         # router state
         self._server: asyncio.AbstractServer | None = None
-        self._peers: dict[str, _Peer] = {}
         self._connections: set[_Peer] = set()
         self._seen_endpoints: set[str] = set()
         self._endpoint_event = asyncio.Event()
@@ -233,7 +267,7 @@ class TcpTransport(Transport):
                 await asyncio.sleep(retry_interval)
         self._role = "client"
         self.address = (host, port)
-        for endpoint in self._mailboxes:
+        for endpoint in self._inboxes:
             # registered before dial (unusual but allowed): handshake now
             self._queue_registration(endpoint)
         self._reader_task = asyncio.create_task(self._client_loop())
@@ -243,16 +277,7 @@ class TcpTransport(Transport):
     # endpoints
     # ------------------------------------------------------------------
     def register(self, endpoint: str) -> Mailbox:
-        if self._closed:
-            raise TransportError("transport is closed")
-        if not endpoint:
-            raise ConfigurationError("endpoint name must be non-empty")
-        if endpoint in self._mailboxes or endpoint in self._peers:
-            raise ConfigurationError(
-                f"endpoint {endpoint!r} is already registered"
-            )
-        mailbox = Mailbox(endpoint)
-        self._mailboxes[endpoint] = mailbox
+        mailbox = super().register(endpoint)
         if self._role == "client":
             self._queue_registration(endpoint)
         return mailbox
@@ -292,7 +317,7 @@ class TcpTransport(Transport):
         needed = set(endpoints)
         deadline = time.monotonic() + timeout
         while True:
-            present = set(self._mailboxes) | set(self._peers)
+            present = set(self._inboxes)
             if needed <= present:
                 return
             remaining = deadline - time.monotonic()
@@ -309,97 +334,15 @@ class TcpTransport(Transport):
             except asyncio.TimeoutError:
                 continue  # loop re-checks and raises with the missing set
 
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(self._mailboxes) + tuple(self._peers)
-
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(
         self, recipient: str, message, *, sender: str = "", delay: float = 0.0
     ) -> Envelope:
-        if self._closed:
-            raise TransportError("transport is closed")
-        if delay < 0:
-            raise ConfigurationError(
-                f"delay must be non-negative, got {delay}"
-            )
-        if self._role == "client":
-            return self._client_send(
-                recipient, message, sender=sender, delay=delay
-            )
-        return self._route(recipient, message, sender=sender, delay=delay)
-
-    def broadcast(
-        self, message, *, sender: str = "", exclude: tuple[str, ...] = ()
-    ) -> list[Envelope]:
-        """Send ``message`` to every registered endpoint (minus ``exclude``).
-
-        Dead peers are skipped rather than raised on — a broadcast (e.g.
-        shutdown) must reach the healthy fleet even when one agent
-        already vanished; the disconnect was counted when it happened.
-        """
-        envelopes = []
-        for endpoint in self.endpoints():
-            if endpoint in exclude or endpoint == sender:
-                continue
-            try:
-                envelopes.append(
-                    self.send(endpoint, message, sender=sender)
-                )
-            except TransportError:
-                continue
-        return envelopes
-
-    def _route(
-        self, recipient: str, message, *, sender: str, delay: float
-    ) -> Envelope:
-        """Router-side delivery: stamp, then hand to mailbox or peer."""
-        mailbox = self._mailboxes.get(recipient)
-        peer = self._peers.get(recipient)
-        if mailbox is None and peer is None:
-            raise TransportError(
-                f"no endpoint {recipient!r} is registered on this transport"
-            )
-        if peer is not None and not peer.alive:
-            raise TransportError(
-                f"peer serving endpoint {recipient!r} has disconnected"
-            )
-        self._seq += 1
-        now = self.now
-        envelope = Envelope(
-            seq=self._seq,
-            sender=sender,
-            recipient=recipient,
-            sent_at=now,
-            deliver_at=now + delay,
-            message=message,
-        )
-        if mailbox is not None:
-            mailbox.put(envelope)
-        else:
-            self._peer_frame(
-                peer, {"op": "deliver", "envelope": envelope_to_dict(envelope)}
-            )
-        return envelope
-
-    def _peer_frame(self, peer: _Peer, frame: dict) -> None:
-        if not peer.alive:
-            raise TransportError("peer connection is closed")
-        write_frame(peer.writer, frame, max_frame_bytes=self.max_frame_bytes)
-        _OBS.metrics.counter("transport.frames_sent").inc()
-
-    def _client_frame(self, frame: dict) -> None:
-        if self._writer is None or self._writer.is_closing() or self._broken:
-            raise TransportError("connection to the router was lost")
-        write_frame(
-            self._writer, frame, max_frame_bytes=self.max_frame_bytes
-        )
-        _OBS.metrics.counter("transport.frames_sent").inc()
-
-    def _client_send(
-        self, recipient: str, message, *, sender: str, delay: float
-    ) -> Envelope:
+        if self._role != "client":
+            return super().send(recipient, message, sender=sender, delay=delay)
+        self._check_send(delay)
         self._client_frame(
             {
                 "op": "send",
@@ -421,32 +364,27 @@ class TcpTransport(Transport):
             message=message,
         )
 
+    def _client_frame(self, frame: dict) -> None:
+        if self._writer is None or self._writer.is_closing() or self._broken:
+            raise TransportError("connection to the router was lost")
+        write_frame(
+            self._writer, frame, max_frame_bytes=self.max_frame_bytes
+        )
+        _OBS.metrics.counter("transport.frames_sent").inc()
+
     # ------------------------------------------------------------------
     # the clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        if self.clock == "wall":
-            return time.monotonic() - self._t0
-        return self._vnow
-
     def advance_to(self, when: float) -> None:
-        if self.clock == "wall":
-            return  # the wall clock advances itself
-        if self._role == "client":
+        if self._role == "client" and self.clock == "virtual":
             raise ConfigurationError(
                 "only the router advances the virtual clock"
             )
-        if when < self._vnow:
-            raise ConfigurationError(
-                f"cannot move the virtual clock backward "
-                f"({when} < {self._vnow})"
-            )
-        self._vnow = when
-        for peer in list(self._connections):
-            if peer.alive:
+        super().advance_to(when)
+        if self.clock == "virtual":
+            for peer in list(self._connections):
                 try:
-                    self._peer_frame(peer, {"op": "clock", "now": when})
+                    peer.write({"op": "clock", "now": when})
                 except TransportError:
                     continue
 
@@ -456,7 +394,7 @@ class TcpTransport(Transport):
     async def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        peer = _Peer(writer)
+        peer = _Peer(writer, self.max_frame_bytes)
         self._connections.add(peer)
         try:
             while not self._closed:
@@ -465,7 +403,7 @@ class TcpTransport(Transport):
                         reader, max_frame_bytes=self.max_frame_bytes
                     )
                 except TransportError as error:
-                    self._reject_frame(peer, str(error))
+                    self._reject_frame(str(error), peer)
                     break
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
@@ -481,81 +419,78 @@ class TcpTransport(Transport):
                     if not self._handle_send(peer, frame):
                         break
                 else:
-                    self._reject_frame(peer, f"unknown op {op!r}")
+                    self._reject_frame(f"unknown op {op!r}", peer)
                     break
         finally:
             self._drop_peer(peer)
 
-    def _reject_frame(self, peer: _Peer, error: str) -> None:
+    def _reject_frame(self, error: str, peer: _Peer | None = None) -> None:
+        """Count one rejected frame; answer ``peer`` with an error frame."""
         _OBS.metrics.counter("transport.frames_rejected").inc()
         _OBS.tracer.event("transport.frame_rejected", error=error)
-        try:
-            self._peer_frame(peer, {"op": "error", "error": error})
-        except TransportError:
-            pass
+        if peer is not None:
+            try:
+                peer.write({"op": "error", "error": error})
+            except TransportError:
+                pass
 
     def _handle_register(self, peer: _Peer, frame: dict) -> None:
         endpoint = frame.get("endpoint")
         if not endpoint or not isinstance(endpoint, str):
-            self._reject_frame(peer, "register frame without an endpoint")
+            self._reject_frame("register frame without an endpoint", peer)
             return
-        if endpoint in self._mailboxes or endpoint in self._peers:
-            # A duplicate name is a handshake failure for that name only;
-            # the connection (and its other endpoints) stays up.
-            try:
-                self._peer_frame(
-                    peer,
+        try:
+            if endpoint in self._inboxes:
+                # A duplicate name is a handshake failure for that name
+                # only; the connection (and its other endpoints) stays up.
+                peer.write(
                     {
                         "op": "register_error",
                         "endpoint": endpoint,
                         "error": f"endpoint {endpoint!r} is already "
                         "registered",
-                    },
+                    }
                 )
-            except TransportError:
-                pass
-            return
-        self._peers[endpoint] = peer
-        peer.endpoints.add(endpoint)
-        if endpoint in self._seen_endpoints:
-            _OBS.metrics.counter("transport.reconnects").inc()
-            _OBS.tracer.event("transport.reconnect", endpoint=endpoint)
-        self._seen_endpoints.add(endpoint)
-        try:
-            self._peer_frame(
-                peer, {"op": "registered", "endpoint": endpoint}
-            )
-            if self.clock == "virtual" and self._vnow:
-                self._peer_frame(peer, {"op": "clock", "now": self._vnow})
+                return
+            self._inboxes[endpoint] = peer
+            if endpoint in self._seen_endpoints:
+                _OBS.metrics.counter("transport.reconnects").inc()
+                _OBS.tracer.event("transport.reconnect", endpoint=endpoint)
+            self._seen_endpoints.add(endpoint)
+            self._endpoint_event.set()
+            peer.write({"op": "registered", "endpoint": endpoint})
+            if self.clock == "virtual" and self._now:
+                peer.write({"op": "clock", "now": self._now})
         except TransportError:
             pass
-        self._endpoint_event.set()
 
     def _handle_send(self, peer: _Peer, frame: dict) -> bool:
-        """Route one client ``send`` frame; returns False to drop the peer."""
+        """Pass one client ``send`` frame to :meth:`send`; False drops the peer."""
         try:
             recipient = frame["recipient"]
-            sender = frame.get("sender", "")
-            delay = float(frame.get("delay", 0.0))
-            message = message_from_dict(frame["message"])
-        except (KeyError, TypeError, ValueError) as error:
-            self._reject_frame(peer, f"malformed send frame: {error}")
-            return False
-        try:
-            self._route(recipient, message, sender=sender, delay=delay)
+            if not isinstance(recipient, str):
+                raise TypeError(f"recipient {recipient!r} is not a string")
+            self.send(
+                recipient,
+                message_from_dict(frame["message"]),
+                sender=frame.get("sender", ""),
+                delay=float(frame.get("delay", 0.0)),
+            )
         except TransportError as error:
             # Unknown/dead recipient: tell the sender, keep the peer.
-            self._reject_frame(peer, str(error))
-            return True
+            self._reject_frame(str(error), peer)
+        except _MALFORMED as error:
+            self._reject_frame(f"malformed send frame: {error}", peer)
+            return False
         return True
 
     def _drop_peer(self, peer: _Peer) -> None:
         self._connections.discard(peer)
         dropped = [
-            name for name, owner in self._peers.items() if owner is peer
+            name for name, inbox in self._inboxes.items() if inbox is peer
         ]
         for name in dropped:
-            del self._peers[name]
+            del self._inboxes[name]
         if dropped and not self._closed:
             _OBS.metrics.counter("transport.disconnects").inc()
             for name in dropped:
@@ -573,38 +508,16 @@ class TcpTransport(Transport):
                     self._reader, max_frame_bytes=self.max_frame_bytes
                 )
                 _OBS.metrics.counter("transport.frames_received").inc()
-                op = frame.get("op")
-                if op == "deliver":
-                    envelope = envelope_from_dict(frame["envelope"])
-                    mailbox = self._mailboxes.get(envelope.recipient)
-                    if mailbox is not None:
-                        mailbox.put(envelope)
-                elif op == "registered":
-                    future = self._pending.get(frame.get("endpoint"))
-                    if future is not None and not future.done():
-                        future.set_result(None)
-                elif op == "register_error":
-                    endpoint = frame.get("endpoint")
-                    self._mailboxes.pop(endpoint, None)
-                    future = self._pending.get(endpoint)
-                    if future is not None and not future.done():
-                        future.set_result(
-                            frame.get("error", "registration rejected")
-                        )
-                elif op == "clock":
-                    now = float(frame.get("now", self._vnow))
-                    if now > self._vnow:
-                        self._vnow = now
-                elif op == "error":
-                    _OBS.tracer.event(
-                        "transport.remote_error",
-                        error=str(frame.get("error", "")),
+                try:
+                    self._handle_router_frame(frame)
+                except _MALFORMED as error:
+                    self._reject_frame(
+                        f"malformed {frame['op']!r} frame: {error}"
                     )
-        except (
-            TransportError,
-            asyncio.IncompleteReadError,
-            ConnectionError,
-        ):
+                    break
+        except TransportError as error:
+            self._reject_frame(str(error))
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             self._broken = True
@@ -616,7 +529,7 @@ class TcpTransport(Transport):
                 # Unblock agent loops waiting on their mailboxes: a lost
                 # router is a shutdown they will never otherwise see.
                 now = self.now
-                for mailbox in self._mailboxes.values():
+                for mailbox in self._inboxes.values():
                     mailbox.put(
                         Envelope(
                             seq=0,
@@ -628,20 +541,44 @@ class TcpTransport(Transport):
                         )
                     )
 
+    def _handle_router_frame(self, frame: dict) -> None:
+        """Apply one frame from the router to the client's local state."""
+        op = frame["op"]
+        if op == "deliver":
+            envelope = envelope_from_dict(frame["envelope"])
+            mailbox = self._inboxes.get(envelope.recipient)
+            if mailbox is not None:
+                mailbox.put(envelope)
+        elif op == "registered":
+            future = self._pending.get(frame.get("endpoint"))
+            if future is not None and not future.done():
+                future.set_result(None)
+        elif op == "register_error":
+            endpoint = frame.get("endpoint")
+            self._inboxes.pop(endpoint, None)
+            future = self._pending.get(endpoint)
+            if future is not None and not future.done():
+                future.set_result(frame.get("error", "registration rejected"))
+        elif op == "clock":
+            self._now = max(self._now, float(frame.get("now", self._now)))
+        elif op == "error":
+            _OBS.tracer.event(
+                "transport.remote_error", error=str(frame.get("error", ""))
+            )
+
     # ------------------------------------------------------------------
     # shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
+        super().close()
         if self._server is not None:
             self._server.close()
         for peer in list(self._connections):
             if not peer.writer.is_closing():
                 peer.writer.close()
         self._connections.clear()
-        self._peers.clear()
         if self._reader_task is not None:
             self._reader_task.cancel()
         if self._writer is not None and not self._writer.is_closing():

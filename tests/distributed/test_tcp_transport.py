@@ -345,11 +345,10 @@ class TestWallClock:
         with pytest.raises(ConfigurationError, match="clock"):
             TcpTransport(clock="lunar")
 
-    def test_orchestrator_refuses_clock_mismatch(self):
-        platform = SCENARIO.build_platform()
+    def test_service_refuses_clock_contradicting_its_transport(self):
         with pytest.raises(ConfigurationError, match="does not match"):
-            RoundOrchestrator(
-                platform, InMemoryTransport(clock="virtual"), clock="wall"
+            AuctionService(
+                SCENARIO, transport=InMemoryTransport(), clock="wall"
             )
 
     def test_delayed_submission_is_late_by_wall_clock(self, tmp_path):
@@ -360,7 +359,7 @@ class TestWallClock:
                 SCENARIO,
                 grace_window=1.0,
                 seller_delays=delays,
-                clock="wall",
+                transport=InMemoryTransport(clock="wall"),
             )
             reports = service.run(rounds=2)
             assert len(reports) == 2
@@ -380,7 +379,7 @@ class TestWallClock:
                 SCENARIO,
                 grace_window=0.2,
                 wall_timeout=30.0,
-                clock="wall",
+                transport=InMemoryTransport(clock="wall"),
             )
             service.connect(3)  # connected, but nobody ever answers
             return await service.serve_rounds(rounds=1)

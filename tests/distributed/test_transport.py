@@ -1,6 +1,7 @@
 """Transport-level behaviour: ordering, clocks, endpoints, wire format."""
 
 import asyncio
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.dist.messages import (
     message_from_dict,
     message_to_dict,
 )
+from repro.dist.tcp import TcpTransport
 from repro.dist.transport import InMemoryTransport
 from repro.errors import ConfigurationError, TransportError
 
@@ -21,8 +23,18 @@ pytestmark = pytest.mark.dist
 
 
 class TestInMemoryTransport:
-    def test_delivery_preserves_send_order(self):
-        transport = InMemoryTransport()
+    """The transport contract, checked on the in-process transport.
+
+    :class:`TestTcpRouterTransport` reruns every test on a listening
+    TCP router's local mailboxes: one contract for both transports.
+    """
+
+    @pytest.fixture
+    def new_transport(self):
+        return InMemoryTransport
+
+    def test_delivery_preserves_send_order(self, new_transport):
+        transport = new_transport()
         inbox = transport.register("agent")
         for i in range(5):
             transport.send("agent", Shutdown(reason=str(i)), sender="x")
@@ -34,8 +46,8 @@ class TestInMemoryTransport:
         assert [e.message.reason for e in envelopes] == list("01234")
         assert [e.seq for e in envelopes] == sorted(e.seq for e in envelopes)
 
-    def test_sequence_is_transport_wide_and_monotone(self):
-        transport = InMemoryTransport()
+    def test_sequence_is_transport_wide_and_monotone(self, new_transport):
+        transport = new_transport()
         transport.register("a")
         transport.register("b")
         seqs = [
@@ -44,9 +56,9 @@ class TestInMemoryTransport:
         ]
         assert seqs == [1, 2, 3, 4]
 
-    def test_identical_send_sequences_stamp_identically(self):
+    def test_identical_send_sequences_stamp_identically(self, new_transport):
         def stamped():
-            transport = InMemoryTransport()
+            transport = new_transport()
             transport.register("a")
             out = []
             for i in range(4):
@@ -57,8 +69,8 @@ class TestInMemoryTransport:
 
         assert stamped() == stamped()
 
-    def test_virtual_delay_stamps_without_sleeping(self):
-        transport = InMemoryTransport()
+    def test_virtual_delay_stamps_without_sleeping(self, new_transport):
+        transport = new_transport()
         inbox = transport.register("agent")
         transport.advance_to(10.0)
         envelope = transport.send("agent", Shutdown(), sender="x", delay=2.5)
@@ -68,45 +80,82 @@ class TestInMemoryTransport:
         # delivery is immediate on the wall clock: already in the mailbox
         assert len(inbox) == 1
 
-    def test_unknown_endpoint_raises_transport_error(self):
-        transport = InMemoryTransport()
+    def test_unknown_endpoint_raises_transport_error(self, new_transport):
+        transport = new_transport()
         with pytest.raises(TransportError, match="ghost"):
             transport.send("ghost", Shutdown(), sender="x")
 
-    def test_closed_transport_rejects_sends_and_registers(self):
-        transport = InMemoryTransport()
+    def test_closed_transport_rejects_sends_and_registers(self, new_transport):
+        transport = new_transport()
         transport.register("agent")
         transport.close()
         with pytest.raises(TransportError):
             transport.send("agent", Shutdown(), sender="x")
         with pytest.raises(TransportError):
             transport.register("other")
+        with pytest.raises(TransportError):
+            transport.broadcast(Shutdown(), sender="x")
 
-    def test_duplicate_endpoint_rejected(self):
-        transport = InMemoryTransport()
+    def test_duplicate_endpoint_rejected(self, new_transport):
+        transport = new_transport()
         transport.register("agent")
         with pytest.raises(ConfigurationError, match="already registered"):
             transport.register("agent")
 
-    def test_clock_never_moves_backward(self):
-        transport = InMemoryTransport()
+    def test_clock_never_moves_backward(self, new_transport):
+        transport = new_transport()
         transport.advance_to(5.0)
         with pytest.raises(ConfigurationError, match="backward"):
             transport.advance_to(4.0)
 
-    def test_negative_delay_rejected(self):
-        transport = InMemoryTransport()
+    def test_negative_delay_rejected(self, new_transport):
+        transport = new_transport()
         transport.register("agent")
         with pytest.raises(ConfigurationError, match="delay"):
             transport.send("agent", Shutdown(), sender="x", delay=-1.0)
 
-    def test_broadcast_reaches_everyone_but_sender_and_excluded(self):
-        transport = InMemoryTransport()
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, new_transport, delay):
+        # A NaN deliver_at compares False against every deadline, so a
+        # late bid would pass as on time; inf never arrives at all.
+        transport = new_transport()
+        inbox = transport.register("agent")
+        with pytest.raises(ConfigurationError, match="finite"):
+            transport.send("agent", Shutdown(), sender="x", delay=delay)
+        assert len(inbox) == 0
+        # a refused send consumes no sequence number
+        assert transport.send("agent", Shutdown(), sender="x").seq == 1
+
+    def test_broadcast_reaches_everyone_but_sender_and_excluded(
+        self, new_transport
+    ):
+        transport = new_transport()
         boxes = {name: transport.register(name) for name in ("a", "b", "c")}
         transport.broadcast(Shutdown(), sender="a", exclude=("b",))
         assert len(boxes["a"]) == 0
         assert len(boxes["b"]) == 0
         assert len(boxes["c"]) == 1
+
+
+class TestTcpRouterTransport(TestInMemoryTransport):
+    """The same contract on a listening TCP router's local mailboxes."""
+
+    @pytest.fixture
+    def new_transport(self):
+        loop = asyncio.new_event_loop()
+        routers = []
+
+        def listening():
+            router = TcpTransport()
+            loop.run_until_complete(router.listen("127.0.0.1", 0))
+            routers.append(router)
+            return router
+
+        yield listening
+        for router in routers:
+            router.close()
+        loop.run_until_complete(asyncio.sleep(0))
+        loop.close()
 
 
 class TestWireFormat:
