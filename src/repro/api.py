@@ -57,16 +57,19 @@ Inject faults / recover      :class:`FaultPlan` via keyword ``faults=``
 ===========================  ==========================================
 
 Mechanism options are keyword-only and share one vocabulary everywhere:
-``payment_rule=``, ``guard=``, ``engine=`` (``"columnar"``, the
-default, or the ``"reference"`` oracle), and (for online runs)
-``faults=``, ``resilience=``.
+``payment_rule=``, ``engine=`` (``"columnar"``, the default, or the
+``"reference"`` oracle), and (for online runs) ``faults=``,
+``resilience=``.  The greedy's stranding guard is always on.
 
 .. deprecated:: 1.3
-    ``parallelism=`` (on :func:`run_ssam`, :func:`run_msoa` and
-    :class:`MultiStageOnlineAuction`), ``shard_workers=`` (on
-    ``ShardedOnlineAuction``) and ``engine="fast"`` warn and change
-    nothing: payments and shards run serially, and ``"fast"`` runs the
-    columnar engine.
+    ``parallelism=`` and ``guard=True`` (on :func:`run_ssam`,
+    :func:`run_msoa` and :class:`MultiStageOnlineAuction`),
+    ``shard_workers=`` (on ``ShardedOnlineAuction``) and
+    ``engine="fast"`` warn and change nothing: payments and shards run
+    serially, the guard is always on, and ``"fast"`` runs the columnar
+    engine.  ``guard=False`` raises :class:`ConfigurationError`: the
+    unguarded greedy is gone, and running the guarded one in its place
+    would silently change the caller's results.
 
 .. deprecated:: 1.2
     Wiring sellers and buyers directly into

@@ -462,7 +462,6 @@ def _guarded_choice(
     state: ColumnarState,
     order: np.ndarray,
     *,
-    guard_feasibility: bool,
     exact_guard: bool,
 ) -> int:
     """Position of the chosen candidate within ``order``.
@@ -473,8 +472,6 @@ def _guarded_choice(
     iteration and the overall best is taken — exactly the reference
     walk.
     """
-    if not guard_feasibility:
-        return 0
     for pos in range(order.size):
         row = int(order[pos])
         if state.would_strand(row):
@@ -492,7 +489,6 @@ def columnar_greedy_selection(
     bids: Sequence[Bid],
     demand: Mapping[int, int],
     *,
-    guard_feasibility: bool = True,
     exact_guard: bool = False,
     columnar: ColumnarInstance | None = None,
 ) -> list[GreedyStep]:
@@ -521,12 +517,7 @@ def columnar_greedy_selection(
                 f"{state.unmet} demand units cannot be covered by the "
                 "remaining bids"
             )
-        chosen_pos = _guarded_choice(
-            state,
-            order,
-            guard_feasibility=guard_feasibility,
-            exact_guard=exact_guard,
-        )
+        chosen_pos = _guarded_choice(state, order, exact_guard=exact_guard)
         row = int(order[chosen_pos])
         steps.append(
             GreedyStep(
@@ -581,7 +572,6 @@ def _suffix_replay(
     winner_row: int,
     threshold: float,
     *,
-    guard_feasibility: bool,
     exact_guard: bool,
     ceiling: float,
 ) -> float:
@@ -598,8 +588,8 @@ def _suffix_replay(
       the per-step one and the ceiling-capped terminal one — requires
       it to be positive.
     * **Head-candidate fast path.**  The step's choice is the head of
-      the reference order (:func:`_head_candidate`) whenever the guard
-      is off or the head strands nobody; the full ordered walk
+      the reference order (:func:`_head_candidate`) whenever the head
+      strands nobody; the full ordered walk
       (:func:`_ordered_candidates` + :func:`_guarded_choice`) runs only
       when the head would strand a buyer or ``exact_guard`` is on.
 
@@ -622,24 +612,17 @@ def _suffix_replay(
             break
         steps += 1
         row, ratio = _head_candidate(state)
-        if guard_feasibility and (exact_guard or state.would_strand(row)):
+        if exact_guard or state.would_strand(row):
             order, ratios = _ordered_candidates(state)
-            chosen_pos = _guarded_choice(
-                state,
-                order,
-                guard_feasibility=guard_feasibility,
-                exact_guard=exact_guard,
-            )
+            chosen_pos = _guarded_choice(state, order, exact_guard=exact_guard)
             row, ratio = int(order[chosen_pos]), float(ratios[chosen_pos])
         if row == winner_row:
             threshold = max(threshold, winner_utility * ceiling)
             break
         bid = winner_utility * ratio
         if bid > threshold:
-            winner_safe = not guard_feasibility or not state.would_strand(
-                winner_row
-            )
-            if winner_safe and guard_feasibility and exact_guard:
+            winner_safe = not state.would_strand(winner_row)
+            if winner_safe and exact_guard:
                 winner_safe = _residual_feasible(
                     infinite, state.active_bids(), state.coverage_view()
                 )
@@ -685,7 +668,6 @@ def _padded_groups(
 def _lockstep_replays(
     batch: list[tuple[int, float, ColumnarState]],
     *,
-    guard_feasibility: bool,
     ceiling: float,
 ) -> list[float]:
     """Critical values of R forked ``(winner_row, threshold, fork)``
@@ -749,11 +731,10 @@ def _lockstep_replays(
             ratio = ratios[here, head]
             head_seller = sellers[head]
             head_cover, head_seller_cov = cover[head], seller_cov[head_seller]
-            leave = live & ~(ratio < np.inf)
-            if guard_feasibility:
-                leave |= live & _strands(
-                    need, suppliers, head_cover, head_seller_cov
-                )
+            leave = live & (
+                ~(ratio < np.inf)
+                | _strands(need, suppliers, head_cover, head_seller_cov)
+            )
             for k in leave.nonzero()[0]:
                 fork = forks[ids[k]]  # now carries row k's state
                 fork.granted, fork.unsat = inst.demand - need[k], need[k] > 0
@@ -764,7 +745,6 @@ def _lockstep_replays(
                     fork,
                     int(winners[ids[k]]),
                     float(threshold[k]),
-                    guard_feasibility=guard_feasibility,
                     exact_guard=False,
                     ceiling=ceiling,
                 )
@@ -777,7 +757,7 @@ def _lockstep_replays(
             suffix_steps += advanced
             bid = winner_utility * ratio
             raised = live & (bid > threshold)
-            if guard_feasibility and raised.any():
+            if raised.any():
                 raised &= ~_strands(need, suppliers, wcover, wseller_cov)
             threshold = np.where(raised, bid, threshold)
             was_unsat = (need > 0) & head_cover
@@ -813,7 +793,6 @@ def columnar_critical_payments(
     winners: Sequence[Bid],
     *,
     exact_guard: bool = False,
-    guard_feasibility: bool = True,
     columnar: ColumnarInstance | None = None,
     trajectory: Sequence[GreedyStep] | None = None,
 ) -> list[float]:
@@ -847,7 +826,6 @@ def columnar_critical_payments(
         trajectory = columnar_greedy_selection(
             instance.bids,
             demand,
-            guard_feasibility=guard_feasibility,
             exact_guard=exact_guard,
             columnar=inst,
         )
@@ -876,16 +854,13 @@ def columnar_critical_payments(
 
     def finish_batch() -> None:
         if len(batch) >= _LOCKSTEP_MIN and not exact_guard:
-            payments = _lockstep_replays(
-                batch, guard_feasibility=guard_feasibility, ceiling=ceiling
-            )
+            payments = _lockstep_replays(batch, ceiling=ceiling)
         else:
             payments = [
                 _suffix_replay(
                     fork,
                     row,
                     threshold,
-                    guard_feasibility=guard_feasibility,
                     exact_guard=exact_guard,
                     ceiling=ceiling,
                 )
@@ -921,7 +896,7 @@ def columnar_critical_payments(
                 state.active[pending], state.utilities[pending], 0
             )
             updatable = utilities > 0
-            if guard_feasibility and updatable.any():
+            if updatable.any():
                 unsafe = _strands(
                     inst.demand - state.granted,
                     state.suppliers,

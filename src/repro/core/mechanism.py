@@ -61,7 +61,7 @@ class Mechanism(Protocol):
     """A single-round mechanism: ``WSPInstance → AuctionOutcome``.
 
     Implementations may accept mechanism-specific keyword options (e.g.
-    ``guard`` for SSAM, ``unit_price`` for posted pricing); the
+    ``payment_rule`` for SSAM, ``unit_price`` for posted pricing); the
     registry records which options each entry understands so dispatchers
     can filter what they forward.
     """

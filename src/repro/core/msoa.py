@@ -119,9 +119,6 @@ class MultiStageOnlineAuction:
         first round's Theorem-3 bound ``W·Ξ``.
     payment_rule:
         Forwarded to each round's SSAM run.
-    guard:
-        Whether rounds run with the stranding-lookahead feasibility
-        guard (forwarded to :func:`~repro.core.ssam.run_ssam`).
     engine:
         Engine for every round (:data:`~repro.core.ssam.ENGINES`):
         ``"columnar"`` (default; numpy-vectorized kernels with
@@ -162,8 +159,10 @@ class MultiStageOnlineAuction:
         nothing is retained — a 10^6-demand-unit horizon holds one round
         of bids in memory at a time.  :attr:`rounds` stays empty and
         :meth:`finalize` sees an empty horizon in this mode.
-    parallelism:
-        Deprecated and ignored (see :func:`~repro.core.ssam.warn_ignored`).
+    guard, parallelism:
+        Retired (see :func:`~repro.core.ssam.warn_ignored`):
+        ``guard=True`` and any ``parallelism`` warn and change nothing;
+        ``guard=False`` raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -172,7 +171,7 @@ class MultiStageOnlineAuction:
         *,
         alpha: float | None = None,
         payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-        guard: bool = True,
+        guard: bool | None = None,
         engine: str = "columnar",
         columnar_incremental: bool = True,
         on_infeasible: str = "raise",
@@ -193,11 +192,12 @@ class MultiStageOnlineAuction:
             )
         if alpha is not None and alpha <= 0:
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
+        warn_ignored("guard", guard)
         warn_ignored("parallelism", parallelism)
         self._capacities = dict(capacities)
         self._alpha = alpha
         self._payment_rule = payment_rule
-        self._ssam_options = {"guard": guard, "engine": resolve_engine(engine)}
+        self._engine = resolve_engine(engine)
         self._on_infeasible = on_infeasible
         self._columnar_incremental = bool(columnar_incremental)
         self._columnar_cache = None
@@ -281,10 +281,7 @@ class MultiStageOnlineAuction:
         structural change (capacity exclusions, redrawn bids, faults,
         clamped demand) misses the cache and rebuilds.
         """
-        if (
-            self._ssam_options["engine"] != "columnar"
-            or not self._columnar_incremental
-        ):
+        if self._engine != "columnar" or not self._columnar_incremental:
             return {}
         from repro.core.columnar import (
             ColumnarInstance,
@@ -328,7 +325,7 @@ class MultiStageOnlineAuction:
             original_prices=(
                 dict(original_prices) if original_prices is not None else None
             ),
-            **self._ssam_options,
+            engine=self._engine,
             **self._columnar_kwargs(instance),
         )
 
@@ -552,7 +549,7 @@ def run_msoa(
     *,
     alpha: float | None = None,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    guard: bool = True,
+    guard: bool | None = None,
     engine: str = "columnar",
     columnar_incremental: bool = True,
     on_infeasible: str = "raise",
@@ -589,16 +586,16 @@ def run_msoa(
     True
 
     .. deprecated:: 1.3
-        ``parallelism=`` and ``engine="fast"`` warn; neither changes the
-        outcome.
+        ``guard=True``, ``parallelism=`` and ``engine="fast"`` warn;
+        none changes the outcome (``guard=False`` raises).
     """
     engine = resolve_engine(engine)
+    warn_ignored("guard", guard)
     warn_ignored("parallelism", parallelism)
     auction = MultiStageOnlineAuction(
         capacities,
         alpha=alpha,
         payment_rule=payment_rule,
-        guard=guard,
         engine=engine,
         columnar_incremental=columnar_incremental,
         on_infeasible=on_infeasible,

@@ -238,6 +238,12 @@ def make_online(
 # ----------------------------------------------------------------------
 # built-in entries
 # ----------------------------------------------------------------------
+#: Retired SSAM options, deprecated 1.3: still accepted so old call sites
+#: reach :func:`~repro.core.ssam.warn_ignored`, which warns (or, for
+#: ``guard=False``, raises).
+_RETIRED_SSAM_OPTIONS = frozenset({"parallelism", "guard"})
+
+
 def _load_ssam():
     from repro.core.ssam import run_ssam
 
@@ -334,7 +340,7 @@ register(MechanismSpec(
     complete=True,
     payment_rule="critical-value",
     loader=_load_ssam,
-    options=frozenset({"payment_rule", "parallelism", "guard", "engine"}),
+    options=frozenset({"payment_rule", "engine"}) | _RETIRED_SSAM_OPTIONS,
     claims=CERTIFIABLE_PROPERTIES,
 ))
 register(MechanismSpec(
@@ -347,7 +353,7 @@ register(MechanismSpec(
     complete=True,
     payment_rule="critical-value",
     loader=_load_ssam_reference,
-    options=frozenset({"payment_rule", "parallelism", "guard"}),
+    options=frozenset({"payment_rule"}) | _RETIRED_SSAM_OPTIONS,
     claims=CERTIFIABLE_PROPERTIES,
 ))
 register(MechanismSpec(
@@ -451,9 +457,8 @@ register(MechanismSpec(
     payment_rule="critical-value",
     loader=_load_msoa,
     options=frozenset({
-        "alpha", "payment_rule", "parallelism", "guard", "engine",
-        "faults", "resilience",
-    }),
+        "alpha", "payment_rule", "engine", "faults", "resilience",
+    }) | _RETIRED_SSAM_OPTIONS,
     # Online certification drives whole horizons: per-round coverage plus
     # capacity discipline (feasibility) and per-round IR are checkable;
     # the single-round counterfactual probes are not (round t's scaled

@@ -95,20 +95,36 @@ def resolve_engine(engine: str) -> str:
     return engine
 
 
+# Retired option → (why it is ignored, the one value it may still take or
+# None for any).  Ignoring any other value would change the results.
+_RETIRED_OPTIONS = {
+    "parallelism": ("payments always run serially", None),
+    "shard_workers": ("shards always clear serially", None),
+    "guard": ("the stranding guard is always on", True),
+}
+
+
 def warn_ignored(option: str, value) -> None:
-    """Warn that a retired worker-pool knob was passed; it has no effect.
+    """Warn that a retired option was passed; it has no effect.
 
     .. deprecated:: 1.3
-        ``parallelism=`` and ``shard_workers=`` are accepted and ignored:
-        payments and shards always run serially.
+        ``parallelism=``, ``shard_workers=`` and ``guard=True`` are
+        ignored: payments and shards always run serially, and the
+        stranding guard is always on.  ``guard=False`` raises
+        :class:`~repro.errors.ConfigurationError`.
     """
-    if value is not None:
-        warnings.warn(
-            f"{option}= is deprecated and ignored; payments and shards "
-            "always run serially",
-            DeprecationWarning,
-            stacklevel=3,
+    if value is None:
+        return
+    reason, accepted = _RETIRED_OPTIONS[option]
+    if accepted is not None and value != accepted:
+        raise ConfigurationError(
+            f"{option}={value!r} is no longer supported: {reason}"
         )
+    warnings.warn(
+        f"{option}= is deprecated and ignored; {reason}",
+        DeprecationWarning,
+        stacklevel=3,
+    )
 
 
 class PaymentRule(enum.Enum):
@@ -210,12 +226,28 @@ def _residual_feasible(
     return True
 
 
+def _guarded_choice(
+    candidates: list[tuple[tuple[float, float, int, int], Bid, int]],
+    active: list[Bid],
+    coverage: CoverageState,
+    exact_guard: bool,
+) -> int:
+    """Position of the first sorted candidate the guard accepts, or 0
+    (the guard waived) when none is safe."""
+    for pos, (_, bid, _) in enumerate(candidates):
+        if _selection_strands(bid, active, coverage):
+            continue
+        if exact_guard and not _residual_feasible(bid, active, coverage):
+            continue
+        return pos
+    return 0
+
+
 @profiled("ssam.selection")
 def greedy_selection(
     bids: tuple[Bid, ...],
     demand: dict[int, int],
     *,
-    guard_feasibility: bool = True,
     exact_guard: bool = False,
 ) -> list[GreedyStep]:
     """Run the greedy winner-selection loop and return its full trace.
@@ -225,11 +257,12 @@ def greedy_selection(
     Each step records the chosen bid, its marginal utility, its average
     price, and the best runner-up ratio among *other* bids at that moment.
 
-    With ``guard_feasibility`` (default), candidate bids whose acceptance
-    would provably strand a buyer (see :func:`_selection_strands`) are
-    passed over in favour of the next-best safe bid; if no candidate is
-    safe the guard is waived for the iteration (matching the paper-literal
-    behaviour).  The guard is price-independent, so it preserves the
+    Candidate bids whose acceptance would provably strand a buyer (see
+    :func:`_selection_strands`) are passed over in favour of the
+    next-best safe bid; if no candidate is safe the guard is waived for
+    the iteration (matching the paper-literal behaviour).  ``exact_guard``
+    adds the exact residual-feasibility check (:func:`_residual_feasible`)
+    to every probe.  The guard is price-independent, so it preserves the
     monotonicity that truthfulness rests on.
 
     Raises :class:`~repro.errors.InfeasibleInstanceError` when demand
@@ -257,15 +290,7 @@ def greedy_selection(
                 "remaining bids"
             )
         candidates.sort(key=lambda item: item[0])
-        chosen_pos = 0
-        if guard_feasibility:
-            for pos, (_, bid, _) in enumerate(candidates):
-                if _selection_strands(bid, active, coverage):
-                    continue
-                if exact_guard and not _residual_feasible(bid, active, coverage):
-                    continue
-                chosen_pos = pos
-                break
+        chosen_pos = _guarded_choice(candidates, active, coverage, exact_guard)
         key, winner, utility = candidates[chosen_pos]
         # The runner-up is the next candidate at or above the winner's
         # ratio: candidates the guard skipped sit below it and would give
@@ -296,7 +321,6 @@ def _critical_payment(
     winner: Bid,
     *,
     exact_guard: bool = False,
-    guard_feasibility: bool = True,
 ) -> float:
     """The exact critical value of ``winner`` (PaymentRule.CRITICAL_RERUN).
 
@@ -340,27 +364,15 @@ def _critical_payment(
                 threshold = max(threshold, winner_utility * ceiling)
             break
         candidates.sort(key=lambda item: item[0])
-        chosen_pos = 0
-        if guard_feasibility:
-            for pos, (_, candidate, _) in enumerate(candidates):
-                if _selection_strands(candidate, active, coverage):
-                    continue
-                if exact_guard and not _residual_feasible(
-                    candidate, active, coverage
-                ):
-                    continue
-                chosen_pos = pos
-                break
+        chosen_pos = _guarded_choice(candidates, active, coverage, exact_guard)
         key, chosen, _ = candidates[chosen_pos]
         if chosen.key == winner.key:
             # Only the winner serves the remaining demand: pivotal.
             if winner_utility > 0:
                 threshold = max(threshold, winner_utility * ceiling)
             break
-        winner_safe = not guard_feasibility or not _selection_strands(
-            infinite, active, coverage
-        )
-        if winner_safe and guard_feasibility and exact_guard:
+        winner_safe = not _selection_strands(infinite, active, coverage)
+        if winner_safe and exact_guard:
             winner_safe = _residual_feasible(infinite, active, coverage)
         if winner_utility > 0 and winner_safe:
             threshold = max(threshold, winner_utility * key[0])
@@ -397,7 +409,6 @@ def _critical_payments(
     *,
     engine: str,
     exact_guard: bool,
-    guard_feasibility: bool,
     columnar: "ColumnarInstance | None",
 ) -> list[float]:
     """Critical values for every winner of the main run ``steps``.
@@ -413,17 +424,11 @@ def _critical_payments(
             instance,
             [step.bid for step in steps],
             exact_guard=exact_guard,
-            guard_feasibility=guard_feasibility,
             columnar=columnar,
             trajectory=steps,
         )
     return [
-        _critical_payment(
-            instance,
-            step.bid,
-            exact_guard=exact_guard,
-            guard_feasibility=guard_feasibility,
-        )
+        _critical_payment(instance, step.bid, exact_guard=exact_guard)
         for step in steps
     ]
 
@@ -432,7 +437,7 @@ def run_ssam(
     instance: WSPInstance,
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    guard: bool = True,
+    guard: bool | None = None,
     engine: str = "columnar",
     original_prices: dict[tuple[int, int], float] | None = None,
     columnar: "ColumnarInstance | None" = None,
@@ -446,12 +451,6 @@ def run_ssam(
         The round's winner-selection problem.  Must be feasible.
     payment_rule:
         Which critical-value realization to pay winners with.
-    guard:
-        Whether the stranding-lookahead feasibility guard steers the
-        greedy away from choices that provably dead-end a buyer.  Disable
-        only for paper-literal ablations; an unguarded run may raise
-        :class:`~repro.errors.InfeasibleInstanceError` on feasible
-        instances.
     engine:
         One of :data:`ENGINES`: ``"columnar"`` (default) runs the
         numpy-vectorized :mod:`repro.core.columnar` kernels (batched
@@ -469,8 +468,12 @@ def run_ssam(
         *scaled*; this maps bid keys back to the announced prices so the
         outcome can report the true social cost.  Defaults to the bids'
         own prices.
-    parallelism:
-        Deprecated and ignored (see :func:`warn_ignored`).
+    guard, parallelism:
+        Retired (see :func:`warn_ignored`): ``guard=True`` and any
+        ``parallelism`` warn and change nothing; ``guard=False`` raises
+        :class:`~repro.errors.ConfigurationError`.  The stranding guard
+        always steers the greedy away from choices that provably
+        dead-end a buyer.
 
     Returns
     -------
@@ -488,10 +491,11 @@ def run_ssam(
     True
 
     .. deprecated:: 1.3
-        ``parallelism=`` and ``engine="fast"`` warn; neither changes the
-        outcome.
+        ``guard=True``, ``parallelism=`` and ``engine="fast"`` warn;
+        none changes the outcome.
     """
     engine = resolve_engine(engine)
+    warn_ignored("guard", guard)
     warn_ignored("parallelism", parallelism)
     select = greedy_selection
     demand = {b: u for b, u in instance.demand.items() if u > 0}
@@ -549,11 +553,9 @@ def run_ssam(
             )
         with tracer.span("greedy-selection") as selection_span:
             try:
-                steps = select(instance.bids, demand, guard_feasibility=guard)
+                steps = select(instance.bids, demand)
                 exact_guard = False
             except InfeasibleInstanceError:
-                if not guard:
-                    raise
                 # The cheap lookahead could not keep the greedy on a
                 # completing trajectory; escalate to the exact
                 # residual-feasibility guard (which completes whenever the
@@ -570,7 +572,6 @@ def run_ssam(
                     steps,
                     engine=engine,
                     exact_guard=exact_guard,
-                    guard_feasibility=guard,
                     columnar=cinst,
                 )
             else:

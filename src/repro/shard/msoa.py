@@ -97,7 +97,7 @@ class ShardedOnlineAuction(MultiStageOnlineAuction):
             self._plan,
             payment_rule=self._payment_rule,
             original_prices=original_prices,
-            **self._ssam_options,
+            engine=self._engine,
         )
         self._shard_stats.append(result.stats)
         return result.outcome
@@ -112,7 +112,6 @@ def run_sharded_msoa(
     plan: ShardPlan | None = None,
     alpha: float | None = None,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    guard: bool = True,
     engine: str = "columnar",
     on_infeasible: str = "raise",
     faults: "FaultPlan | FaultInjector | None" = None,
@@ -142,7 +141,6 @@ def run_sharded_msoa(
         shard_strategy=shard_strategy,
         alpha=alpha,
         payment_rule=payment_rule,
-        guard=guard,
         engine=engine,
         on_infeasible=on_infeasible,
         faults=faults,

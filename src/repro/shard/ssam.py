@@ -94,12 +94,12 @@ class ShardedRoundOutcome:
 
 
 def _empty_outcome(
-    bids: tuple, payment_rule: PaymentRule, **options
+    bids: tuple, payment_rule: PaymentRule, engine: str
 ) -> AuctionOutcome:
     return run_ssam(
         WSPInstance(bids=bids, demand={}, price_ceiling=None),
         payment_rule=payment_rule,
-        **options,
+        engine=engine,
     )
 
 
@@ -109,7 +109,7 @@ def _clear_local(
     payment_rule: PaymentRule,
     original_prices: Mapping | None,
     columnar,
-    **options,
+    engine: str,
 ) -> tuple[AuctionOutcome, bool]:
     """Clear one shard; never raises — unmet demand becomes residual."""
     try:
@@ -119,7 +119,7 @@ def _clear_local(
                 payment_rule=payment_rule,
                 original_prices=original_prices,
                 columnar=columnar,
-                **options,
+                engine=engine,
             ),
             False,
         )
@@ -139,13 +139,13 @@ def _clear_local(
                     original_prices=original_prices,
                     # Clamping changes the demand vector, so a prebuilt
                     # layout no longer matches; rebuild inside run_ssam.
-                    **options,
+                    engine=engine,
                 ),
                 True,
             )
         except InfeasibleInstanceError:
             pass
-    return _empty_outcome(sub.bids, payment_rule, **options), True
+    return _empty_outcome(sub.bids, payment_rule, engine), True
 
 
 @profiled("shard.round")
@@ -154,7 +154,6 @@ def run_sharded_ssam(
     plan: ShardPlan,
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    guard: bool = True,
     engine: str = "columnar",
     original_prices: Mapping[tuple[int, int], float] | None = None,
 ) -> ShardedRoundOutcome:
@@ -171,7 +170,6 @@ def run_sharded_ssam(
         "local_bids": sum(len(b) for b in partition.local_bids),
         "cross_bids": len(partition.cross_bids),
     }
-    options = {"guard": guard, "engine": engine}
     if len(active) <= 1 and not partition.cross_bids:
         # Degenerate decomposition: the whole market lives in one shard.
         # Clear the ORIGINAL instance with plain run_ssam — the sharded
@@ -184,7 +182,7 @@ def run_sharded_ssam(
             original_prices=(
                 dict(original_prices) if original_prices is not None else None
             ),
-            **options,
+            engine=engine,
         )
         elapsed_ms = (time.perf_counter() - started) * 1e3
         stats = ShardRoundStats(
@@ -233,7 +231,7 @@ def run_sharded_ssam(
             payment_rule=payment_rule,
             original_prices=original,
             columnar=columnar_views.get(shard),
-            **options,
+            engine=engine,
         )
         shard_ms.append((time.perf_counter() - started) * 1e3)
         shard_outcomes[shard] = outcome
@@ -266,7 +264,7 @@ def run_sharded_ssam(
             local_winner_sellers,
             payment_rule=payment_rule,
             original_prices=original,
-            **options,
+            engine=engine,
         )
         reconcile_ms = (time.perf_counter() - started) * 1e3
 
@@ -305,7 +303,7 @@ def _reconcile(
     *,
     payment_rule: PaymentRule,
     original_prices: Mapping | None,
-    **options,
+    engine: str,
 ) -> AuctionOutcome | None:
     """The reconciliation pass: cross-shard bids of sellers that did not
     win locally, cleared against the residual demand."""
@@ -325,7 +323,7 @@ def _reconcile(
                 recon_instance,
                 payment_rule=payment_rule,
                 original_prices=original_prices,
-                **options,
+                engine=engine,
             )
         except InfeasibleInstanceError:
             raise InfeasibleInstanceError(
@@ -335,7 +333,7 @@ def _reconcile(
             ) from None
     if eligible:
         # Nothing left to serve: cross-shard bids all lose.
-        return _empty_outcome(eligible, payment_rule, **options)
+        return _empty_outcome(eligible, payment_rule, engine)
     return None
 
 

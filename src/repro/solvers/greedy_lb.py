@@ -8,9 +8,8 @@ lower bounds on the ILP optimum:
   average-price fractions (ignores the one-bid-per-seller constraint).
 * :func:`lp_bound` — the LP-relaxation optimum (tighter, slower).
 
-The experiment harness prefers the exact MILP and falls back to these only
-when a sweep's instance count makes that impractical; the bound used is
-always recorded in the emitted table.
+No sweep calls them yet: the experiment harness always uses the exact
+MILP.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
 """Workload and market generation (Section V.A parameter settings).
 
-Arrival processes (Poisson / deterministic / MMPP), synthetic bid markets
-with the paper's U[10, 35] prices and [10, 40] capacities, named scenario
-presets, and diurnal demand traces.
+Arrival-process generators (Poisson / deterministic / MMPP), synthetic
+bid markets with the paper's U[10, 35] prices and [10, 40] capacities,
+named scenario presets, and diurnal demand traces.  The arrival
+generators and request-class profiles are standalone: the served
+platform draws its arrivals with :class:`repro.sim.processes.ArrivalProcess`
+at the per-user rates :func:`repro.edge.users.build_user_population`
+assigns.
 """
 
 from repro.workload.arrivals import DeterministicArrivals, MMPPArrivals, PoissonArrivals

@@ -2,8 +2,9 @@
 
 Live shims: the retired worker-pool and engine options
 (``parallelism=``, ``shard_workers=``, ``engine="fast"``), which warn
-and change nothing, and direct :class:`~repro.edge.platform.EdgePlatform`
-wiring (now routed through :func:`repro.api.serve`, warning at
+and change nothing; the retired ``guard=`` keyword, whose ``True`` warns
+and whose ``False`` raises; and direct
+:class:`~repro.edge.platform.EdgePlatform` wiring (now routed through :func:`repro.api.serve`, warning at
 construction).  Both must keep old call sites working bit-for-bit while
 announcing the new spelling.  The positional ``payment_rule`` shim has
 run its cycle: options are keyword-only.
@@ -13,8 +14,10 @@ import warnings
 
 import pytest
 
-from repro.core.msoa import run_msoa
+from repro.core.msoa import MultiStageOnlineAuction, run_msoa
+from repro.core.registry import get_mechanism, make_online
 from repro.core.ssam import PaymentRule, run_ssam
+from repro.errors import ConfigurationError
 
 
 class TestPositionalPaymentRuleShim:
@@ -116,6 +119,77 @@ class TestRetiredEngineOptions:
             warnings.simplefilter("error", DeprecationWarning)
             run_msoa(rounds, capacities)
             ShardedOnlineAuction(capacities, shards=2)
+
+
+def _horizon_digest(auction, rounds):
+    return [auction.process_round(r).outcome.to_dict() for r in rounds]
+
+
+# Each facade entry that still takes ``guard=``, as a digest of its run.
+GUARD_ENTRIES = {
+    "run_ssam": lambda instance, rounds, capacities, **options: run_ssam(
+        instance, **options
+    ).to_dict(),
+    "get_mechanism-ssam": lambda instance, rounds, capacities, **options: (
+        get_mechanism("ssam")(instance, **options).to_dict()
+    ),
+    "get_mechanism-ssam-reference": (
+        lambda instance, rounds, capacities, **options: get_mechanism(
+            "ssam-reference"
+        )(instance, **options).to_dict()
+    ),
+    "run_msoa": lambda instance, rounds, capacities, **options: run_msoa(
+        rounds, capacities, **options
+    ).to_dict(),
+    "MultiStageOnlineAuction": (
+        lambda instance, rounds, capacities, **options: _horizon_digest(
+            MultiStageOnlineAuction(capacities, **options), rounds
+        )
+    ),
+    "make_online-msoa": lambda instance, rounds, capacities, **options: (
+        _horizon_digest(make_online("msoa", capacities, **options), rounds)
+    ),
+}
+
+
+class TestRetiredGuard:
+    """``guard=`` is retired: the stranding guard is always on.
+    ``guard=True`` warns and changes nothing; ``guard=False`` asked for
+    the unguarded greedy, which is gone, so it raises instead of
+    silently running the guarded one."""
+
+    @pytest.fixture
+    def market(self, make_instance, make_horizon):
+        rounds, capacities = make_horizon(rounds=3)
+        return make_instance(3), rounds, capacities
+
+    @pytest.mark.parametrize("entry", list(GUARD_ENTRIES))
+    def test_guard_true_warns_and_changes_nothing(self, market, entry):
+        run = GUARD_ENTRIES[entry]
+        with pytest.warns(DeprecationWarning, match="guard= is deprecated"):
+            old_style = run(*market, guard=True)
+        assert old_style == run(*market)
+
+    @pytest.mark.parametrize("entry", list(GUARD_ENTRIES))
+    def test_guard_false_raises(self, market, entry):
+        with pytest.raises(ConfigurationError, match="guard=False"):
+            GUARD_ENTRIES[entry](*market, guard=False)
+
+    def test_default_paths_pass_no_retired_option(self, market):
+        # An internal caller still passing guard= (or any retired
+        # option) would turn into an error here.
+        from repro.dist import DistScenario, replay_scenario
+        from repro.shard import ShardedOnlineAuction
+
+        instance, rounds, capacities = market
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run_ssam(instance)
+            run_msoa(rounds, capacities)
+            _horizon_digest(
+                ShardedOnlineAuction(capacities, shards=2), rounds
+            )
+            replay_scenario(DistScenario(n_users=20), rounds=2)
 
 
 class TestDirectPlatformWiring:

@@ -139,16 +139,16 @@ class TestColumnarGreedySelection:
 
 
 class TestColumnarCriticalPayment:
-    @pytest.mark.parametrize("guard", [True, False])
-    def test_matches_reference_per_winner(self, market, guard):
+    @pytest.mark.parametrize("exact_guard", [False, True])
+    def test_matches_reference_per_winner(self, market, exact_guard):
         steps = greedy_selection(
-            market.bids, dict(market.demand), guard_feasibility=guard
+            market.bids, dict(market.demand), exact_guard=exact_guard
         )
         winners = [step.bid for step in steps]
         assert columnar_critical_payments(
-            market, winners, guard_feasibility=guard
+            market, winners, exact_guard=exact_guard
         ) == [
-            _critical_payment(market, winner, guard_feasibility=guard)
+            _critical_payment(market, winner, exact_guard=exact_guard)
             for winner in winners
         ]
 
@@ -179,9 +179,9 @@ class TestRunSsamOptions:
         with pytest.raises(TypeError):
             run_ssam(market, PaymentRule.CRITICAL_RERUN, 4)
 
-    def test_guard_off_raises_on_guard_needing_instance(self):
-        # Without the guard (and without escalation) the greedy strands
-        # buyer 1's second unit; run_ssam must surface that, not retry.
+    def test_guard_needing_instance_matches_reference(self):
+        # An unguarded greedy would strand buyer 1's second unit; the
+        # guarded default engine must agree with the reference oracle.
         instance = WSPInstance.from_bids(
             [
                 bid(10, {1}, 6.0, index=0),
@@ -194,5 +194,3 @@ class TestRunSsamOptions:
         assert run_ssam(instance).to_dict() == run_ssam(
             instance, engine="reference"
         ).to_dict()
-        with pytest.raises(InfeasibleInstanceError):
-            run_ssam(instance, guard=False)

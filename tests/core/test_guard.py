@@ -91,21 +91,3 @@ class TestExactGuardEscalation:
                 instance.bids, dict(instance.demand), exact_guard=True
             )
 
-
-class TestGuardNeutrality:
-    def test_guard_does_not_change_easy_instances(self):
-        # On an instance with abundant supply, guarded and unguarded
-        # selections coincide (the guard never fires).
-        bids = [
-            bid(10, {1, 2}, 12.0),
-            bid(11, {1}, 5.0),
-            bid(12, {2, 3}, 9.0),
-            bid(13, {1, 2, 3}, 30.0),
-            bid(14, {3}, 4.0),
-        ]
-        demand = {1: 1, 2: 1, 3: 2}
-        guarded = greedy_selection(tuple(bids), dict(demand))
-        unguarded = greedy_selection(
-            tuple(bids), dict(demand), guard_feasibility=False
-        )
-        assert [s.bid.key for s in guarded] == [s.bid.key for s in unguarded]

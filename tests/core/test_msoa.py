@@ -174,3 +174,39 @@ class TestFinalize:
             [round_instance()] * 2, CAPACITIES, payment_rule=rule
         )
         assert outcome.total_payment >= outcome.social_cost - 1e-9
+
+
+def _alpha_counterexample():
+    """A horizon whose round 1 has a worse Theorem-3 ratio than round 0.
+
+    Sellers 100–104, every Θ = 3.  Rounds 0 and 2 ask one unit of buyer
+    0; round 1 asks two units of buyer 0 and one of buyer 1.
+    """
+    quiet = WSPInstance.from_bids(
+        [bid(100, {0}, 1.0), bid(101, {0}, 1.0)], {0: 1}
+    )
+    busy = WSPInstance.from_bids(
+        [
+            bid(100, {0}, 4.0),
+            bid(101, {1}, 1.0, index=0),
+            bid(101, {0}, 1.0, index=1),
+            bid(102, {0}, 1.0),
+            bid(103, {0}, 4.0),
+            bid(104, {1}, 1.0, index=0),
+            bid(104, {0}, 4.0, index=1),
+        ],
+        {0: 2, 1: 1},
+    )
+    return [quiet, busy, quiet], dict.fromkeys(range(100, 105), 3)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: α is estimated from round 0 only"
+)
+def test_competitive_bound_holds_when_a_later_round_is_worse():
+    from repro.baselines.offline import run_offline_optimal
+
+    rounds, capacities = _alpha_counterexample()
+    online = run_msoa(rounds, capacities)
+    offline = run_offline_optimal(rounds, capacities)
+    assert online.social_cost <= online.competitive_bound * offline.social_cost

@@ -81,21 +81,6 @@ class TestGreedySelection:
         assert (10, 0) in chosen and (11, 0) in chosen
         instance.verify_solution([s.bid for s in steps])
 
-    def test_unguarded_greedy_strands_on_same_instance(self):
-        instance = WSPInstance.from_bids(
-            [
-                bid(10, {1}, 6.0, index=0),
-                bid(10, {2}, 0.5, index=1),
-                bid(11, {1}, 6.0),
-                bid(12, {2}, 8.0),
-            ],
-            {1: 2, 2: 1},
-        )
-        with pytest.raises(InfeasibleInstanceError):
-            greedy_selection(
-                instance.bids, dict(instance.demand), guard_feasibility=False
-            )
-
 
 class TestRunSSAM:
     def test_outcome_is_primal_feasible(self, market):

@@ -12,7 +12,7 @@ claim across every layer that can select an engine:
 * complete auction outcomes — winners, payments, and dual certificates —
   serialize identically across both engines under both payment
   rules, over a 300-instance seeded generator sweep plus hypothesis
-  draws, with and without the feasibility guard,
+  draws,
 * MSOA horizons agree across engines, with and without seeded
   :class:`~repro.faults.FaultPlan` injection, and the incremental
   layout carry produces bit-identical outcomes to a cold per-round
@@ -22,7 +22,7 @@ claim across every layer that can select an engine:
   yields identical round reports and ledger totals under every engine,
 * on tie-heavy markets (prices from a small integer set), the payment
   kernel's head-candidate fast path breaks ratio and price ties exactly
-  like the reference order, with the guard on, off, and escalated, and
+  like the reference order, with the guard cheap and escalated, and
   its lockstep replays price every winner exactly like the scalar
   replays, whichever size rule picks the path.
 """
@@ -134,53 +134,23 @@ def test_market_generator_sweep_identical(rule, make_instance):
         assert outcomes["columnar"].to_dict() == reference, f"seed {seed}"
 
 
-def test_guard_disabled_paths_agree(make_instance):
-    """Engine equivalence also holds with the feasibility guard off."""
-    for seed in range(20):
-        instance = make_instance(1000 + seed, n_sellers=10, n_buyers=3)
-        try:
-            reference = run_ssam(
-                instance,
-                payment_rule=PaymentRule.CRITICAL_RERUN,
-                engine="reference",
-                guard=False,
-            )
-        except InfeasibleInstanceError:
-            with pytest.raises(InfeasibleInstanceError):
-                run_ssam(
-                    instance,
-                    payment_rule=PaymentRule.CRITICAL_RERUN,
-                    engine="columnar",
-                    guard=False,
-                )
-            continue
-        columnar = run_ssam(
-            instance,
-            payment_rule=PaymentRule.CRITICAL_RERUN,
-            engine="columnar",
-            guard=False,
-        )
-        assert columnar.to_dict() == reference.to_dict(), f"seed {seed}"
-
-
 TIE_PRICES = (1.0, 2.0, 3.0, 4.0, 6.0)
 
 GUARD_MODES = [
-    pytest.param(True, False, id="guard"),
-    pytest.param(False, False, id="no-guard"),
-    pytest.param(True, True, id="exact-guard"),
+    pytest.param(False, id="guard"),
+    pytest.param(True, id="exact-guard"),
 ]
 
 
 @COMMON
 @given(instance=wsp_instances(max_sellers=10, price_choices=TIE_PRICES))
-@pytest.mark.parametrize(("guard", "exact_guard"), GUARD_MODES)
-def test_tie_heavy_payments_identical(instance, guard, exact_guard):
+@pytest.mark.parametrize("exact_guard", GUARD_MODES)
+def test_tie_heavy_payments_identical(instance, exact_guard):
     """Integer prices make equal ratios common; the batched kernel must
     still price every bid (winners and losers) exactly like the scalar
     reference replay."""
     demand = {b: u for b, u in instance.demand.items() if u > 0}
-    options = dict(guard_feasibility=guard, exact_guard=exact_guard)
+    options = dict(exact_guard=exact_guard)
     try:
         reference_steps = greedy_selection(instance.bids, demand, **options)
     except InfeasibleInstanceError:
@@ -233,24 +203,22 @@ KERNEL_MODES = {
         ),
     )
 )
-@pytest.mark.parametrize("guard", [True, False], ids=["guard", "no-guard"])
-def test_lockstep_payments_identical(instance, guard):
+def test_lockstep_payments_identical(instance):
     """Narrow tie-heavy markets have enough winners for the lockstep
     replays; every size rule prices every winner exactly like its scalar
     reference replay."""
     demand = {b: u for b, u in instance.demand.items() if u > 0}
-    options = dict(guard_feasibility=guard, exact_guard=False)
     try:
-        steps = greedy_selection(instance.bids, demand, **options)
+        steps = greedy_selection(instance.bids, demand)
     except InfeasibleInstanceError:
         return
     winners = [step.bid for step in steps]
-    expected = [_critical_payment(instance, bid, **options) for bid in winners]
+    expected = [_critical_payment(instance, bid) for bid in winners]
     for mode, constants in KERNEL_MODES.items():
         with pytest.MonkeyPatch.context() as patch:
             for name, value in constants(len(instance.bids)).items():
                 patch.setattr(columnar, name, value)
-            got = columnar_critical_payments(instance, winners, **options)
+            got = columnar_critical_payments(instance, winners)
         assert got == expected, mode
 
 
@@ -273,13 +241,7 @@ def test_head_candidate_is_the_ordered_head(instance, infinite_row):
             break
         head, ratio = _head_candidate(state)
         assert (head, ratio) == (int(order[0]), float(ratios[0]))
-        row = int(
-            order[
-                _guarded_choice(
-                    state, order, guard_feasibility=True, exact_guard=False
-                )
-            ]
-        )
+        row = int(order[_guarded_choice(state, order, exact_guard=False)])
         state.apply_win(row)
         state.remove_seller(int(inst.seller_rows[row]))
 

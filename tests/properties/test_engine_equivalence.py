@@ -111,21 +111,3 @@ def test_default_engine_keeps_individual_rationality(instance, rule):
     for winner in outcome.winners:
         assert winner.payment >= winner.bid.price - 1e-9
 
-
-def test_guard_disabled_paths_agree(make_instance):
-    """engine equivalence also holds with the feasibility guard off."""
-    for seed in range(20):
-        instance = make_instance(1000 + seed, n_sellers=10, n_buyers=3)
-        try:
-            reference = run_ssam(
-                instance,
-                payment_rule=PaymentRule.CRITICAL_RERUN,
-                engine="reference",
-                guard=False,
-            )
-        except InfeasibleInstanceError:
-            continue
-        default = run_ssam(
-            instance, payment_rule=PaymentRule.CRITICAL_RERUN, guard=False
-        )
-        assert default.to_dict() == reference.to_dict(), f"seed {seed}"
