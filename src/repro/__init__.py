@@ -55,7 +55,7 @@ from repro.errors import (
 from repro.solvers import solve_horizon_optimal, solve_wsp_optimal
 from repro.workload import MarketConfig, generate_horizon, generate_round
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "AuctionOutcome",

@@ -61,15 +61,19 @@ Mechanism options are keyword-only and share one vocabulary everywhere:
 ``"reference"`` oracle), and (for online runs) ``faults=``,
 ``resilience=``.  The greedy's stranding guard is always on.
 
+.. versionchanged:: 1.4
+    The retired 1.3 spellings are removed: ``guard=`` and
+    ``parallelism=`` on :func:`run_ssam` and
+    :class:`MultiStageOnlineAuction`, ``guard=`` on :func:`run_msoa`,
+    the matching registry options, and ``engine="fast"``.  Passing one
+    is a ``TypeError`` (or a :class:`ConfigurationError` through
+    :func:`make_online` and ``engine=``).
+
 .. deprecated:: 1.3
-    ``parallelism=`` and ``guard=True`` (on :func:`run_ssam`,
-    :func:`run_msoa` and :class:`MultiStageOnlineAuction`),
-    ``shard_workers=`` (on ``ShardedOnlineAuction``) and
-    ``engine="fast"`` warn and change nothing: payments and shards run
-    serially, the guard is always on, and ``"fast"`` runs the columnar
-    engine.  ``guard=False`` raises :class:`ConfigurationError`: the
-    unguarded greedy is gone, and running the guarded one in its place
-    would silently change the caller's results.
+    Two shims remain, because the repository benchmark
+    (``perfbench/``) still passes them: ``parallelism=`` on
+    :func:`run_msoa` and ``shard_workers=`` on ``ShardedOnlineAuction``
+    warn and change nothing (payments and shards always run serially).
 
 .. deprecated:: 1.2
     Wiring sellers and buyers directly into

@@ -10,10 +10,16 @@ per-round payout.
 Design notes
 ------------
 Running SSAM and truncating its winner list when cumulative *payments*
-cross 𝒲 keeps the mechanism's per-winner properties (each accepted bid is
-still paid its critical value, so IR holds and a winner cannot gain by
-misreporting its price) while making coverage best-effort: the outcome
-reports how much demand was left unserved when the money ran out.
+cross 𝒲 keeps individual rationality (each admitted bid is still paid
+its SSAM critical value, which is at least its price) while making
+coverage best-effort: the outcome reports how much demand was left
+unserved when the money ran out.
+
+It does **not** keep truthfulness.  Admission depends on a winner's
+position in the greedy order, and its own price moves that position, so
+a seller cut by the budget at its true price can be admitted by
+under-bidding and still collect the same critical payment
+(``tests/core/test_budgeted.py`` pins such an instance).
 
 Exact budget-feasible mechanism design (à la Singer's knapsack auctions,
 where the *threshold payments themselves* are budget-aware) is beyond
@@ -84,6 +90,10 @@ def run_budgeted_ssam(
     payment stays within ``budget``; the first winner whose payment would
     overshoot it — and everything after — is rejected.  Rejected sellers
     receive nothing and yield nothing.
+
+    Admitted winners are paid at least their price (IR), but the rule is
+    not truthful: a seller can move itself ahead of the budget cut by
+    misreporting a lower price.
     """
     if budget < 0:
         raise ConfigurationError(f"budget must be non-negative, got {budget}")

@@ -159,10 +159,6 @@ class MultiStageOnlineAuction:
         nothing is retained — a 10^6-demand-unit horizon holds one round
         of bids in memory at a time.  :attr:`rounds` stays empty and
         :meth:`finalize` sees an empty horizon in this mode.
-    guard, parallelism:
-        Retired (see :func:`~repro.core.ssam.warn_ignored`):
-        ``guard=True`` and any ``parallelism`` warn and change nothing;
-        ``guard=False`` raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -171,14 +167,12 @@ class MultiStageOnlineAuction:
         *,
         alpha: float | None = None,
         payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-        guard: bool | None = None,
         engine: str = "columnar",
         columnar_incremental: bool = True,
         on_infeasible: str = "raise",
         faults: "FaultPlan | FaultInjector | None" = None,
         resilience: "ResiliencePolicy | None" = None,
         retain_rounds: bool = True,
-        parallelism: int | str | None = None,
     ) -> None:
         for seller, capacity in capacities.items():
             if capacity <= 0:
@@ -192,8 +186,6 @@ class MultiStageOnlineAuction:
             )
         if alpha is not None and alpha <= 0:
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
-        warn_ignored("guard", guard)
-        warn_ignored("parallelism", parallelism)
         self._capacities = dict(capacities)
         self._alpha = alpha
         self._payment_rule = payment_rule
@@ -549,7 +541,6 @@ def run_msoa(
     *,
     alpha: float | None = None,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    guard: bool | None = None,
     engine: str = "columnar",
     columnar_incremental: bool = True,
     on_infeasible: str = "raise",
@@ -586,11 +577,9 @@ def run_msoa(
     True
 
     .. deprecated:: 1.3
-        ``guard=True``, ``parallelism=`` and ``engine="fast"`` warn;
-        none changes the outcome (``guard=False`` raises).
+        ``parallelism=`` warns and changes nothing (see
+        :func:`~repro.core.ssam.warn_ignored`).
     """
-    engine = resolve_engine(engine)
-    warn_ignored("guard", guard)
     warn_ignored("parallelism", parallelism)
     auction = MultiStageOnlineAuction(
         capacities,

@@ -238,12 +238,6 @@ def make_online(
 # ----------------------------------------------------------------------
 # built-in entries
 # ----------------------------------------------------------------------
-#: Retired SSAM options, deprecated 1.3: still accepted so old call sites
-#: reach :func:`~repro.core.ssam.warn_ignored`, which warns (or, for
-#: ``guard=False``, raises).
-_RETIRED_SSAM_OPTIONS = frozenset({"parallelism", "guard"})
-
-
 def _load_ssam():
     from repro.core.ssam import run_ssam
 
@@ -340,7 +334,7 @@ register(MechanismSpec(
     complete=True,
     payment_rule="critical-value",
     loader=_load_ssam,
-    options=frozenset({"payment_rule", "engine"}) | _RETIRED_SSAM_OPTIONS,
+    options=frozenset({"payment_rule", "engine"}),
     claims=CERTIFIABLE_PROPERTIES,
 ))
 register(MechanismSpec(
@@ -353,7 +347,7 @@ register(MechanismSpec(
     complete=True,
     payment_rule="critical-value",
     loader=_load_ssam_reference,
-    options=frozenset({"payment_rule"}) | _RETIRED_SSAM_OPTIONS,
+    options=frozenset({"payment_rule"}),
     claims=CERTIFIABLE_PROPERTIES,
 ))
 register(MechanismSpec(
@@ -458,7 +452,7 @@ register(MechanismSpec(
     loader=_load_msoa,
     options=frozenset({
         "alpha", "payment_rule", "engine", "faults", "resilience",
-    }) | _RETIRED_SSAM_OPTIONS,
+    }),
     # Online certification drives whole horizons: per-round coverage plus
     # capacity discipline (feasibility) and per-round IR are checkable;
     # the single-round counterfactual probes are not (round t's scaled

@@ -68,25 +68,8 @@ rescan-everything loops of this module, kept as the correctness oracle.
 Both produce bit-identical outcomes (a property test enforces this)."""
 
 
-_RETIRED_ENGINES = {"fast": "columnar"}
-
-
 def resolve_engine(engine: str) -> str:
-    """Validate an ``engine=`` value and return the engine that runs.
-
-    .. deprecated:: 1.3
-        ``engine="fast"`` (the retired heap engine) warns and runs
-        ``"columnar"``.
-    """
-    if engine in _RETIRED_ENGINES:
-        successor = _RETIRED_ENGINES[engine]
-        warnings.warn(
-            f"engine={engine!r} is deprecated and runs the {successor} "
-            f"engine; pass engine={successor!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return successor
+    """Validate an ``engine=`` value (one of :data:`ENGINES`) and return it."""
     if engine not in ENGINES:
         raise ConfigurationError(
             f"engine must be one of {', '.join(map(repr, ENGINES))}, "
@@ -95,12 +78,11 @@ def resolve_engine(engine: str) -> str:
     return engine
 
 
-# Retired option → (why it is ignored, the one value it may still take or
-# None for any).  Ignoring any other value would change the results.
+# Retired option → why it is ignored.  Each stays only while the
+# repository benchmark (perfbench) still passes it.
 _RETIRED_OPTIONS = {
-    "parallelism": ("payments always run serially", None),
-    "shard_workers": ("shards always clear serially", None),
-    "guard": ("the stranding guard is always on", True),
+    "parallelism": "payments always run serially",
+    "shard_workers": "shards always clear serially",
 }
 
 
@@ -108,20 +90,16 @@ def warn_ignored(option: str, value) -> None:
     """Warn that a retired option was passed; it has no effect.
 
     .. deprecated:: 1.3
-        ``parallelism=``, ``shard_workers=`` and ``guard=True`` are
-        ignored: payments and shards always run serially, and the
-        stranding guard is always on.  ``guard=False`` raises
-        :class:`~repro.errors.ConfigurationError`.
+        ``parallelism=`` (on :func:`~repro.core.msoa.run_msoa`) and
+        ``shard_workers=`` (on
+        :class:`~repro.shard.msoa.ShardedOnlineAuction`) are ignored:
+        payments and shards always run serially.  The warning names the
+        caller of those two entry points.
     """
     if value is None:
         return
-    reason, accepted = _RETIRED_OPTIONS[option]
-    if accepted is not None and value != accepted:
-        raise ConfigurationError(
-            f"{option}={value!r} is no longer supported: {reason}"
-        )
     warnings.warn(
-        f"{option}= is deprecated and ignored; {reason}",
+        f"{option}= is deprecated and ignored; {_RETIRED_OPTIONS[option]}",
         DeprecationWarning,
         stacklevel=3,
     )
@@ -437,13 +415,14 @@ def run_ssam(
     instance: WSPInstance,
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
-    guard: bool | None = None,
     engine: str = "columnar",
     original_prices: dict[tuple[int, int], float] | None = None,
     columnar: "ColumnarInstance | None" = None,
-    parallelism: int | str | None = None,
 ) -> AuctionOutcome:
     """Execute the single-stage auction on ``instance``.
+
+    The stranding guard always steers the greedy away from choices that
+    provably dead-end a buyer.
 
     Parameters
     ----------
@@ -468,12 +447,6 @@ def run_ssam(
         *scaled*; this maps bid keys back to the announced prices so the
         outcome can report the true social cost.  Defaults to the bids'
         own prices.
-    guard, parallelism:
-        Retired (see :func:`warn_ignored`): ``guard=True`` and any
-        ``parallelism`` warn and change nothing; ``guard=False`` raises
-        :class:`~repro.errors.ConfigurationError`.  The stranding guard
-        always steers the greedy away from choices that provably
-        dead-end a buyer.
 
     Returns
     -------
@@ -489,14 +462,8 @@ def run_ssam(
     >>> outcome = run_ssam(instance)
     >>> outcome.satisfied and outcome.total_payment >= outcome.social_cost
     True
-
-    .. deprecated:: 1.3
-        ``guard=True``, ``parallelism=`` and ``engine="fast"`` warn;
-        none changes the outcome.
     """
     engine = resolve_engine(engine)
-    warn_ignored("guard", guard)
-    warn_ignored("parallelism", parallelism)
     select = greedy_selection
     demand = {b: u for b, u in instance.demand.items() if u > 0}
     cinst = None

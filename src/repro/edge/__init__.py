@@ -24,7 +24,6 @@ from repro.edge.platform import (
     PlatformRoundReport,
     TruthfulCostPolicy,
 )
-from repro.edge.resources import ResourceVector
 from repro.edge.users import EndUser, build_user_population
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "PlatformConfig",
     "PlatformRoundReport",
     "TruthfulCostPolicy",
-    "ResourceVector",
     "EndUser",
     "build_user_population",
 ]

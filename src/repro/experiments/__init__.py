@@ -12,12 +12,6 @@ from repro.experiments.bench_engine import (
 )
 from repro.experiments.config import FULL, QUICK, ExperimentConfig
 from repro.experiments.figures import fig3a, fig3b, fig4a, fig4b, fig5a, fig6a, fig6b
-from repro.experiments.report import (
-    PanelReport,
-    ShapeCheck,
-    build_report,
-    render_report,
-)
 from repro.experiments.storage import (
     diff_tables,
     load_outcome,
@@ -44,10 +38,6 @@ __all__ = [
     "fig5a",
     "fig6a",
     "fig6b",
-    "PanelReport",
-    "ShapeCheck",
-    "build_report",
-    "render_report",
     "build_horizon_scenario",
     "build_single_round",
     "mean_over_seeds",

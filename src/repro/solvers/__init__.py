@@ -4,18 +4,14 @@
   single rounds and whole horizons (the figures' ratio denominators).
 * :mod:`repro.solvers.branch_bound` — pure-Python exact cross-check.
 * :mod:`repro.solvers.lp_relax` — LP relaxation with dual extraction.
-* :mod:`repro.solvers.greedy_lb` — fast lower bounds for large sweeps.
 """
 
 from repro.solvers.branch_bound import solve_wsp_branch_bound
-from repro.solvers.greedy_lb import fractional_unit_bound, lp_bound
 from repro.solvers.lp_relax import LPRelaxation, solve_lp_relaxation
 from repro.solvers.milp import ExactSolution, solve_horizon_optimal, solve_wsp_optimal
 
 __all__ = [
     "solve_wsp_branch_bound",
-    "fractional_unit_bound",
-    "lp_bound",
     "LPRelaxation",
     "solve_lp_relaxation",
     "ExactSolution",

@@ -78,3 +78,36 @@ class TestBudgetedSSAM:
         budgeted = run_budgeted_ssam(instance, budget=100.0)
         assert budgeted.social_cost == 0.0
         assert budgeted.coverage_fraction == 1.0
+
+
+class TestBudgetBreaksTruthfulness:
+    """Budget truncation keeps IR but not truthfulness: admission depends
+    on a winner's greedy position, which its own price moves."""
+
+    @staticmethod
+    def market(price_103):
+        return WSPInstance.from_bids(
+            [
+                bid(100, {1}, 5.0),
+                bid(101, {0, 1}, 3.0),
+                bid(102, {0}, 9.0),
+                bid(103, {0, 2}, price_103),
+            ],
+            {0: 2, 1: 1, 2: 1},
+            price_ceiling=10.0,
+        )
+
+    def test_underbidding_seller_gains_admission(self):
+        true_cost = 9.0
+
+        def utility(report):
+            outcome = run_budgeted_ssam(self.market(report), budget=26.0).outcome
+            for winner in outcome.winners:
+                assert winner.payment >= winner.bid.price - 1e-9  # IR holds
+            paid = {w.bid.seller: w.payment for w in outcome.winners}
+            return paid.get(103, true_cost) - true_cost, sorted(paid.items())
+
+        # Truthful: 103 is SSAM's second winner and the budget cuts it.
+        assert utility(true_cost) == (0.0, [(101, 10.0)])
+        # Under-bidding moves 103 to the front, admitted at the same 18.
+        assert utility(0.5) == (9.0, [(103, 18.0)])

@@ -1,13 +1,16 @@
 """Tests for the deprecation shims and the end of their cycles.
 
-Live shims: the retired worker-pool and engine options
-(``parallelism=``, ``shard_workers=``, ``engine="fast"``), which warn
-and change nothing; the retired ``guard=`` keyword, whose ``True`` warns
-and whose ``False`` raises; and direct
-:class:`~repro.edge.platform.EdgePlatform` wiring (now routed through :func:`repro.api.serve`, warning at
-construction).  Both must keep old call sites working bit-for-bit while
-announcing the new spelling.  The positional ``payment_rule`` shim has
-run its cycle: options are keyword-only.
+Live shims: ``parallelism=`` on :func:`~repro.core.msoa.run_msoa` and
+``shard_workers=`` on :class:`~repro.shard.ShardedOnlineAuction`, which
+warn against the caller's line and change nothing, and direct
+:class:`~repro.edge.platform.EdgePlatform` wiring (now routed through
+:func:`repro.api.serve`, warning at construction).  Each must keep old
+call sites working bit-for-bit while announcing the new spelling.
+
+Ended cycles: the positional ``payment_rule`` shim (options are
+keyword-only), and since 1.4 every other retired spelling — ``guard=``,
+``parallelism=`` elsewhere and ``engine="fast"`` — which now fails like
+any unknown option or engine.
 """
 
 import warnings
@@ -49,9 +52,32 @@ class TestPositionalPaymentRuleShim:
             )
 
 
+def _removed(retired):
+    """Expect the error a spelling removed in 1.4 raises now:
+    ``engine="fast"`` is a value, so engine validation rejects it; the
+    removed keywords no longer exist."""
+    if retired.get("engine") == "fast":
+        return pytest.raises(ConfigurationError, match="'columnar', 'reference'")
+    return pytest.raises(TypeError, match="unexpected keyword")
+
+
+def _assert_shim(run, **retired):
+    """A surviving shim warns, naming the caller's file (this one), and
+    leaves the result bit-identical."""
+    with pytest.warns(DeprecationWarning, match="deprecated") as record:
+        old_style = run(**retired)
+    assert old_style == run()
+    assert [w.filename for w in record] == [__file__] * len(record)
+
+
+def _horizon_digest(auction, rounds):
+    return [auction.process_round(r).outcome.to_dict() for r in rounds]
+
+
 class TestRetiredEngineOptions:
-    """``parallelism=``, ``shard_workers=`` and ``engine="fast"`` warn on
-    every public entry point and leave the outcome bit-identical."""
+    """``parallelism=`` and ``engine="fast"`` are removed, except the two
+    shims the repository benchmark still passes: ``run_msoa(parallelism=)``
+    and ``ShardedOnlineAuction(shard_workers=)``."""
 
     @pytest.mark.parametrize(
         "retired",
@@ -59,31 +85,35 @@ class TestRetiredEngineOptions:
         ids=["parallelism", "parallelism-auto", "engine-fast"],
     )
     def test_run_ssam(self, make_instance, retired):
-        instance = make_instance(3)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old_style = run_ssam(instance, **retired)
-        assert old_style.to_dict() == run_ssam(instance).to_dict()
+        with _removed(retired):
+            run_ssam(make_instance(3), **retired)
 
     @pytest.mark.parametrize(
-        "retired",
-        [{"parallelism": 2}, {"engine": "fast"}],
+        "retired,shim",
+        [({"parallelism": 2}, True), ({"engine": "fast"}, False)],
         ids=["parallelism", "engine-fast"],
     )
-    def test_run_msoa(self, make_horizon, retired):
+    def test_run_msoa(self, make_horizon, retired, shim):
         rounds, capacities = make_horizon(rounds=3)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old_style = run_msoa(rounds, capacities, **retired)
-        assert old_style.to_dict() == run_msoa(rounds, capacities).to_dict()
+
+        def run(**options):
+            return run_msoa(rounds, capacities, **options).to_dict()
+
+        if shim:
+            _assert_shim(run, **retired)
+        else:
+            with _removed(retired):
+                run(**retired)
 
     @pytest.mark.parametrize(
-        "sharded,retired",
+        "sharded,retired,shim",
         [
-            (False, {"parallelism": 2}),
-            (False, {"engine": "fast"}),
-            (True, {"parallelism": 2}),
-            (True, {"engine": "fast"}),
-            (True, {"shard_workers": 2}),
-            (True, {"shard_workers": "auto", "parallelism": 1}),
+            (False, {"parallelism": 2}, False),
+            (False, {"engine": "fast"}, False),
+            (True, {"parallelism": 2}, False),
+            (True, {"engine": "fast"}, False),
+            (True, {"shard_workers": 2}, True),
+            (True, {"shard_workers": "auto", "parallelism": 1}, False),
         ],
         ids=[
             "msoa-parallelism",
@@ -94,8 +124,7 @@ class TestRetiredEngineOptions:
             "sharded-both-pools",
         ],
     )
-    def test_online_auctions(self, make_horizon, sharded, retired):
-        from repro.core.msoa import MultiStageOnlineAuction
+    def test_online_auctions(self, make_horizon, sharded, retired, shim):
         from repro.shard import ShardedOnlineAuction
 
         rounds, capacities = make_horizon(rounds=3)
@@ -105,11 +134,38 @@ class TestRetiredEngineOptions:
                 auction = ShardedOnlineAuction(capacities, shards=2, **options)
             else:
                 auction = MultiStageOnlineAuction(capacities, **options)
-            return [auction.process_round(r).outcome.to_dict() for r in rounds]
+            return _horizon_digest(auction, rounds)
 
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old_style = digests(**retired)
-        assert old_style == digests()
+        if shim:
+            _assert_shim(digests, **retired)
+            return
+        # The shard_workers shim still warns, but does not let the
+        # removed parallelism= through.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with _removed(retired):
+                digests(**retired)
+
+    @pytest.mark.parametrize(
+        "name,option",
+        [
+            ("msoa", "parallelism"),
+            ("msoa", "guard"),
+            ("ssam", "parallelism"),
+            ("ssam", "guard"),
+            ("ssam-reference", "guard"),
+        ],
+    )
+    def test_registry_rejects_removed_options(self, make_horizon, name, option):
+        accepted = {
+            "msoa": ["alpha", "engine", "faults", "payment_rule", "resilience"],
+            "ssam": ["engine", "payment_rule"],
+            "ssam-reference": ["payment_rule"],
+        }[name]
+        _, capacities = make_horizon(rounds=1)
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_online(name, capacities, **{option: 1})
+        assert f"accepted: {accepted}" in str(excinfo.value)
 
     def test_defaults_stay_silent(self, make_horizon):
         from repro.shard import ShardedOnlineAuction
@@ -121,42 +177,52 @@ class TestRetiredEngineOptions:
             ShardedOnlineAuction(capacities, shards=2)
 
 
-def _horizon_digest(auction, rounds):
-    return [auction.process_round(r).outcome.to_dict() for r in rounds]
-
-
-# Each facade entry that still takes ``guard=``, as a digest of its run.
+# Each facade entry that took ``guard=`` in 1.3 → a run of it, and the
+# error ``guard=`` raises there now: the plain callables no longer have
+# the keyword, and ``make_online`` checks options against the spec.
 GUARD_ENTRIES = {
-    "run_ssam": lambda instance, rounds, capacities, **options: run_ssam(
-        instance, **options
-    ).to_dict(),
-    "get_mechanism-ssam": lambda instance, rounds, capacities, **options: (
-        get_mechanism("ssam")(instance, **options).to_dict()
+    "run_ssam": (
+        lambda instance, rounds, capacities, **options: run_ssam(
+            instance, **options
+        ),
+        TypeError,
+    ),
+    "get_mechanism-ssam": (
+        lambda instance, rounds, capacities, **options: get_mechanism(
+            "ssam"
+        )(instance, **options),
+        TypeError,
     ),
     "get_mechanism-ssam-reference": (
         lambda instance, rounds, capacities, **options: get_mechanism(
             "ssam-reference"
-        )(instance, **options).to_dict()
+        )(instance, **options),
+        TypeError,
     ),
-    "run_msoa": lambda instance, rounds, capacities, **options: run_msoa(
-        rounds, capacities, **options
-    ).to_dict(),
+    "run_msoa": (
+        lambda instance, rounds, capacities, **options: run_msoa(
+            rounds, capacities, **options
+        ),
+        TypeError,
+    ),
     "MultiStageOnlineAuction": (
         lambda instance, rounds, capacities, **options: _horizon_digest(
             MultiStageOnlineAuction(capacities, **options), rounds
-        )
+        ),
+        TypeError,
     ),
-    "make_online-msoa": lambda instance, rounds, capacities, **options: (
-        _horizon_digest(make_online("msoa", capacities, **options), rounds)
+    "make_online-msoa": (
+        lambda instance, rounds, capacities, **options: _horizon_digest(
+            make_online("msoa", capacities, **options), rounds
+        ),
+        ConfigurationError,
     ),
 }
 
 
 class TestRetiredGuard:
-    """``guard=`` is retired: the stranding guard is always on.
-    ``guard=True`` warns and changes nothing; ``guard=False`` asked for
-    the unguarded greedy, which is gone, so it raises instead of
-    silently running the guarded one."""
+    """``guard=`` is removed: the stranding guard is always on, so either
+    value fails like any unknown option instead of being accepted."""
 
     @pytest.fixture
     def market(self, make_instance, make_horizon):
@@ -164,20 +230,20 @@ class TestRetiredGuard:
         return make_instance(3), rounds, capacities
 
     @pytest.mark.parametrize("entry", list(GUARD_ENTRIES))
-    def test_guard_true_warns_and_changes_nothing(self, market, entry):
-        run = GUARD_ENTRIES[entry]
-        with pytest.warns(DeprecationWarning, match="guard= is deprecated"):
-            old_style = run(*market, guard=True)
-        assert old_style == run(*market)
+    def test_guard_true_raises(self, market, entry):
+        run, error = GUARD_ENTRIES[entry]
+        with pytest.raises(error, match="guard"):
+            run(*market, guard=True)
 
     @pytest.mark.parametrize("entry", list(GUARD_ENTRIES))
     def test_guard_false_raises(self, market, entry):
-        with pytest.raises(ConfigurationError, match="guard=False"):
-            GUARD_ENTRIES[entry](*market, guard=False)
+        run, error = GUARD_ENTRIES[entry]
+        with pytest.raises(error, match="guard"):
+            run(*market, guard=False)
 
     def test_default_paths_pass_no_retired_option(self, market):
-        # An internal caller still passing guard= (or any retired
-        # option) would turn into an error here.
+        # An internal caller still passing a retired option would turn
+        # into an error here.
         from repro.dist import DistScenario, replay_scenario
         from repro.shard import ShardedOnlineAuction
 

@@ -163,14 +163,6 @@ class TestColumnarCriticalPayment:
 
 
 class TestRunSsamOptions:
-    def test_parallel_run_identical_to_serial(self, market):
-        serial = run_ssam(market, payment_rule=PaymentRule.CRITICAL_RERUN)
-        with pytest.warns(DeprecationWarning, match="parallelism"):
-            parallel = run_ssam(
-                market, payment_rule=PaymentRule.CRITICAL_RERUN, parallelism=2
-            )
-        assert parallel.to_dict() == serial.to_dict()
-
     def test_engine_name_validated(self, market):
         with pytest.raises(ConfigurationError):
             run_ssam(market, engine="turbo")

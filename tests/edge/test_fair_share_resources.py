@@ -1,9 +1,8 @@
-"""Unit tests for fair sharing and resource vectors."""
+"""Unit tests for max-min fair sharing."""
 
 import pytest
 
 from repro.edge.fair_share import max_min_fair_share
-from repro.edge.resources import ResourceVector
 from repro.errors import ConfigurationError
 
 
@@ -54,38 +53,3 @@ class TestMaxMinFairShare:
         assert allocation[1] <= 3.0 + 1e-9
         assert allocation[2] <= 4.0 + 1e-9
 
-
-class TestResourceVector:
-    def test_addition_and_subtraction(self):
-        a = ResourceVector(1.0, 2.0, 3.0)
-        b = ResourceVector(0.5, 0.5, 0.5)
-        assert (a + b).cpu == 1.5
-        assert (a - b).memory == 1.5
-
-    def test_subtraction_floors_at_zero(self):
-        a = ResourceVector(1.0, 0.0, 0.0)
-        b = ResourceVector(2.0, 0.0, 0.0)
-        assert (a - b).cpu == 0.0
-
-    def test_scaling(self):
-        assert (2 * ResourceVector(1.0, 2.0, 3.0)).bandwidth == 6.0
-        with pytest.raises(ConfigurationError):
-            ResourceVector(1.0, 1.0, 1.0) * -1.0
-
-    def test_dominance(self):
-        big = ResourceVector(2.0, 2.0, 2.0)
-        small = ResourceVector(1.0, 1.0, 1.0)
-        assert big.dominates(small)
-        assert small.fits_within(big)
-        assert not small.dominates(big)
-
-    def test_scalar_is_bottleneck_dimension(self):
-        assert ResourceVector(1.0, 5.0, 2.0).scalar() == 5.0
-
-    def test_uniform_and_zero(self):
-        assert ResourceVector.uniform(3.0).cpu == 3.0
-        assert ResourceVector().is_zero
-
-    def test_negative_dimension_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ResourceVector(cpu=-1.0)

@@ -133,19 +133,3 @@ class TestFig6b:
             assert row["total_payment"] >= row["social_cost"] - 1e-9
             assert row["social_cost"] >= row["offline_optimal"] - 1e-6
 
-
-class TestReport:
-    def test_build_and_render_tiny_report(self):
-        from repro.experiments.report import build_report, render_report
-
-        reports = build_report(TINY)
-        assert len(reports) == 7
-        text = render_report(reports)
-        for panel in ("3(a)", "3(b)", "4(a)", "4(b)", "5(a)", "6(a)", "6(b)"):
-            assert f"Figure {panel}" in text
-        assert "PASS" in text
-        # Shape checks that encode theorem guarantees must never fail.
-        for report in reports:
-            for check in report.checks:
-                if "Thm" in check.claim or "IR" in check.claim:
-                    assert check.passed, (report.panel, check.claim)

@@ -1,4 +1,4 @@
-"""Unit tests for the LP relaxation and the fast lower bounds."""
+"""Unit tests for the LP relaxation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.core.bids import Bid
 from repro.core.wsp import WSPInstance
 from repro.errors import InfeasibleInstanceError
-from repro.solvers.greedy_lb import fractional_unit_bound, lp_bound
 from repro.solvers.lp_relax import solve_lp_relaxation
 from repro.solvers.milp import solve_wsp_optimal
 from repro.workload.bidgen import MarketConfig, generate_round
@@ -72,29 +71,3 @@ class TestLPRelaxation:
             ilp = solve_wsp_optimal(instance)
             assert lp.objective <= ilp.objective + 1e-6
 
-
-class TestFastBounds:
-    def test_fractional_bound_below_lp(self, market):
-        assert fractional_unit_bound(market) <= lp_bound(market) + 1e-9
-
-    def test_lp_bound_below_ilp(self, market):
-        assert lp_bound(market) <= solve_wsp_optimal(market).objective + 1e-9
-
-    def test_fractional_bound_zero_demand(self):
-        instance = WSPInstance.from_bids([bid(10, {1}, 1.0)], {1: 0})
-        assert fractional_unit_bound(instance) == 0.0
-
-    def test_fractional_bound_infeasible(self):
-        instance = WSPInstance.from_bids([bid(10, {1}, 1.0)], {1: 2})
-        with pytest.raises(InfeasibleInstanceError):
-            fractional_unit_bound(instance)
-
-    def test_bounds_on_random_instances(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            instance = generate_round(
-                MarketConfig(n_sellers=10, n_buyers=4), rng
-            )
-            ilp = solve_wsp_optimal(instance).objective
-            assert fractional_unit_bound(instance) <= ilp + 1e-6
-            assert lp_bound(instance) <= ilp + 1e-6
