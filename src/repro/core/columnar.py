@@ -217,35 +217,47 @@ class ColumnarInstance:
     def n_buyers(self) -> int:
         return len(self.buyers)
 
-    def with_bids(self, bids: Sequence[Bid]) -> "ColumnarInstance":
+    def with_bids(
+        self, bids: Sequence[Bid], prices: np.ndarray
+    ) -> "ColumnarInstance":
         """Re-price the instance, sharing every structural array.
 
-        ``bids`` must be structurally identical to the originals (same
-        sellers, indices, and coverage sets, in the same order) — only
-        prices may differ.  This is the MSOA round-to-round refresh: a
-        new ψ-scaled price column, zero structural work.  The caller is
-        responsible for the structural match (compare
-        :func:`structure_fingerprint`); lengths and keys are checked.
+        ``bids`` (MSOA passes its lazy :class:`~repro.core.outcomes.
+        ScaledBids` view) and the ``prices`` column must be structurally
+        identical to the originals (same sellers, indices, and coverage
+        sets, in the same order) — only prices may differ.  This is the
+        MSOA round-to-round refresh: a new ψ-scaled price column, no
+        structural or per-bid work.  The caller is responsible for the
+        structural match (compare :func:`structure_fingerprint`);
+        lengths are checked.
         """
-        bids = tuple(bids)
-        if len(bids) != len(self.bids):
-            raise ValueError(
-                f"with_bids: expected {len(self.bids)} bids, got {len(bids)}"
-            )
-        for new, old in zip(bids, self.bids):
-            if new.key != old.key:
+        for name, size in (("bids", len(bids)), ("prices", len(prices))):
+            if size != self.n_bids:
                 raise ValueError(
-                    f"with_bids: bid key mismatch {new.key} != {old.key}"
+                    f"with_bids: expected {self.n_bids} {name}, got {size}"
                 )
         if _OBS.enabled:
             _OBS.metrics.counter("engine.columnar.price_refreshes").inc()
-        prices = np.fromiter(
-            (b.price for b in bids), dtype=np.float64, count=len(bids)
-        )
         fields = {name: getattr(self, name) for name in self.__slots__}
         fields["bids"] = bids
-        fields["prices"] = prices
+        fields["prices"] = np.asarray(prices, dtype=np.float64)
         return ColumnarInstance(**fields)
+
+    def price_spread(self) -> float:
+        """Theorem 3's ``Ξ`` from the price column grouped by seller row:
+        exactly :func:`repro.core.ratios.price_spread` of :attr:`bids`
+        (an all-zero seller skipped, a 0 bottom under a positive top
+        ``inf``) without walking the bids."""
+        top = np.full(self.sellers.size, -np.inf)
+        bottom = np.full(self.sellers.size, np.inf)
+        np.maximum.at(top, self.seller_rows, self.prices)
+        np.minimum.at(bottom, self.seller_rows, self.prices)
+        priced = top != 0
+        top, bottom = top[priced], bottom[priced]
+        with np.errstate(all="ignore"):  # overflow is ``inf``, as in Python
+            spreads = np.where(bottom == 0, np.inf, top / bottom)
+        # fmax skips NaN quotients (inf/inf) exactly as ``max`` does.
+        return float(np.fmax.reduce(spreads, initial=1.0))
 
     @profiled("columnar.subset")
     def subset(

@@ -30,6 +30,7 @@ The string-keyed registry over these protocols lives in
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.core.bids import Bid
@@ -216,8 +217,9 @@ class SingleRoundOnlineAdapter(MultiStageOnlineAuction):
         self._name = name
         self._options = dict(options or {})
 
-    def _scaled_bids(self, admissible: tuple[Bid, ...]) -> tuple[Bid, ...]:
-        return admissible  # ψ ≡ 0: selection runs on announced prices
+    def _reprice(self, bids, frame, admitted, prices):
+        # ψ ≡ 0: selection runs on the announced bids themselves.
+        return tuple(compress(bids, admitted)), frame.view(prices, admitted)
 
     def _execute_ssam(
         self,
@@ -240,9 +242,8 @@ class SingleRoundOnlineAdapter(MultiStageOnlineAuction):
             mechanism=self._name,
         )
 
-    def _apply_win(self, bid: Bid) -> None:
-        # Line 12 only: χ advances, ψ stays 0.
-        self._chi[bid.seller] = self._chi.get(bid.seller, 0) + bid.size
+    def _apply_win(self, bid: Bid) -> int:
+        return self._charge(bid)  # line 12 only: χ advances, ψ stays 0
 
     def finalize(self) -> OnlineOutcome:
         """Package the horizon; no online guarantee (α, bound ``nan``)."""

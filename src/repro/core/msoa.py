@@ -19,29 +19,42 @@ prices), which preserves individual rationality — a scaled price is never
 below the announced price, and the critical payment is never below the
 scaled price.
 
-:class:`MultiStageOnlineAuction` is the repo's one online round loop.
-Subclasses change how a round is priced or cleared through a few
-overridable seams — ``_scaled_bids`` (line 8), ``_execute_ssam`` (the
-clearing), ``_skip_outcome``, ``_apply_win`` (lines 11–12) — and keep
-the screen, fault handling and ``on_infeasible`` dispatch.
+:class:`MultiStageOnlineAuction` keeps ψ, χ and Θ as arrays over a
+seller slot table, so a round is column work: line 5 is one mask
+``size ≤ Θ − χ``, line 8 one expression ``price + size·ψ[slot]``, β one
+``min``, and ``χ ≤ Θ`` is checked after every round.  The scaled bids
+are a lazy :class:`~repro.core.outcomes.ScaledBids` view: a :class:`Bid`
+is built only for what reads one (the winners, or a consumer iterating).
+
+It is the repo's one online round loop.  Subclasses change how a round
+is priced or cleared through a few overridable seams — ``_reprice``
+(line 8), ``_execute_ssam`` (the clearing), ``_skip_outcome``,
+``_apply_win`` (lines 11–12) — and keep the screen (``_screen``, line
+5), fault handling and ``on_infeasible`` dispatch.
 :class:`~repro.shard.msoa.ShardedOnlineAuction` swaps the clearing for
 the sharded pipeline; :class:`~repro.core.mechanism.
-SingleRoundOnlineAdapter` runs a single-round baseline with ``ψ ≡ 0``.
+SingleRoundOnlineAdapter` runs a single-round baseline on the announced
+bids (``ψ ≡ 0``, χ only).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import compress
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.bids import Bid
-from repro.core.outcomes import OnlineOutcome, RoundResult
-from repro.core.ratios import (
-    capacity_margin,
-    msoa_competitive_bound,
-    ssam_ratio_bound,
+from repro.core.outcomes import (
+    OnlineOutcome,
+    RoundResult,
+    RowMapping,
+    ScaledBids,
 )
+from repro.core.ratios import msoa_competitive_bound, ssam_ratio_bound
 from repro.core.ssam import (
     PaymentRule,
     resolve_engine,
@@ -49,7 +62,11 @@ from repro.core.ssam import (
     warn_ignored,
 )
 from repro.core.wsp import WSPInstance, supply_clamped_demand
-from repro.errors import ConfigurationError, InfeasibleInstanceError
+from repro.errors import (
+    ConfigurationError,
+    InfeasibleInstanceError,
+    MechanismError,
+)
 from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
 
@@ -59,6 +76,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults → core)
     from repro.faults.policies import ResiliencePolicy
 
 __all__ = ["MultiStageOnlineAuction", "run_msoa"]
+
+_STRUCTURE = attrgetter("seller", "index", "covered")
+_PRICE = attrgetter("price")
+
+
+class _BidFrame:
+    """One round's ``(seller, index, covered)`` rows as columns, kept
+    while the structure repeats: per row the seller's slot (0 for a
+    seller without one, which screens and prices like an unconstrained
+    seller's own slot), ``|Sᵗᵢⱼ|`` and the bid key."""
+
+    __slots__ = ("structure", "slots", "sizes", "keys", "row_of")
+
+    def __init__(self, structure: tuple, slot_of: Mapping[int, int]) -> None:
+        self.structure = structure
+        self.slots = np.array([slot_of.get(s, 0) for s, _, _ in structure], np.int64)
+        self.sizes = np.array([len(c) for _, _, c in structure], np.int64)
+        self.keys = [(s, i) for s, i, _ in structure]
+        self.row_of = {key: row for row, key in enumerate(self.keys)}
+
+    def view(self, values: Sequence, mask: np.ndarray | None = None):
+        """``key → values[row]`` over the rows ``mask`` selects."""
+        return RowMapping(self.keys, self.row_of, values, mask)
 
 
 def resolve_fault_args(faults, resilience):
@@ -158,7 +198,8 @@ class MultiStageOnlineAuction:
         evolves normally and each call still returns its result, but
         nothing is retained — a 10^6-demand-unit horizon holds one round
         of bids in memory at a time.  :attr:`rounds` stays empty and
-        :meth:`finalize` sees an empty horizon in this mode.
+        :meth:`finalize` sees an empty horizon in this mode; ``χ ≤ Θ``
+        is still checked, from the state arrays, every round and there.
     """
 
     def __init__(
@@ -195,8 +236,19 @@ class MultiStageOnlineAuction:
         self._columnar_cache = None
         self._injector, self._policy = resolve_fault_args(faults, resilience)
         self._carry: dict[int, int] = {}
-        self._psi: dict[int, float] = {seller: 0.0 for seller in capacities}
-        self._chi: dict[int, int] = {seller: 0 for seller in capacities}
+        # The only ψ/χ/Θ store.  Slot k ≥ 1 is seller ``_sellers[k - 1]``:
+        # the capacities in order, then unconstrained sellers from their
+        # first win.  Slot 0 is every slotless seller (Θ = ∞, ψ = 0).
+        self._sellers: list[int] = list(self._capacities)
+        self._slot_of = {s: k for k, s in enumerate(self._sellers, 1)}
+        self._theta = np.array(
+            [math.inf, *self._capacities.values()], dtype=np.float64
+        )
+        self._chi = np.zeros(self._theta.size, dtype=np.int64)
+        self._psi = np.zeros(self._theta.size, dtype=np.float64)
+        self._frame: _BidFrame | None = None
+        # (scaled instance, frame, admitted mask) of the latest round.
+        self._round: tuple = (None, None, None)
         self._retain_rounds = bool(retain_rounds)
         self._rounds: list[RoundResult] = []
         self._round_count = 0
@@ -207,13 +259,15 @@ class MultiStageOnlineAuction:
     # ------------------------------------------------------------------
     @property
     def psi(self) -> dict[int, float]:
-        """Current scarcity prices ``ψᵢ`` (copy)."""
-        return dict(self._psi)
+        """Current scarcity prices ``ψᵢ`` of the capacity-bound sellers."""
+        n = len(self._capacities)
+        return dict(zip(self._sellers[:n], self._psi[1 : n + 1].tolist()))
 
     @property
     def capacity_used(self) -> dict[int, int]:
-        """Cumulative coverage units committed per seller ``χᵢ`` (copy)."""
-        return dict(self._chi)
+        """Cumulative coverage units committed per seller ``χᵢ``: the
+        capacity-bound sellers, then unconstrained winners by first win."""
+        return dict(zip(self._sellers, self._chi[1:].tolist()))
 
     @property
     def alpha(self) -> float | None:
@@ -239,54 +293,68 @@ class MultiStageOnlineAuction:
         capacity = self._capacities.get(seller)
         if capacity is None:
             return None
-        return capacity - self._chi.get(seller, 0)
+        return capacity - int(self._chi[self._slot_of[seller]])
 
     # ------------------------------------------------------------------
     # the online loop
     # ------------------------------------------------------------------
-    def _admissible(self, bid: Bid) -> bool:
-        """Line 5: would accepting this bid overflow the seller's Θ?"""
-        remaining = self.remaining_capacity(bid.seller)
-        return remaining is None or bid.size <= remaining
+    def _frame_of(self, bids: Sequence[Bid]) -> "_BidFrame":
+        """The round's bid columns, reused while the bid structure repeats."""
+        structure = tuple(map(_STRUCTURE, bids))
+        frame = self._frame
+        if frame is None or frame.structure != structure:
+            frame = self._frame = _BidFrame(structure, self._slot_of)
+        return frame
 
-    def _scaled_bids(self, admissible: tuple[Bid, ...]) -> tuple[Bid, ...]:
-        """Line 8: re-price each bid at ``∇ᵗᵢⱼ = Jᵗᵢⱼ + |Sᵗᵢⱼ|·ψᵢᵗ⁻¹``."""
-        return tuple(
-            Bid(
-                seller=bid.seller,
-                index=bid.index,
-                covered=bid.covered,
-                price=bid.price + bid.size * self._psi.get(bid.seller, 0.0),
-                true_cost=bid.cost,
-            )
-            for bid in admissible
-        )
+    def _screen(self, frame: "_BidFrame") -> np.ndarray:
+        """Line 5: the rows whose size fits the seller's ``Θᵢ − χᵢ``."""
+        return frame.sizes <= (self._theta - self._chi)[frame.slots]
+
+    def _reprice(self, bids, frame, admitted, prices):
+        """Line 8: the admitted bids at ``∇ᵗᵢⱼ = Jᵗᵢⱼ + |Sᵗᵢⱼ|·ψᵢᵗ⁻¹`` and
+        their ``key → ∇`` map — the same IEEE-754 operations as
+        ``bid.price + bid.size * psi``, as one expression."""
+        scaled = np.asarray(prices, np.float64) + frame.sizes * self._psi[frame.slots]
+        rows = np.flatnonzero(admitted)
+        scaled_bids = ScaledBids(bids, rows, scaled[rows])
+        return scaled_bids, frame.view(scaled.tolist(), admitted)
 
     def _columnar_kwargs(self, instance: WSPInstance) -> dict:
         """The ``columnar=`` forward for a round's :func:`run_ssam` call.
 
         On the columnar engine with incrementality enabled, the layout
-        built for an earlier round is re-priced in place whenever this
-        round's structure matches it (same bids' sellers/indices/
-        coverage, same positive demand) — ψ only moves prices, so the
-        common case across rounds is a pure price-column refresh.  Any
-        structural change (capacity exclusions, redrawn bids, faults,
-        clamped demand) misses the cache and rebuilds.
+        built for an earlier round is re-priced from this round's scaled
+        price column whenever the round's structure matches it (same
+        admitted bids' sellers/indices/coverage, same positive demand) —
+        ψ only moves prices, so the common case across rounds is a pure
+        price-column refresh.  Any structural change (capacity
+        exclusions, redrawn bids, faults, clamped demand) misses the
+        cache and rebuilds; the re-auctions inside a round (fault
+        recovery, best-effort clamping) build their own layouts.
         """
-        if self._engine != "columnar" or not self._columnar_incremental:
+        if (
+            self._engine != "columnar"
+            or not self._columnar_incremental
+            or instance is not self._round[0]
+        ):
             return {}
-        from repro.core.columnar import (
-            ColumnarInstance,
-            structure_fingerprint,
-        )
+        from repro.core.columnar import ColumnarInstance
 
         demand = {b: u for b, u in instance.demand.items() if u > 0}
         if not demand:
             return {}
-        fingerprint = structure_fingerprint(instance.bids, demand)
+        _, frame, admitted = self._round
+        structure = (
+            frame.structure
+            if admitted.all()
+            else tuple(compress(frame.structure, admitted))
+        )
         cached = self._columnar_cache
-        if cached is not None and cached.fingerprint == fingerprint:
-            prepared = cached.with_bids(instance.bids)
+        if cached is not None and cached.fingerprint == (
+            structure,
+            tuple(demand.items()),
+        ):
+            prepared = cached.with_bids(instance.bids, instance.bids.prices)
             if _OBS.enabled:
                 _OBS.metrics.counter("engine.columnar.cache_hits").inc()
         else:
@@ -314,9 +382,7 @@ class MultiStageOnlineAuction:
         return run_ssam(
             instance,
             payment_rule=self._payment_rule,
-            original_prices=(
-                dict(original_prices) if original_prices is not None else None
-            ),
+            original_prices=original_prices,
             engine=self._engine,
             **self._columnar_kwargs(instance),
         )
@@ -343,24 +409,26 @@ class MultiStageOnlineAuction:
         with tracer.span(
             "msoa.round", round_index=round_index, bids=len(instance.bids)
         ) as round_span:
-            admissible = tuple(
-                bid for bid in instance.bids if self._admissible(bid)
+            bids = instance.bids
+            frame = self._frame_of(bids)
+            admitted = self._screen(frame)
+            prices = list(map(_PRICE, bids))
+            original_prices = frame.view(prices, admitted)
+            scaled_bids, scaled_prices = self._reprice(
+                bids, frame, admitted, prices
             )
-            original_by_key = {bid.key: bid for bid in instance.bids}
-            scaled_bids = self._scaled_bids(admissible)
-            scaled_prices = {bid.key: bid.price for bid in scaled_bids}
             if _OBS.enabled:
                 metrics = _OBS.metrics
                 metrics.counter("msoa.rounds").inc()
-                metrics.counter("msoa.bids_admitted").inc(len(admissible))
+                metrics.counter("msoa.bids_admitted").inc(len(scaled_bids))
                 metrics.counter("msoa.bids_excluded").inc(
-                    len(instance.bids) - len(admissible)
+                    len(bids) - len(scaled_bids)
                 )
                 tracer.event(
                     "price-scaling",
-                    admissible=len(admissible),
-                    excluded=len(instance.bids) - len(admissible),
-                    psi_max=max(self._psi.values(), default=0.0),
+                    admissible=len(scaled_bids),
+                    excluded=len(bids) - len(scaled_bids),
+                    psi_max=float(self._psi.max()),
                 )
             scaled_instance = WSPInstance(
                 bids=scaled_bids,
@@ -371,11 +439,15 @@ class MultiStageOnlineAuction:
                 # Auto-estimate α from the first round's Theorem-3 bound,
                 # computed on the announced (unscaled) prices.
                 self._alpha = max(
-                    1.0, ssam_ratio_bound(instance.total_demand, admissible)
+                    1.0,
+                    ssam_ratio_bound(
+                        instance.total_demand, list(compress(bids, admitted))
+                    ),
                 )
+            self._round = (scaled_instance, frame, admitted)
             outcome, resilience = self._clear_round(
                 scaled_instance,
-                {key: original_by_key[key].price for key in scaled_prices},
+                original_prices,
                 pre_events=pre_events,
                 round_index=round_index,
             )
@@ -386,23 +458,27 @@ class MultiStageOnlineAuction:
             ):
                 for buyer, units in resilience.uncovered.items():
                     self._carry[buyer] = self._carry.get(buyer, 0) + units
+            # β = min Θᵢ/|Sᵗᵢⱼ| over the admitted rows (Θ = ∞ rows drop
+            # out); exact like ``capacity / bid.size`` for Θ below 2⁵³.
+            margins = self._theta[frame.slots[admitted]] / frame.sizes[admitted]
             self._beta_observed = min(
-                self._beta_observed, capacity_margin(self._capacities, admissible)
+                self._beta_observed, float(np.min(margins, initial=math.inf))
             )
             for winner in outcome.winners:
-                original = original_by_key[winner.bid.key]
-                self._apply_win(original)
+                original = bids[frame.row_of[winner.bid.key]]
+                slot = self._apply_win(original)
                 if _OBS.enabled:
                     tracer.event(
                         "psi-update",
                         seller=original.seller,
-                        psi=self._psi.get(original.seller, 0.0),
-                        chi=self._chi.get(original.seller, 0),
+                        psi=float(self._psi[slot]),
+                        chi=int(self._chi[slot]),
                     )
+            self._check_capacities()
             result = RoundResult(
                 round_index=round_index,
                 outcome=outcome,
-                original_bids=original_by_key,
+                original_bids=frame.view(bids),
                 scaled_prices=scaled_prices,
                 psi_after=self.psi,
                 capacity_used=self.capacity_used,
@@ -501,17 +577,46 @@ class MultiStageOnlineAuction:
             WSPInstance(bids=instance.bids, demand={}, price_ceiling=None)
         )
 
-    def _apply_win(self, bid: Bid) -> None:
-        """Lines 11–12: multiplicative ψ update and χ accounting."""
+    def _apply_win(self, bid: Bid) -> int:
+        """Lines 11–12: multiplicative ψ update and χ accounting; returns
+        the seller's slot.  Scalar Python per winner, in the paper's
+        operand order: ``capacity**2`` stays a Python int (an int64 Θ²
+        overflows once Θ > 3.03e9)."""
+        slot = self._charge(bid)
         capacity = self._capacities.get(bid.seller)
-        self._chi[bid.seller] = self._chi.get(bid.seller, 0) + bid.size
         if capacity is None:
-            return  # unconstrained seller: ψ stays 0 (Θ → ∞ limit)
+            return slot  # unconstrained seller: ψ stays 0 (Θ → ∞ limit)
         alpha = self._alpha if self._alpha is not None else 1.0
-        psi_prev = self._psi.get(bid.seller, 0.0)
-        self._psi[bid.seller] = psi_prev * (
+        psi_prev = float(self._psi[slot])
+        self._psi[slot] = psi_prev * (
             1.0 + bid.size / (alpha * capacity)
         ) + bid.price * bid.size / (alpha * capacity**2)
+        return slot
+
+    def _charge(self, bid: Bid) -> int:
+        """Line 12: add the bid's units to its seller's χ (an unconstrained
+        seller's first win appends its slot); return the slot."""
+        slot = self._slot_of.get(bid.seller)
+        if slot is None:
+            slot = self._slot_of[bid.seller] = self._theta.size
+            self._sellers.append(bid.seller)
+            self._theta = np.append(self._theta, math.inf)
+            self._chi = np.append(self._chi, 0)
+            self._psi = np.append(self._psi, 0.0)
+        self._chi[slot] += bid.size
+        return slot
+
+    def _check_capacities(self) -> None:
+        """Raise :class:`MechanismError` unless ``χᵢ ≤ Θᵢ`` for every
+        seller: one compare, after every round and in :meth:`finalize` —
+        streaming mode retains no rounds to verify afterwards."""
+        over = np.flatnonzero(self._chi > self._theta)
+        if over.size:
+            seller = self._sellers[int(over[0]) - 1]
+            raise MechanismError(
+                f"seller {seller} used {int(self._chi[over[0]])} units, "
+                f"exceeding capacity {self._capacities[seller]}"
+            )
 
     def finalize(self) -> OnlineOutcome:
         """Package the horizon's rounds into an :class:`OnlineOutcome`."""
@@ -523,7 +628,8 @@ class MultiStageOnlineAuction:
     def _package(
         self, mechanism: str, alpha: float, competitive_bound: float
     ) -> OnlineOutcome:
-        outcome = OnlineOutcome(
+        self._check_capacities()  # the retained rounds' χ is the arrays' χ
+        return OnlineOutcome(
             rounds=tuple(self._rounds),
             capacities=dict(self._capacities),
             alpha=alpha,
@@ -531,8 +637,6 @@ class MultiStageOnlineAuction:
             competitive_bound=competitive_bound,
             mechanism=mechanism,
         )
-        outcome.verify_capacities()
-        return outcome
 
 
 def run_msoa(

@@ -9,9 +9,11 @@ recomputed ad hoc at call sites.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.bids import Bid
 from repro.core.duals import DualSolution
@@ -21,7 +23,90 @@ from repro.errors import MechanismError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults → core)
     from repro.faults.report import RoundResilience
 
-__all__ = ["WinningBid", "AuctionOutcome", "RoundResult", "OnlineOutcome"]
+__all__ = [
+    "WinningBid",
+    "AuctionOutcome",
+    "RoundResult",
+    "OnlineOutcome",
+    "ScaledBids",
+    "RowMapping",
+]
+
+
+class ScaledBids(Sequence):
+    """Read-only view of a round's re-priced bids (MSOA line 8): row ``i``
+    is ``bids[rows[i]]`` at ``prices[i]``, with the announced bid's cost
+    as true cost.  Each :class:`Bid` is built on first access and kept,
+    so a round builds only the bids something reads."""
+
+    __slots__ = ("_bids", "_rows", "prices", "_built")
+
+    def __init__(self, bids: Sequence[Bid], rows: np.ndarray, prices: np.ndarray):
+        self._bids, self._rows, self.prices = bids, rows, prices
+        self._built: dict[int, Bid] = {}
+
+    def __len__(self) -> int:
+        return len(self.prices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        if i < 0:
+            i += len(self)
+        bid = self._built.get(i)
+        if bid is None:
+            if not 0 <= i < len(self):
+                raise IndexError(f"bid row {i} out of range")
+            original = self._bids[self._rows[i]]
+            bid = self._built[i] = Bid(
+                seller=original.seller,
+                index=original.index,
+                covered=original.covered,
+                price=float(self.prices[i]),
+                true_cost=original.cost,
+            )
+        return bid
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        is_sequence = isinstance(other, Sequence)
+        return tuple(self) == tuple(other) if is_sequence else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ScaledBids({tuple(self)!r})"
+
+
+class RowMapping(Mapping):
+    """Read-only ``bid key → value`` view over one round's bid rows, in
+    row order: ``keys[r]`` is row ``r``'s key, ``row_of`` its inverse,
+    ``values[r]`` its value, and ``mask`` (default: all) the rows shown.
+    MSOA's per-round bid and price maps are these views."""
+
+    __slots__ = ("_keys", "_row_of", "_values", "_mask", "_len")
+
+    def __init__(self, keys, row_of, values, mask: np.ndarray | None = None):
+        self._keys, self._row_of, self._values, self._mask = keys, row_of, values, mask
+        self._len = len(keys) if mask is None else int(mask.sum())
+
+    def __getitem__(self, key):
+        row = self._row_of[key]
+        if self._mask is not None and not self._mask[row]:
+            raise KeyError(key)
+        return self._values[row]
+
+    def __iter__(self):
+        if self._mask is None:
+            return iter(self._keys)
+        return map(self._keys.__getitem__, np.flatnonzero(self._mask).tolist())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __repr__(self) -> str:
+        return f"RowMapping({dict(self)!r})"
+
 
 OUTCOME_SCHEMA_VERSION = 1
 """Version tag embedded in every serialized outcome (bump on breaking
@@ -275,7 +360,8 @@ class RoundResult:
 
     Wraps the round's single-stage outcome together with the original
     (unscaled) bids, the scaled prices used for selection, and the dual
-    state ``ψ`` after the round.
+    state ``ψ`` after the round.  Under MSOA the two bid maps are
+    read-only :class:`RowMapping` views over the round's columns.
     """
 
     round_index: int

@@ -36,13 +36,14 @@ import enum
 import functools
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.bids import Bid
 from repro.core.duals import DualSolution
 from repro.core.outcomes import AuctionOutcome, WinningBid
-from repro.core.ratios import ssam_ratio_bound
+from repro.core.ratios import harmonic, ssam_ratio_bound
 from repro.core.wsp import CoverageState, WSPInstance
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 from repro.obs.profiler import profiled
@@ -380,6 +381,17 @@ def _runner_up_payment(
     return step.utility * runner_ratio
 
 
+def _ratio_bound(
+    instance: WSPInstance, layout: "ColumnarInstance | None" = None
+) -> float:
+    """Theorem 3's ``W·Ξ`` for ``instance``, reading Ξ from ``layout``'s
+    price column (:meth:`~repro.core.columnar.ColumnarInstance.
+    price_spread`, no walk over bids) when a layout is given."""
+    if layout is None:
+        return ssam_ratio_bound(instance.total_demand, instance.bids)
+    return harmonic(max(1, instance.total_demand)) * layout.price_spread()
+
+
 @profiled("ssam.payments")
 def _critical_payments(
     instance: WSPInstance,
@@ -416,7 +428,7 @@ def run_ssam(
     *,
     payment_rule: PaymentRule = PaymentRule.CRITICAL_RERUN,
     engine: str = "columnar",
-    original_prices: dict[tuple[int, int], float] | None = None,
+    original_prices: Mapping[tuple[int, int], float] | None = None,
     columnar: "ColumnarInstance | None" = None,
 ) -> AuctionOutcome:
     """Execute the single-stage auction on ``instance``.
@@ -586,7 +598,7 @@ def run_ssam(
             instance=instance,
             winners=tuple(winners),
             duals=duals,
-            ratio_bound=ssam_ratio_bound(instance.total_demand, instance.bids),
+            ratio_bound=_ratio_bound(instance, cinst),
             payment_rule=payment_rule.value,
             iterations=len(steps),
             mechanism="ssam",

@@ -35,7 +35,8 @@ class WSPInstance:
     Attributes
     ----------
     bids:
-        All submitted bids (already validated; see :func:`from_bids`).
+        All submitted bids (already validated; see :func:`from_bids`): a
+        tuple, or MSOA's lazy :class:`~repro.core.outcomes.ScaledBids`.
     demand:
         Mapping from buyer microservice id to its required coverage units
         (the per-buyer decomposition of the round's aggregate demand
@@ -46,7 +47,7 @@ class WSPInstance:
         seller).  ``None`` defaults to the maximum announced bid price.
     """
 
-    bids: tuple[Bid, ...]
+    bids: Sequence[Bid]
     demand: Mapping[int, int]
     price_ceiling: float | None = None
 

@@ -328,6 +328,7 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
 
 
 def _run_msoa_case(case: MsoaScaleCase) -> dict:
+    from repro.core.columnar import ColumnarInstance
     from repro.core.msoa import run_msoa
 
     rng = np.random.default_rng(case.seed)
@@ -346,7 +347,18 @@ def _run_msoa_case(case: MsoaScaleCase) -> dict:
     )
     equivalent = incremental.to_dict() == cold.to_dict()
 
-    incremental_times, cold_times = _interleaved(
+    # SSAM alone on the last round's scaled instance and a prepared
+    # layout: an incremental round without MSOA's own work around it.
+    scaled = incremental.rounds[-1].outcome.instance
+    layout = ColumnarInstance.build(
+        scaled.bids, {b: u for b, u in scaled.demand.items() if u > 0}
+    )
+
+    def ssam_only():
+        for _ in range(case.rounds):
+            run_ssam(scaled, columnar=layout)
+
+    incremental_times, cold_times, ssam_times = _interleaved(
         case.repeats,
         lambda: run_msoa(
             rounds, capacities, engine="columnar", columnar_incremental=True
@@ -354,6 +366,7 @@ def _run_msoa_case(case: MsoaScaleCase) -> dict:
         lambda: run_msoa(
             rounds, capacities, engine="columnar", columnar_incremental=False
         ),
+        ssam_only,
     )
     incremental_s, cold_s = min(incremental_times), min(cold_times)
     return {
@@ -366,6 +379,8 @@ def _run_msoa_case(case: MsoaScaleCase) -> dict:
         "incremental_ms_per_round": incremental_s * 1000.0 / case.rounds,
         "cold_ms_per_round": cold_s * 1000.0 / case.rounds,
         "incremental_speedup": _median_ratio(cold_times, incremental_times),
+        "ssam_ms_per_round": min(ssam_times) * 1000.0 / case.rounds,
+        "ssam_share": _median_ratio(ssam_times, incremental_times),
     }
 
 
@@ -562,9 +577,7 @@ def _gated_ratios(payload: dict) -> dict[str, dict[str, float | None]]:
         ratios[row["case"]] = {key: row.get(key) for key in _SPEEDUP_KEYS}
     msoa = payload.get("msoa")
     if msoa:
-        ratios[msoa["case"]] = {
-            "incremental_speedup": msoa.get("incremental_speedup")
-        }
+        ratios[msoa["case"]] = {key: msoa.get(key) for key in _MSOA_KEYS}
     for shard in _shard_rows(payload):
         ratios[shard["case"]] = {
             "sharded_speedup": shard.get("sharded_speedup")
@@ -601,6 +614,7 @@ def render_scale_bench(payload: dict, baseline: dict | None = None) -> str:
             f"incremental {msoa['incremental_ms_per_round']:.1f} ms/round "
             f"vs cold {msoa['cold_ms_per_round']:.1f} ms/round "
             f"({_fmt_x(msoa['incremental_speedup']).strip()}), "
+            f"SSAM share {msoa.get('ssam_share') or 0:.2f}, "
             f"equal {msoa['equivalent']}"
         )
     for shard in _shard_rows(payload):
@@ -635,6 +649,9 @@ def render_scale_bench(payload: dict, baseline: dict | None = None) -> str:
 
 
 _SPEEDUP_KEYS = ("speedup_columnar", "payment_batch_speedup")
+# ``ssam_share``: SSAM-only time ÷ incremental round time.  MSOA's own
+# per-round work is the rest, so a drop means MSOA overhead came back.
+_MSOA_KEYS = ("incremental_speedup", "ssam_share")
 
 
 def check_scale_regression(
@@ -657,45 +674,14 @@ def check_scale_regression(
             f"tolerance must be in [0, 1), got {tolerance}"
         )
     failures: list[str] = []
-    baseline_cases = {
-        row["case"]: row for row in baseline.get("cases", [])
-    }
     for row in payload.get("cases", []):
         if not row.get("equivalent", True):
             failures.append(f"{row['case']}: engines diverged")
-        base = baseline_cases.get(row["case"])
-        if base is None:
-            continue
-        for key in _SPEEDUP_KEYS:
-            new, old = row.get(key), base.get(key)
-            if new is None or old is None:
-                continue
-            if new < old * (1.0 - tolerance):
-                failures.append(
-                    f"{row['case']}: {key} regressed "
-                    f"{old:.2f}x -> {new:.2f}x "
-                    f"(floor {old * (1.0 - tolerance):.2f}x)"
-                )
-    msoa, base_msoa = payload.get("msoa"), baseline.get("msoa")
-    if msoa:
-        if not msoa.get("equivalent", True):
-            failures.append(
-                f"{msoa['case']}: incremental and cold-rebuild diverged"
-            )
-        if base_msoa and msoa["case"] == base_msoa["case"]:
-            new = msoa.get("incremental_speedup")
-            old = base_msoa.get("incremental_speedup")
-            if (
-                new is not None
-                and old is not None
-                and new < old * (1.0 - tolerance)
-            ):
-                failures.append(
-                    f"{msoa['case']}: incremental_speedup regressed "
-                    f"{old:.2f}x -> {new:.2f}x "
-                    f"(floor {old * (1.0 - tolerance):.2f}x)"
-                )
-    baseline_shards = {row["case"]: row for row in _shard_rows(baseline)}
+    msoa = payload.get("msoa")
+    if msoa and not msoa.get("equivalent", True):
+        failures.append(
+            f"{msoa['case']}: incremental and cold-rebuild diverged"
+        )
     for shard in _shard_rows(payload):
         # `equivalent` is None when the unsharded twin was not run (the
         # 10^6-unit full tier); only an explicit False is a divergence.
@@ -703,18 +689,15 @@ def check_scale_regression(
             failures.append(
                 f"{shard['case']}: sharded winners diverged from unsharded"
             )
-        base_shard = baseline_shards.get(shard["case"])
-        if base_shard:
-            new = shard.get("sharded_speedup")
-            old = base_shard.get("sharded_speedup")
-            if (
-                new is not None
-                and old is not None
-                and new < old * (1.0 - tolerance)
-            ):
+    base_ratios = _gated_ratios(baseline)
+    for case, ratios in _gated_ratios(payload).items():
+        for key, new in ratios.items():
+            old = base_ratios.get(case, {}).get(key)
+            if new is None or old is None:
+                continue
+            if new < old * (1.0 - tolerance):
                 failures.append(
-                    f"{shard['case']}: sharded_speedup regressed "
-                    f"{old:.2f}x -> {new:.2f}x "
+                    f"{case}: {key} regressed {old:.2f}x -> {new:.2f}x "
                     f"(floor {old * (1.0 - tolerance):.2f}x)"
                 )
     return failures

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 from repro.core.duals import DualSolution
 from repro.core.outcomes import AuctionOutcome, WinningBid
-from repro.core.ratios import ssam_ratio_bound
-from repro.core.ssam import PaymentRule, run_ssam
+from repro.core.ssam import PaymentRule, _ratio_bound, run_ssam
 from repro.core.wsp import WSPInstance, supply_clamped_demand
 from repro.errors import InfeasibleInstanceError
 from repro.obs.profiler import profiled
@@ -179,9 +178,7 @@ def run_sharded_ssam(
         outcome = run_ssam(
             instance,
             payment_rule=payment_rule,
-            original_prices=(
-                dict(original_prices) if original_prices is not None else None
-            ),
+            original_prices=original_prices,
             engine=engine,
         )
         elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -206,11 +203,11 @@ def run_sharded_ssam(
             stats=stats,
         )
 
-    original = dict(original_prices) if original_prices is not None else None
     demand = {b: u for b, u in instance.demand.items() if u > 0}
 
     # Shared columnar layout: one parent build, per-shard slices.
     columnar_views: dict[int, object] = {}
+    parent = None
     if engine == "columnar" and demand:
         from repro.core.columnar import ColumnarInstance
 
@@ -229,7 +226,7 @@ def run_sharded_ssam(
         outcome, clamped = _clear_local(
             partition.sub_instance(shard),
             payment_rule=payment_rule,
-            original_prices=original,
+            original_prices=original_prices,
             columnar=columnar_views.get(shard),
             engine=engine,
         )
@@ -263,7 +260,7 @@ def run_sharded_ssam(
             residual,
             local_winner_sellers,
             payment_rule=payment_rule,
-            original_prices=original,
+            original_prices=original_prices,
             engine=engine,
         )
         reconcile_ms = (time.perf_counter() - started) * 1e3
@@ -273,6 +270,7 @@ def run_sharded_ssam(
         [o for o in shard_outcomes if o is not None],
         cross_outcome,
         payment_rule=payment_rule,
+        layout=parent,
     )
     stats = ShardRoundStats(
         **stats_common,
@@ -343,9 +341,11 @@ def _merge_outcomes(
     cross_outcome: AuctionOutcome | None,
     *,
     payment_rule: PaymentRule,
+    layout,
 ) -> AuctionOutcome:
     """Deterministic merge: shard order, then reconciliation, with the
-    greedy iteration counter renumbered sequentially."""
+    greedy iteration counter renumbered sequentially; ``layout`` is the
+    round's parent columnar layout (``None`` off the columnar engine)."""
     parts = list(shard_outcomes)
     if cross_outcome is not None:
         parts.append(cross_outcome)
@@ -371,7 +371,7 @@ def _merge_outcomes(
         instance=instance,
         winners=tuple(winners),
         duals=duals,
-        ratio_bound=ssam_ratio_bound(instance.total_demand, instance.bids),
+        ratio_bound=_ratio_bound(instance, layout),
         payment_rule=payment_rule.value,
         iterations=iteration,
         mechanism="ssam",

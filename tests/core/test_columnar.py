@@ -23,6 +23,7 @@ from repro.core.columnar import (
     columnar_greedy_selection,
     structure_fingerprint,
 )
+from repro.core.ratios import price_spread
 from repro.core.ssam import PaymentRule, _critical_payment, run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
@@ -103,10 +104,10 @@ class TestWithBids:
     def test_shares_structure_and_swaps_prices(self):
         instance = tiny_instance()
         inst = ColumnarInstance.build(instance.bids, instance.demand)
-        repriced = inst.with_bids(
-            [bid.with_price(bid.price * 2) for bid in instance.bids]
-        )
+        bids = [bid.with_price(bid.price * 2) for bid in instance.bids]
+        repriced = inst.with_bids(bids, [bid.price for bid in bids])
         assert repriced.prices.tolist() == [20.0, 12.0, 16.0, 10.0]
+        assert repriced.bids is bids
         # Structural arrays are the *same objects*, not copies.
         assert repriced.cover is inst.cover
         assert repriced.seller_cov is inst.seller_cov
@@ -114,14 +115,32 @@ class TestWithBids:
         assert repriced.row_of is inst.row_of
         assert repriced.fingerprint == inst.fingerprint
 
-    def test_rejects_length_and_key_mismatches(self):
+    def test_rejects_length_mismatches(self):
+        # Keys are not re-checked: the caller compares fingerprints, so
+        # a refresh makes no per-bid calls.
         instance = tiny_instance()
         inst = ColumnarInstance.build(instance.bids, instance.demand)
         with pytest.raises(ValueError, match="expected 4 bids"):
-            inst.with_bids(instance.bids[:2])
-        reordered = (instance.bids[1], instance.bids[0]) + instance.bids[2:]
-        with pytest.raises(ValueError, match="key mismatch"):
-            inst.with_bids(reordered)
+            inst.with_bids(instance.bids[:2], inst.prices)
+        with pytest.raises(ValueError, match="expected 4 prices"):
+            inst.with_bids(instance.bids, inst.prices[:3])
+
+
+class TestPriceSpread:
+    def test_zero_prices_follow_the_scalar_rules(self):
+        def spread(priced):
+            bids = [
+                Bid(seller=s, index=j, covered=frozenset({0}), price=p)
+                for s, prices in priced.items()
+                for j, p in enumerate(prices)
+            ]
+            layout = ColumnarInstance.build(bids, {0: 1})
+            assert layout.price_spread() == price_spread(bids)
+            return layout.price_spread()
+
+        assert spread({100: (2.0, 6.0), 101: (0.0, 0.0)}) == 3.0
+        assert spread({100: (2.0, 6.0), 101: (0.0, 4.0)}) == math.inf
+        assert spread({100: (0.0,), 101: (5.0,)}) == 1.0
 
 
 class TestStateFork:
@@ -289,7 +308,7 @@ class TestObservabilityCounters:
         _reset_for_tests()
         try:
             configure()
-            layout.with_bids(instance.bids)
+            layout.with_bids(instance.bids, layout.prices)
             assert (
                 STATE.metrics.counter(
                     "engine.columnar.price_refreshes"

@@ -1,12 +1,18 @@
 """Unit tests for MSOA (Algorithm 2)."""
 
+import numpy as np
 import pytest
 
 from repro.core.bids import Bid
 from repro.core.msoa import MultiStageOnlineAuction, run_msoa
 from repro.core.ssam import PaymentRule
 from repro.core.wsp import WSPInstance
-from repro.errors import ConfigurationError, InfeasibleInstanceError
+from repro.errors import (
+    ConfigurationError,
+    InfeasibleInstanceError,
+    MechanismError,
+)
+from repro.workload.bidgen import MarketConfig, generate_horizon
 
 
 def bid(seller, covered, price, index=0):
@@ -174,6 +180,122 @@ class TestFinalize:
             [round_instance()] * 2, CAPACITIES, payment_rule=rule
         )
         assert outcome.total_payment >= outcome.social_cost - 1e-9
+
+
+class TestRoundState:
+    """ψ/χ/Θ live in seller arrays; round results are views over them."""
+
+    def test_views_equal_the_per_bid_dicts(self):
+        rounds, capacities = generate_horizon(
+            MarketConfig(n_sellers=12, n_buyers=4),
+            np.random.default_rng(5),
+            rounds=8,
+            capacity_range=(2, 5),
+            ensure_feasible=False,
+        )
+        capacities.pop(1003)  # one unconstrained seller
+        auction = MultiStageOnlineAuction(capacities, on_infeasible="skip")
+        excluded = 0
+        for instance in rounds:
+            psi, used = auction.psi, auction.capacity_used
+            admissible = [
+                b
+                for b in instance.bids
+                if b.seller not in capacities
+                or b.size <= capacities[b.seller] - used.get(b.seller, 0)
+            ]
+            excluded += len(instance.bids) - len(admissible)
+            result = auction.process_round(instance)
+            assert result.original_bids == {b.key: b for b in instance.bids}
+            assert list(result.original_bids) == [
+                b.key for b in instance.bids
+            ]
+            assert result.scaled_prices == {
+                b.key: b.price + b.size * psi.get(b.seller, 0.0)
+                for b in admissible
+            }
+            assert list(result.scaled_prices) == [b.key for b in admissible]
+            assert result.outcome.instance.bids == tuple(
+                Bid(
+                    seller=b.seller,
+                    index=b.index,
+                    covered=b.covered,
+                    price=result.scaled_prices[b.key],
+                    true_cost=b.cost,
+                )
+                for b in admissible
+            )
+            for seller in capacities:
+                assert auction.remaining_capacity(seller) == (
+                    capacities[seller] - auction.capacity_used[seller]
+                )
+        assert excluded
+        assert auction.remaining_capacity(1003) is None
+        assert list(auction.psi) == list(capacities)
+
+    def test_cache_hit_round_builds_bids_only_for_winners(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        keys = [
+            (1000 + s, j, frozenset(rng.choice(8, size=2, replace=False).tolist()))
+            for s in range(400)
+            for j in range(2)
+        ]
+
+        def market():
+            prices = rng.uniform(10.0, 35.0, size=len(keys)).tolist()
+            return WSPInstance(
+                bids=tuple(
+                    Bid(seller=s, index=j, covered=c, price=p, true_cost=p)
+                    for (s, j, c), p in zip(keys, prices)
+                ),
+                demand={b: 1 + b % 2 for b in range(8)},
+                price_ceiling=50.0,
+            )
+
+        auction = MultiStageOnlineAuction(
+            {1000 + s: 10**9 for s in range(400)}, retain_rounds=False
+        )
+        auction.process_round(market())  # builds the layout
+        instance = market()
+        built = []
+        post_init = Bid.__post_init__
+        monkeypatch.setattr(
+            Bid, "__post_init__", lambda bid: built.append(post_init(bid))
+        )
+        result = auction.process_round(instance)
+        assert 0 < len(result.outcome.winners)
+        assert len(built) <= len(result.outcome.winners)
+
+
+class TestCapacityInvariant:
+    @pytest.mark.parametrize("retain_rounds", [True, False])
+    def test_broken_screen_is_caught(self, monkeypatch, retain_rounds):
+        # A screen that admits everything lets size-2 bids of Θ = 1
+        # sellers win: the per-round χ ≤ Θ check must catch it, in the
+        # streaming mode too, and finalize() must not pass it either.
+        monkeypatch.setattr(
+            MultiStageOnlineAuction,
+            "_screen",
+            lambda self, frame: np.ones(frame.sizes.size, dtype=bool),
+        )
+        auction = MultiStageOnlineAuction(
+            dict.fromkeys(CAPACITIES, 1), retain_rounds=retain_rounds
+        )
+        with pytest.raises(MechanismError, match="exceeding capacity 1"):
+            auction.process_round(round_instance())
+        with pytest.raises(MechanismError, match="exceeding capacity 1"):
+            auction.finalize()
+
+    def test_real_screen_keeps_chi_within_theta(self):
+        auction = MultiStageOnlineAuction(
+            dict.fromkeys(CAPACITIES, 2),
+            on_infeasible="skip",
+            retain_rounds=False,
+        )
+        for _ in range(4):
+            auction.process_round(round_instance())
+        auction.finalize()
+        assert all(used <= 2 for used in auction.capacity_used.values())
 
 
 def _alpha_counterexample():

@@ -2,11 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.bids import Bid
 from repro.core.msoa import run_msoa
-from repro.core.outcomes import AuctionOutcome, OnlineOutcome, WinningBid
+from repro.core.outcomes import (
+    AuctionOutcome,
+    OnlineOutcome,
+    RowMapping,
+    ScaledBids,
+    WinningBid,
+)
 from repro.core.ssam import PaymentRule, run_ssam
 from repro.core.wsp import WSPInstance
 from repro.errors import MechanismError
@@ -175,3 +182,56 @@ class TestSerde:
         data["schema_version"] = 999
         with pytest.raises(MechanismError):
             AuctionOutcome.from_dict(data)
+
+
+class TestLazyViews:
+    """The read-only views MSOA's round results are made of."""
+
+    def test_scaled_bids_build_each_bid_once_in_order(self, market):
+        rows = np.array([0, 2, 3])
+        prices = np.array([13.0, 9.5, 4.0])
+        view = ScaledBids(market.bids, rows, prices)
+        eager = tuple(
+            Bid(
+                seller=market.bids[r].seller,
+                index=market.bids[r].index,
+                covered=market.bids[r].covered,
+                price=p,
+                true_cost=market.bids[r].cost,
+            )
+            for r, p in zip(rows, prices)
+        )
+        assert len(view) == 3
+        assert view == eager and tuple(view) == eager
+        assert view[-1] is view[2] and view[0] is next(iter(view))
+        assert view[1:] == eager[1:]
+        assert type(view[0].price) is float
+        with pytest.raises(IndexError):
+            view[3]
+
+    def test_row_mapping_is_the_dict_of_its_rows(self, market):
+        keys = [b.key for b in market.bids]
+        row_of = {key: row for row, key in enumerate(keys)}
+        prices = [b.price for b in market.bids]
+        full = RowMapping(keys, row_of, prices)
+        assert full == {b.key: b.price for b in market.bids}
+        assert list(full) == keys and len(full) == 4
+        masked = RowMapping(
+            keys, row_of, prices, np.array([True, False, True, True])
+        )
+        assert list(masked) == [keys[0], keys[2], keys[3]]
+        assert len(masked) == 3
+        assert masked == {k: p for k, p in zip(keys, prices) if k != keys[1]}
+        assert keys[1] not in masked
+        with pytest.raises(KeyError):
+            masked[keys[1]]
+
+    def test_msoa_round_views_round_trip(self, market):
+        # Θ = 1 for seller 12 (size 2): excluded from the first round on.
+        outcome = run_msoa(
+            [market] * 3, {10: 6, 11: 4, 12: 1, 14: 4}, on_infeasible="skip"
+        )
+        assert isinstance(outcome.rounds[0].scaled_prices, RowMapping)
+        assert len(outcome.rounds[0].scaled_prices) == 3
+        data = outcome.to_dict()
+        assert OnlineOutcome.from_dict(data).to_dict() == data

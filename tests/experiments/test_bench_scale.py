@@ -132,6 +132,8 @@ class TestRun:
         assert msoa["incremental_ms_per_round"] > 0
         assert msoa["cold_ms_per_round"] > 0
         assert msoa["rounds"] == 3
+        assert msoa["ssam_ms_per_round"] > 0
+        assert 0 < msoa["ssam_share"]
 
     def test_shard_payload_schema(self):
         shard = tiny_payload()["shard"]
@@ -240,6 +242,17 @@ class TestRegressionGate:
         failures = check_scale_regression(payload, baseline)
         assert len(failures) == 1
         assert "incremental_speedup" in failures[0]
+
+    def test_msoa_overhead_regression_fails(self):
+        # SSAM's share of an incremental round falls when MSOA's own
+        # per-round work grows back.
+        payload, baseline = self._payloads()
+        payload["msoa"]["ssam_share"] = baseline["msoa"]["ssam_share"] * 0.7
+        failures = check_scale_regression(payload, baseline)
+        assert len(failures) == 1
+        assert "ssam_share" in failures[0]
+        payload["msoa"]["ssam_share"] = baseline["msoa"]["ssam_share"] * 0.9
+        assert check_scale_regression(payload, baseline) == []
 
     def test_divergence_fails_regardless_of_timing(self):
         payload, baseline = self._payloads()

@@ -20,6 +20,8 @@ claim across every layer that can select an engine:
   cache on structurally stable rounds,
 * the full platform loop — MSOA, pay-as-bid, and VCG mechanisms —
   yields identical round reports and ledger totals under every engine,
+* the layout's Ξ (Theorem 3's price spread, read from the price column
+  for every columnar ratio bound) equals the walk over bids exactly,
 * on tie-heavy markets (prices from a small integer set), the payment
   kernel's head-candidate fast path breaks ratio and price ties exactly
   like the reference order, with the guard cheap and escalated, and
@@ -44,6 +46,7 @@ from repro.core.columnar import (
     columnar_greedy_selection,
 )
 from repro.core.msoa import run_msoa
+from repro.core.ratios import price_spread
 from repro.core.ssam import (
     PaymentRule,
     _critical_payment,
@@ -220,6 +223,27 @@ def test_lockstep_payments_identical(instance):
                 patch.setattr(columnar, name, value)
             got = columnar_critical_payments(instance, winners)
         assert got == expected, mode
+
+
+@COMMON
+@given(
+    instance=st.one_of(
+        # Zero prices: all-zero sellers are skipped, a zero bottom under
+        # a positive top makes Ξ infinite.
+        wsp_instances(
+            price_choices=(0.0, 0.5, 1.0, 3.0, 12.5), max_bids_per_seller=3
+        ),
+        wsp_instances(min_price=0.0, max_bids_per_seller=3),
+    )
+)
+def test_layout_price_spread_is_price_spread(instance):
+    """Ξ read from the layout's price column equals the walk over bids."""
+    layout = ColumnarInstance.build(instance.bids, instance.demand)
+    assert layout.price_spread() == price_spread(instance.bids)
+    outcome = run_ssam(instance, engine="columnar")
+    assert outcome.ratio_bound == run_ssam(
+        instance, engine="reference"
+    ).ratio_bound
 
 
 @COMMON
