@@ -75,24 +75,7 @@ __all__ = [
     "ColumnarState",
     "columnar_greedy_selection",
     "columnar_critical_payments",
-    "structure_fingerprint",
 ]
-
-
-def structure_fingerprint(
-    bids: Sequence[Bid], demand: Mapping[int, int]
-) -> tuple:
-    """Hashable identity of a market's *structure* (prices excluded).
-
-    Two instances with equal fingerprints share seller/index/coverage
-    columns and the demand vector, so a :class:`ColumnarInstance` built
-    for one can be re-priced for the other via
-    :meth:`ColumnarInstance.with_bids` — the MSOA incrementality hook.
-    """
-    return (
-        tuple((b.seller, b.index, b.covered) for b in bids),
-        tuple(demand.items()),
-    )
 
 
 class ColumnarInstance:
@@ -121,7 +104,6 @@ class ColumnarInstance:
         "initial_utilities",
         "initial_suppliers",
         "row_of",
-        "fingerprint",
     )
 
     def __init__(self, **fields) -> None:
@@ -206,7 +188,6 @@ class ColumnarInstance:
             initial_utilities=initial_utilities,
             initial_suppliers=initial_suppliers,
             row_of={bid.key: i for i, bid in enumerate(bids)},
-            fingerprint=structure_fingerprint(bids, demand),
         )
 
     @property
@@ -225,11 +206,12 @@ class ColumnarInstance:
         ``bids`` (MSOA passes its lazy :class:`~repro.core.outcomes.
         ScaledBids` view) and the ``prices`` column must be structurally
         identical to the originals (same sellers, indices, and coverage
-        sets, in the same order) — only prices may differ.  This is the
-        MSOA round-to-round refresh: a new ψ-scaled price column, no
-        structural or per-bid work.  The caller is responsible for the
-        structural match (compare :func:`structure_fingerprint`);
-        lengths are checked.
+        sets, in the same order, under the same demand) — only prices
+        may differ.  This is the MSOA round-to-round refresh: a new
+        ψ-scaled price column, no structural or per-bid work.  The
+        caller guarantees the match (MSOA's bid frame re-prices only
+        while the round's bids, exclusions and demand repeat); only
+        lengths are checked here.
         """
         for name, size in (("bids", len(bids)), ("prices", len(prices))):
             if size != self.n_bids:
@@ -335,7 +317,6 @@ class ColumnarInstance:
             initial_utilities=initial_utilities,
             initial_suppliers=initial_suppliers,
             row_of={bid.key: i for i, bid in enumerate(bids)},
-            fingerprint=structure_fingerprint(bids, demand_map),
         )
 
 

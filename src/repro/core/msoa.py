@@ -61,7 +61,7 @@ from repro.core.ssam import (
     run_ssam,
     warn_ignored,
 )
-from repro.core.wsp import WSPInstance, supply_clamped_demand
+from repro.core.wsp import WSPInstance, clear_supply_clamped
 from repro.errors import (
     ConfigurationError,
     InfeasibleInstanceError,
@@ -85,9 +85,11 @@ class _BidFrame:
     """One round's ``(seller, index, covered)`` rows as columns, kept
     while the structure repeats: per row the seller's slot (0 for a
     seller without one, which screens and prices like an unconstrained
-    seller's own slot), ``|Sᵗᵢⱼ|`` and the bid key."""
+    seller's own slot), ``|Sᵗᵢⱼ|`` and the bid key.  It is MSOA's only
+    structure index, so it also carries the columnar layout last built
+    for its admitted rows (see :meth:`columnar`)."""
 
-    __slots__ = ("structure", "slots", "sizes", "keys", "row_of")
+    __slots__ = ("structure", "slots", "sizes", "keys", "row_of", "layout")
 
     def __init__(self, structure: tuple, slot_of: Mapping[int, int]) -> None:
         self.structure = structure
@@ -95,10 +97,52 @@ class _BidFrame:
         self.sizes = np.array([len(c) for _, _, c in structure], np.int64)
         self.keys = [(s, i) for s, i, _ in structure]
         self.row_of = {key: row for row, key in enumerate(self.keys)}
+        # (admitted mask, positive demand items, ColumnarInstance)
+        self.layout: tuple | None = None
+
+    @classmethod
+    def of(
+        cls,
+        bids: Sequence[Bid],
+        previous: "_BidFrame | None",
+        slot_of: Mapping[int, int],
+    ) -> "_BidFrame":
+        """``previous`` while ``bids`` repeat its rows — the round's one
+        structure check — else a new frame for them."""
+        structure = tuple(map(_STRUCTURE, bids))
+        if previous is not None and previous.structure == structure:
+            return previous
+        return cls(structure, slot_of)
 
     def view(self, values: Sequence, mask: np.ndarray | None = None):
         """``key → values[row]`` over the rows ``mask`` selects."""
         return RowMapping(self.keys, self.row_of, values, mask)
+
+    def columnar(
+        self, admitted: np.ndarray, bids: ScaledBids, demand: Mapping[int, int]
+    ):
+        """The layout of the ``admitted`` rows' ``bids`` for the positive
+        ``demand``: the carried one re-priced when the mask and the demand
+        items repeat (ψ only moves prices), else a fresh build, carried
+        in its place."""
+        from repro.core.columnar import ColumnarInstance
+
+        items = tuple(demand.items())
+        carried = self.layout
+        if (
+            carried is not None
+            and carried[1] == items
+            and np.array_equal(carried[0], admitted)
+        ):
+            layout = carried[2].with_bids(bids, bids.prices)
+            if _OBS.enabled:
+                _OBS.metrics.counter("engine.columnar.cache_hits").inc()
+        else:
+            layout = ColumnarInstance.build(bids, demand)
+            if _OBS.enabled:
+                _OBS.metrics.counter("engine.columnar.cache_misses").inc()
+        self.layout = (admitted, items, layout)
+        return layout
 
 
 def resolve_fault_args(faults, resilience):
@@ -233,7 +277,6 @@ class MultiStageOnlineAuction:
         self._engine = resolve_engine(engine)
         self._on_infeasible = on_infeasible
         self._columnar_incremental = bool(columnar_incremental)
-        self._columnar_cache = None
         self._injector, self._policy = resolve_fault_args(faults, resilience)
         self._carry: dict[int, int] = {}
         # The only ψ/χ/Θ store.  Slot k ≥ 1 is seller ``_sellers[k - 1]``:
@@ -298,14 +341,6 @@ class MultiStageOnlineAuction:
     # ------------------------------------------------------------------
     # the online loop
     # ------------------------------------------------------------------
-    def _frame_of(self, bids: Sequence[Bid]) -> "_BidFrame":
-        """The round's bid columns, reused while the bid structure repeats."""
-        structure = tuple(map(_STRUCTURE, bids))
-        frame = self._frame
-        if frame is None or frame.structure != structure:
-            frame = self._frame = _BidFrame(structure, self._slot_of)
-        return frame
-
     def _screen(self, frame: "_BidFrame") -> np.ndarray:
         """Line 5: the rows whose size fits the seller's ``Θᵢ − χᵢ``."""
         return frame.sizes <= (self._theta - self._chi)[frame.slots]
@@ -322,15 +357,12 @@ class MultiStageOnlineAuction:
     def _columnar_kwargs(self, instance: WSPInstance) -> dict:
         """The ``columnar=`` forward for a round's :func:`run_ssam` call.
 
-        On the columnar engine with incrementality enabled, the layout
-        built for an earlier round is re-priced from this round's scaled
-        price column whenever the round's structure matches it (same
-        admitted bids' sellers/indices/coverage, same positive demand) —
-        ψ only moves prices, so the common case across rounds is a pure
-        price-column refresh.  Any structural change (capacity
-        exclusions, redrawn bids, faults, clamped demand) misses the
-        cache and rebuilds; the re-auctions inside a round (fault
-        recovery, best-effort clamping) build their own layouts.
+        On the columnar engine with incrementality enabled, the round's
+        own clearing takes its layout from the bid frame
+        (:meth:`_BidFrame.columnar`): a pure price-column refresh while
+        the bids, the capacity exclusions and the positive demand
+        repeat, a rebuild otherwise.  The re-auctions inside a round
+        (fault recovery, best-effort clamping) build their own layouts.
         """
         if (
             self._engine != "columnar"
@@ -338,31 +370,11 @@ class MultiStageOnlineAuction:
             or instance is not self._round[0]
         ):
             return {}
-        from repro.core.columnar import ColumnarInstance
-
         demand = {b: u for b, u in instance.demand.items() if u > 0}
         if not demand:
             return {}
         _, frame, admitted = self._round
-        structure = (
-            frame.structure
-            if admitted.all()
-            else tuple(compress(frame.structure, admitted))
-        )
-        cached = self._columnar_cache
-        if cached is not None and cached.fingerprint == (
-            structure,
-            tuple(demand.items()),
-        ):
-            prepared = cached.with_bids(instance.bids, instance.bids.prices)
-            if _OBS.enabled:
-                _OBS.metrics.counter("engine.columnar.cache_hits").inc()
-        else:
-            prepared = ColumnarInstance.build(instance.bids, demand)
-            if _OBS.enabled:
-                _OBS.metrics.counter("engine.columnar.cache_misses").inc()
-        self._columnar_cache = prepared
-        return {"columnar": prepared}
+        return {"columnar": frame.columnar(admitted, instance.bids, demand)}
 
     def _execute_ssam(
         self,
@@ -410,7 +422,7 @@ class MultiStageOnlineAuction:
             "msoa.round", round_index=round_index, bids=len(instance.bids)
         ) as round_span:
             bids = instance.bids
-            frame = self._frame_of(bids)
+            frame = self._frame = _BidFrame.of(bids, self._frame, self._slot_of)
             admitted = self._screen(frame)
             prices = list(map(_PRICE, bids))
             original_prices = frame.view(prices, admitted)
@@ -545,31 +557,22 @@ class MultiStageOnlineAuction:
         return outcome, RoundResilience(events=tuple(pre_events))
 
     def _best_effort_round(self, scaled_instance: WSPInstance, clear):
-        """Serve the largest demand the admissible bids can still cover.
+        """Serve the largest demand the admissible bids can still cover
+        (:func:`~repro.core.wsp.clear_supply_clamped`); if even the
+        clamped round is stuck (pathological seller overlap), fall back
+        to the skipped round."""
 
-        Clamps each buyer's requirement to the number of distinct
-        admissible sellers covering it and clears again.  If even the
-        clamped round is stuck (pathological seller overlap), falls back
-        to the skipped round.
-        """
-        clamped = supply_clamped_demand(scaled_instance)
-        if _OBS.enabled:
-            _OBS.metrics.counter("msoa.capacity_repairs").inc()
-            _OBS.tracer.event(
-                "capacity-repair",
-                demand={str(b): u for b, u in scaled_instance.demand.items()},
-                clamped={str(b): u for b, u in clamped.items()},
-            )
-        try:
-            return clear(
-                WSPInstance(
-                    bids=scaled_instance.bids,
-                    demand=clamped,
-                    price_ceiling=scaled_instance.price_ceiling,
+        def repair(clamped: WSPInstance):
+            if _OBS.enabled:
+                _OBS.metrics.counter("msoa.capacity_repairs").inc()
+                _OBS.tracer.event(
+                    "capacity-repair",
+                    demand={str(b): u for b, u in scaled_instance.demand.items()},
+                    clamped={str(b): u for b, u in clamped.demand.items()},
                 )
-            )
-        except InfeasibleInstanceError:
-            return self._skip_outcome(scaled_instance)
+            return clear(clamped)
+
+        return clear_supply_clamped(scaled_instance, repair, self._skip_outcome)
 
     def _skip_outcome(self, instance: WSPInstance):
         """The empty-winner outcome recorded for a skipped round."""

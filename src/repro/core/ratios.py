@@ -92,10 +92,14 @@ def msoa_competitive_bound(alpha: float, beta: float) -> float:
     Requires ``β > 1`` — a seller whose capacity equals its bid size can be
     fully depleted by a single win, and the multiplicative-update argument
     gives no finite guarantee there; we return ``inf`` in that case rather
-    than raising, because empirical runs are still meaningful.
+    than raising, because empirical runs are still meaningful.  ``β = ∞``
+    (no admitted bid is capacity-bound) gives the limit ``α``, not the
+    ``inf/inf`` of the formula.
     """
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
     if beta <= 1:
         return math.inf
+    if math.isinf(beta):
+        return alpha
     return alpha * beta / (beta - 1.0)

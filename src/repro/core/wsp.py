@@ -17,15 +17,24 @@ formulation.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.bids import Bid, group_bids_by_seller, validate_bids
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 
-__all__ = ["WSPInstance", "CoverageState", "supply_clamped_demand"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (outcomes → wsp)
+    from repro.core.outcomes import AuctionOutcome
+
+__all__ = [
+    "WSPInstance",
+    "CoverageState",
+    "supply_clamped_demand",
+    "clear_supply_clamped",
+]
 
 
 @dataclass(frozen=True)
@@ -354,16 +363,40 @@ def supply_clamped_demand(instance: WSPInstance) -> dict[int, int]:
     """Clamp each buyer's demand to the distinct sellers covering it.
 
     Each seller wins at most one bid (constraint 14), so a buyer can be
-    granted at most one unit per distinct covering seller.  The
-    best-effort repairs (MSOA's ``on_infeasible="best_effort"``, a
-    shard's local clearing, partial fault degradation) re-run the round
-    on this demand to serve what the bid pool can still supply.
+    granted at most one unit per distinct covering seller.
+    :func:`clear_supply_clamped` re-runs an infeasible round on this
+    demand to serve what the bid pool can still supply.
     """
     sellers_covering = _sellers_covering(instance.bids)
     return {
         buyer: min(units, len(sellers_covering.get(buyer, ())))
         for buyer, units in instance.demand.items()
     }
+
+
+def clear_supply_clamped(
+    instance: WSPInstance,
+    clear: Callable[[WSPInstance], AuctionOutcome],
+    fallback: Callable[[WSPInstance], AuctionOutcome] | None = None,
+) -> AuctionOutcome:
+    """Clear ``instance`` at its :func:`supply_clamped_demand`.
+
+    The one best-effort repair of an infeasible round: ``clear`` runs on
+    the clamped demand, and if even that is stuck (e.g. every bid priced
+    above the ceiling) the result is ``fallback(instance)`` — by default
+    ``clear`` on the round with its demand emptied, an empty outcome.
+    """
+    clamped = WSPInstance(
+        bids=instance.bids,
+        demand=supply_clamped_demand(instance),
+        price_ceiling=instance.price_ceiling,
+    )
+    try:
+        return clear(clamped)
+    except InfeasibleInstanceError:
+        if fallback is not None:
+            return fallback(instance)
+        return clear(WSPInstance(bids=instance.bids, demand={}, price_ceiling=None))
 
 
 @dataclass

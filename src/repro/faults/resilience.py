@@ -30,7 +30,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro.core.mechanism import outcome_from_selection
 from repro.core.outcomes import AuctionOutcome, WinningBid
-from repro.core.wsp import CoverageState, WSPInstance, supply_clamped_demand
+from repro.core.wsp import CoverageState, WSPInstance, clear_supply_clamped
 from repro.errors import InfeasibleInstanceError
 from repro.faults.injector import FaultInjector
 from repro.faults.policies import ResiliencePolicy
@@ -126,7 +126,7 @@ def execute_with_resilience(
     except InfeasibleInstanceError:
         if policy.degradation != "partial":
             raise
-        primary = _run_clamped(instance, runner)
+        primary = clear_supply_clamped(instance, runner)
         clamped = True
     defaulted, default_events = injector.winner_defaults(
         round_index, primary.winners, attempt=0
@@ -224,28 +224,6 @@ def execute_with_resilience(
             uncovered={str(b): u for b, u in sorted(residual.items())},
         )
     return outcome, report
-
-
-def _run_clamped(instance: WSPInstance, runner: Runner) -> AuctionOutcome:
-    """Serve the largest demand the surviving bid pool can still cover.
-
-    The partial-degradation answer to an infeasible primary round: clamp
-    each buyer's requirement to the number of distinct sellers covering
-    it and re-run.  Falls back to an empty round if even the clamped
-    instance is stuck (e.g. every bid priced above the ceiling).
-    """
-    try:
-        return runner(
-            WSPInstance(
-                bids=instance.bids,
-                demand=supply_clamped_demand(instance),
-                price_ceiling=instance.price_ceiling,
-            )
-        )
-    except InfeasibleInstanceError:
-        return runner(
-            WSPInstance(bids=instance.bids, demand={}, price_ceiling=None)
-        )
 
 
 def _residual_demand(

@@ -31,6 +31,7 @@ policy.  See ``docs/scaling.md``.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from repro.core.duals import DualSolution
 from repro.core.outcomes import AuctionOutcome, WinningBid
 from repro.core.ssam import PaymentRule, _ratio_bound, run_ssam
-from repro.core.wsp import WSPInstance, supply_clamped_demand
+from repro.core.wsp import WSPInstance, clear_supply_clamped
 from repro.errors import InfeasibleInstanceError
 from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
@@ -92,16 +93,6 @@ class ShardedRoundOutcome:
     stats: ShardRoundStats
 
 
-def _empty_outcome(
-    bids: tuple, payment_rule: PaymentRule, engine: str
-) -> AuctionOutcome:
-    return run_ssam(
-        WSPInstance(bids=bids, demand={}, price_ceiling=None),
-        payment_rule=payment_rule,
-        engine=engine,
-    )
-
-
 def _clear_local(
     sub: WSPInstance,
     *,
@@ -110,41 +101,20 @@ def _clear_local(
     columnar,
     engine: str,
 ) -> tuple[AuctionOutcome, bool]:
-    """Clear one shard; never raises — unmet demand becomes residual."""
+    """Clear one shard; never raises — unmet demand becomes residual.
+    The flag says whether the shard's demand was clamped."""
+    clear = functools.partial(
+        run_ssam,
+        payment_rule=payment_rule,
+        original_prices=original_prices,
+        engine=engine,
+    )
     try:
-        return (
-            run_ssam(
-                sub,
-                payment_rule=payment_rule,
-                original_prices=original_prices,
-                columnar=columnar,
-                engine=engine,
-            ),
-            False,
-        )
+        return clear(sub, columnar=columnar), False
     except InfeasibleInstanceError:
-        pass
-    clamped = supply_clamped_demand(sub)
-    if clamped != dict(sub.demand):
-        try:
-            return (
-                run_ssam(
-                    WSPInstance(
-                        bids=sub.bids,
-                        demand=clamped,
-                        price_ceiling=sub.price_ceiling,
-                    ),
-                    payment_rule=payment_rule,
-                    original_prices=original_prices,
-                    # Clamping changes the demand vector, so a prebuilt
-                    # layout no longer matches; rebuild inside run_ssam.
-                    engine=engine,
-                ),
-                True,
-            )
-        except InfeasibleInstanceError:
-            pass
-    return _empty_outcome(sub.bids, payment_rule, engine), True
+        # Clamping changes the demand vector, so the prebuilt layout no
+        # longer matches; the repair rebuilds inside run_ssam.
+        return clear_supply_clamped(sub, clear), True
 
 
 @profiled("shard.round")
@@ -331,7 +301,11 @@ def _reconcile(
             ) from None
     if eligible:
         # Nothing left to serve: cross-shard bids all lose.
-        return _empty_outcome(eligible, payment_rule, engine)
+        return run_ssam(
+            WSPInstance(bids=eligible, demand={}, price_ceiling=None),
+            payment_rule=payment_rule,
+            engine=engine,
+        )
     return None
 
 

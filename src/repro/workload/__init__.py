@@ -1,20 +1,12 @@
 """Workload and market generation (Section V.A parameter settings).
 
-Arrival-process generators (Poisson / deterministic / MMPP), synthetic
-bid markets with the paper's U[10, 35] prices and [10, 40] capacities,
-named scenario presets, and diurnal demand traces.  The arrival
-generators and request-class profiles are standalone: the served
-platform draws its arrivals with :class:`repro.sim.processes.ArrivalProcess`
-at the per-user rates :func:`repro.edge.users.build_user_population`
-assigns.
+Synthetic bid markets with the paper's U[10, 35] prices and [10, 40]
+capacities, named scenario presets, and diurnal demand traces.  The
+served platform draws its arrivals with
+:class:`repro.sim.processes.ArrivalProcess` at the per-user rates
+:func:`repro.edge.users.build_user_population` assigns.
 """
 
-from repro.workload.arrivals import DeterministicArrivals, MMPPArrivals, PoissonArrivals
-from repro.workload.classes import (
-    PAPER_CLASSES,
-    RequestClassProfile,
-    WorkDistribution,
-)
 from repro.workload.bidgen import (
     MarketConfig,
     generate_capacities,
@@ -37,12 +29,6 @@ from repro.workload.trace_driven import (
 from repro.workload.traces import DiurnalTraceConfig, generate_demand_trace
 
 __all__ = [
-    "PAPER_CLASSES",
-    "RequestClassProfile",
-    "WorkDistribution",
-    "DeterministicArrivals",
-    "MMPPArrivals",
-    "PoissonArrivals",
     "MarketConfig",
     "generate_capacities",
     "generate_horizon",

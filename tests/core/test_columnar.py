@@ -21,7 +21,6 @@ from repro.core.columnar import (
     ColumnarState,
     columnar_critical_payments,
     columnar_greedy_selection,
-    structure_fingerprint,
 )
 from repro.core.ratios import price_spread
 from repro.core.ssam import PaymentRule, _critical_payment, run_ssam
@@ -82,23 +81,6 @@ class TestBuild:
             ]
             assert sorted(np.flatnonzero(inst.cover[row])) == sorted(cols)
 
-    def test_fingerprint_ignores_prices_only(self):
-        instance = tiny_instance()
-        repriced = [bid.with_price(bid.price + 1.0) for bid in instance.bids]
-        assert structure_fingerprint(
-            instance.bids, instance.demand
-        ) == structure_fingerprint(repriced, instance.demand)
-        recovered = list(instance.bids)
-        recovered[0] = Bid(
-            seller=100, index=0, covered=frozenset({0}), price=10.0
-        )
-        assert structure_fingerprint(
-            instance.bids, instance.demand
-        ) != structure_fingerprint(recovered, instance.demand)
-        assert structure_fingerprint(
-            instance.bids, instance.demand
-        ) != structure_fingerprint(instance.bids, {0: 1, 1: 1, 2: 0})
-
 
 class TestWithBids:
     def test_shares_structure_and_swaps_prices(self):
@@ -113,11 +95,15 @@ class TestWithBids:
         assert repriced.seller_cov is inst.seller_cov
         assert repriced.initial_utilities is inst.initial_utilities
         assert repriced.row_of is inst.row_of
-        assert repriced.fingerprint == inst.fingerprint
+        for name in ("demand", "seller_ids", "bid_indices", "cover_indptr",
+                     "cover_cols", "initial_suppliers"):
+            assert getattr(repriced, name) is getattr(inst, name), name
+        assert repriced.demand_map is inst.demand_map
+        assert repriced.buyers is inst.buyers
 
     def test_rejects_length_mismatches(self):
-        # Keys are not re-checked: the caller compares fingerprints, so
-        # a refresh makes no per-bid calls.
+        # Keys are not re-checked: the caller guarantees the structure
+        # matches, so a refresh makes no per-bid calls.
         instance = tiny_instance()
         inst = ColumnarInstance.build(instance.bids, instance.demand)
         with pytest.raises(ValueError, match="expected 4 bids"):

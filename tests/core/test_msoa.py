@@ -167,6 +167,16 @@ class TestFinalize:
         assert outcome.beta > 1
         assert outcome.competitive_bound < float("inf")
 
+    def test_unconstrained_horizon_bound_is_alpha(self):
+        # β = ∞ when no admitted bid is capacity-bound: the bound is the
+        # β → ∞ limit α, not inf/inf = nan.
+        auction = MultiStageOnlineAuction({})
+        for _ in range(3):
+            auction.process_round(round_instance())
+        outcome = auction.finalize()
+        assert outcome.beta == float("inf")
+        assert outcome.competitive_bound == outcome.alpha == auction.alpha
+
     def test_payments_on_scaled_prices_preserve_ir(self):
         outcome = run_msoa([round_instance()] * 3, CAPACITIES)
         for round_result in outcome.rounds:

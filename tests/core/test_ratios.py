@@ -97,9 +97,17 @@ class TestCompetitiveBound:
         assert math.isinf(msoa_competitive_bound(2.0, 1.0))
         assert math.isinf(msoa_competitive_bound(2.0, 0.5))
 
+    def test_infinite_beta_gives_alpha(self):
+        # The β → ∞ limit of αβ/(β−1), not inf/inf = nan.
+        assert msoa_competitive_bound(2.0, math.inf) == 2.0
+        assert msoa_competitive_bound(1.0, math.inf) == 1.0
+        assert msoa_competitive_bound(2.0, 1e300) == pytest.approx(2.0)
+
     def test_non_positive_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
             msoa_competitive_bound(0.0, 2.0)
+        with pytest.raises(ConfigurationError):
+            msoa_competitive_bound(0.0, math.inf)
 
     def test_bound_decreases_with_beta(self):
         bounds = [msoa_competitive_bound(2.0, b) for b in (1.5, 2.0, 4.0, 10.0)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bids import Bid
-from repro.core.wsp import CoverageState, WSPInstance
+from repro.core.wsp import CoverageState, WSPInstance, clear_supply_clamped
 from repro.errors import ConfigurationError, InfeasibleInstanceError
 
 
@@ -179,3 +179,43 @@ class TestCoverageState:
         clone = state.copy()
         state.apply(bid(10, {1}, 1.0))
         assert clone.unmet == 1 and state.unmet == 0
+
+
+class TestClearSupplyClamped:
+    """The one clamp-and-retry repair shared by MSOA's best effort, a
+    shard's local clearing and partial fault degradation."""
+
+    def market(self):
+        # Buyer 1 needs 3 units but only sellers 10 and 11 cover it.
+        return WSPInstance.from_bids(
+            [bid(10, {1}, 5.0), bid(11, {1, 2}, 6.0)],
+            {1: 3, 2: 1},
+            price_ceiling=20.0,
+        )
+
+    def test_clears_the_clamped_demand(self):
+        seen = []
+        result = clear_supply_clamped(
+            self.market(), lambda inst: seen.append(inst) or "cleared"
+        )
+        assert result == "cleared"
+        assert [dict(inst.demand) for inst in seen] == [{1: 2, 2: 1}]
+        assert seen[0].price_ceiling == 20.0
+
+    def stuck(self, inst):
+        if inst.total_demand:
+            raise InfeasibleInstanceError("stuck")
+        return inst
+
+    def test_default_fallback_clears_an_empty_demand(self):
+        instance = self.market()
+        empty = clear_supply_clamped(instance, self.stuck)
+        assert dict(empty.demand) == {} and empty.price_ceiling is None
+        assert empty.bids == instance.bids
+
+    def test_given_fallback_replaces_the_empty_clear(self):
+        instance = self.market()
+        result = clear_supply_clamped(
+            instance, self.stuck, lambda inst: ("skipped", inst)
+        )
+        assert result == ("skipped", instance)

@@ -373,6 +373,69 @@ class TestMsoaIncrementality:
             _reset_for_tests()
         assert carried.to_dict() == cold.to_dict()
 
+    def test_carry_hits_only_while_mask_and_demand_repeat(self):
+        # The bid frame re-prices its layout only while the bids, the
+        # capacity exclusions and the positive demand all repeat; a
+        # price-only change (ψ moving) hits, anything structural misses.
+        from repro.core.bids import Bid
+        from repro.core.msoa import MultiStageOnlineAuction
+        from repro.core.wsp import WSPInstance
+        from repro.obs.runtime import STATE, _reset_for_tests, configure
+
+        def bid(seller, covered, price):
+            return Bid(
+                seller=seller, index=0, covered=frozenset(covered), price=price
+            )
+
+        bids = [
+            bid(10, {0, 1}, 1.0),  # wins round 0, then Θ = 2 excludes it
+            bid(11, {0}, 5.0),
+            bid(12, {1}, 5.0),
+            bid(13, {0, 1}, 8.0),
+        ]
+        market = WSPInstance.from_bids(bids, {0: 1, 1: 1}, price_ceiling=50.0)
+        new_demand = WSPInstance.from_bids(
+            bids, {0: 1, 1: 0}, price_ceiling=50.0
+        )
+        new_cover = WSPInstance.from_bids(
+            [bids[0], bid(11, {0, 1}, 5.0), *bids[2:]],
+            {0: 1, 1: 1},
+            price_ceiling=50.0,
+        )
+        rounds = [market, market, market, new_demand, new_cover, new_cover]
+        expected = [
+            "miss",  # first round: nothing carried
+            "miss",  # capacity exclusion: seller 10 screened out
+            "hit",  # price-only re-price: ψ of round 1's winner moved
+            "miss",  # changed demand vector, same bids and mask
+            "miss",  # changed cover set: a new bid frame
+            "hit",
+        ]
+        capacities = {10: 2, 11: 100, 12: 100, 13: 100}
+        cold = run_msoa(
+            rounds, capacities, engine="columnar",
+            columnar_incremental=False,
+        )
+        _reset_for_tests()
+        try:
+            configure()
+            metrics = STATE.metrics
+            auction = MultiStageOnlineAuction(capacities)
+            seen, before = [], (0, 0)
+            for instance in rounds:
+                auction.process_round(instance)
+                after = (
+                    metrics.counter("engine.columnar.cache_hits").value,
+                    metrics.counter("engine.columnar.cache_misses").value,
+                )
+                delta = (after[0] - before[0], after[1] - before[1])
+                seen.append({(1, 0): "hit", (0, 1): "miss"}[delta])
+                before = after
+        finally:
+            _reset_for_tests()
+        assert seen == expected
+        assert auction.finalize().to_dict() == cold.to_dict()
+
 
 class TestPlatformLedgerEquivalence:
     """The full Figure-2 loop (clearing + transfers + ledger) is

@@ -17,10 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 ALLOWED_ORPHANS = {
-    # Substrate generators only their own tests import; their deletion
-    # is scheduled with their tests (ROADMAP item 8, "Cut 1.4").
-    "repro.workload.arrivals",
-    "repro.workload.classes",
     # Public bidding strategies for seller agents; exercised by
     # tests/integration/test_strategic_platform.py.
     "repro.edge.policies",

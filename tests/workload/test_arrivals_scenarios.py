@@ -1,14 +1,9 @@
-"""Unit tests for arrival processes, scenario presets, and traces."""
+"""Unit tests for scenario presets and diurnal demand traces."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.workload.arrivals import (
-    DeterministicArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
 from repro.workload.scenarios import (
     PAPER_DEFAULTS,
     PaperScenario,
@@ -17,58 +12,6 @@ from repro.workload.scenarios import (
     rounds_sweep,
 )
 from repro.workload.traces import DiurnalTraceConfig, generate_demand_trace
-
-
-class TestPoissonArrivals:
-    def test_mean_count_close_to_rate_times_horizon(self):
-        rng = np.random.default_rng(1)
-        process = PoissonArrivals(rate=5.0)
-        counts = [len(process.sample(100.0, rng)) for _ in range(50)]
-        assert np.mean(counts) == pytest.approx(500, rel=0.1)
-
-    def test_sorted_within_horizon(self):
-        rng = np.random.default_rng(2)
-        times = PoissonArrivals(rate=10.0).sample(20.0, rng)
-        assert np.all(np.diff(times) >= 0)
-        assert np.all((times >= 0) & (times < 20.0))
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PoissonArrivals(rate=0.0)
-        with pytest.raises(ConfigurationError):
-            PoissonArrivals(rate=1.0).sample(0.0, np.random.default_rng(3))
-
-
-class TestDeterministicArrivals:
-    def test_even_spacing(self):
-        times = DeterministicArrivals(rate=2.0).sample(
-            5.0, np.random.default_rng(0)
-        )
-        assert np.allclose(np.diff(times), 0.5)
-        assert len(times) == 9  # 0.5, 1.0, ..., 4.5
-
-
-class TestMMPPArrivals:
-    def test_burst_phase_raises_rate(self):
-        rng = np.random.default_rng(4)
-        quiet = PoissonArrivals(rate=2.0)
-        bursty = MMPPArrivals(
-            quiet_rate=2.0, burst_rate=50.0, mean_quiet=2.0, mean_burst=2.0
-        )
-        horizon = 200.0
-        quiet_count = len(quiet.sample(horizon, np.random.default_rng(4)))
-        bursty_count = len(bursty.sample(horizon, rng))
-        assert bursty_count > quiet_count
-
-    def test_sorted_and_bounded(self):
-        rng = np.random.default_rng(5)
-        times = MMPPArrivals(quiet_rate=1.0, burst_rate=10.0).sample(30.0, rng)
-        assert np.all(np.diff(times) >= 0)
-        assert np.all((times >= 0) & (times <= 30.0))
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MMPPArrivals(quiet_rate=0.0, burst_rate=1.0)
 
 
 class TestScenarios:
