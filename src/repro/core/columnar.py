@@ -16,8 +16,12 @@ the greedy machinery on flat numpy arrays:
   handful of ``ndarray.copy()`` calls, which is what makes the batched
   payment kernel cheap.
 * :func:`columnar_greedy_selection` — the greedy selection loop as
-  vectorized candidate scans (``lexsort`` over the exact reference key
-  ``(ratio, price, seller, index)``).
+  vectorized candidate scans.  Each iteration takes the head of the
+  exact reference order ``(ratio, price, seller, index)`` from a
+  ``min`` over the ratios (:func:`_head_candidate`, ``lexsort``-ing
+  only the rows tied on it) and the runner-up as the second order
+  statistic; the full ``lexsort`` and ordered guard walk run only when
+  that head would strand a buyer or the exact guard is on.
 * :func:`columnar_critical_payments` — a batched critical-value kernel.
   For a winner chosen at main-run iteration ``k``, the +∞-replay of
   :func:`repro.core.ssam._critical_payment` provably follows the main
@@ -36,11 +40,7 @@ the greedy machinery on flat numpy arrays:
   winner's marginal utility reaches 0: utilities only fall and sellers
   never re-enter, so no later step can raise the threshold (every
   update, the ceiling-capped terminal cases included, needs a positive
-  utility).  Each step takes the head of the reference order from a
-  ``min`` over the ratios, ``lexsort``-ing only the rows tied on it, and
-  falls back to the full ordered guard walk only when that head would
-  strand a buyer or the exact guard is on — the walk would pick the head
-  in every other case.
+  utility).  Each step takes its head as the selection loop does.
 
 Bit-identical outcomes to the ``reference`` engine are the
 contract (IEEE-754 division of the same operands, the same lexicographic
@@ -490,6 +490,12 @@ def columnar_greedy_selection(
     Same contract, same trace, same exceptions.  Pass a prebuilt
     ``columnar`` instance (for the same bids/demand) to skip the layout
     construction — the MSOA incremental path does.
+
+    Each iteration takes the head of the reference order
+    (:func:`_head_candidate`) and, as runner-up, the ratio second in
+    that order (:func:`_runner_up_ratio`).  The full ordered guard walk
+    runs only when the head would strand a buyer or ``exact_guard`` is
+    on; in every other case the walk would pick the head.
     """
     inst = (
         columnar
@@ -500,29 +506,37 @@ def columnar_greedy_selection(
     steps: list[GreedyStep] = []
     iteration = 0
     while not state.satisfied:
-        order, ratios = _ordered_candidates(state)
+        rows, ratios, ties = _head_candidate(state)
         if _OBS.enabled:
             _OBS.metrics.counter("engine.columnar.candidates_scanned").inc(
-                int(order.size)
+                int(rows.size)
             )
-        if order.size == 0:
+        if rows.size == 0:
             raise InfeasibleInstanceError(
                 f"{state.unmet} demand units cannot be covered by the "
                 "remaining bids"
             )
-        chosen_pos = _guarded_choice(state, order, exact_guard=exact_guard)
-        row = int(order[chosen_pos])
+        head = int(ties[0])
+        row = int(rows[head])
+        if exact_guard or state.would_strand(row):
+            if _OBS.enabled:
+                _OBS.metrics.counter("engine.columnar.selection_walks").inc()
+            order, ordered = _ordered_candidates(state)
+            pos = _guarded_choice(state, order, exact_guard=exact_guard)
+            row, ratio = int(order[pos]), float(ordered[pos])
+            runner_up = (
+                float(ordered[pos + 1]) if pos + 1 < order.size else None
+            )
+        else:
+            ratio = float(ratios[head])
+            runner_up = _runner_up_ratio(ratios, ties)
         steps.append(
             GreedyStep(
                 iteration=iteration,
                 bid=inst.bids[row],
                 utility=int(state.utilities[row]),
-                ratio=float(ratios[chosen_pos]),
-                runner_up_ratio=(
-                    float(ratios[chosen_pos + 1])
-                    if chosen_pos + 1 < order.size
-                    else None
-                ),
+                ratio=ratio,
+                runner_up_ratio=runner_up,
                 coverage_before=state.coverage_before(),
             )
         )
@@ -532,22 +546,28 @@ def columnar_greedy_selection(
     return steps
 
 
-def _head_candidate(state: ColumnarState) -> tuple[int, float]:
-    """The first row of :func:`_ordered_candidates` and its ratio.
+def _head_candidate(
+    state: ColumnarState,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate rows, their ratios, and the head of the reference order.
 
-    A ``min`` over the candidate ratios finds the head; only rows tied
-    on that ratio (the same IEEE-754 quotients) are ``lexsort``-ed on
-    the remaining key ``(price, seller, index)``.  The caller guarantees
-    a candidate exists: in a payment replay the +∞-priced winner itself
-    is one for as long as the replay runs.
+    ``ties`` holds the positions (into ``rows``) of the candidates tied
+    on the least ratio, in :func:`_ordered_candidates` order, so
+    ``rows[ties[0]]`` is that order's first row.  A ``min`` over the
+    ratios finds them, and only they are ``lexsort``-ed on the remaining
+    key ``(price, seller, index)``.  With no candidate left all three
+    arrays are empty; in a payment replay the +∞-priced winner itself
+    is a candidate for as long as the replay runs.
     """
     rows = (state.active & (state.utilities > 0)).nonzero()[0]
     ratios = state.prices[rows] / state.utilities[rows]
-    tied = (ratios == ratios.min()).nonzero()[0]
-    if tied.size > 1:
+    if rows.size == 0:
+        return rows, ratios, rows
+    ties = (ratios == ratios.min()).nonzero()[0]
+    if ties.size > 1:
         inst = state.inst
-        tied_rows = rows[tied]
-        tied = tied[
+        tied_rows = rows[ties]
+        ties = ties[
             np.lexsort(
                 (
                     inst.bid_indices[tied_rows],
@@ -556,8 +576,27 @@ def _head_candidate(state: ColumnarState) -> tuple[int, float]:
                 )
             )
         ]
-    head = tied[0]
-    return int(rows[head]), float(ratios[head])
+    return rows, ratios, ties
+
+
+def _runner_up_ratio(ratios: np.ndarray, ties: np.ndarray) -> float | None:
+    """The ratio second in reference order, given the head's ``ties``.
+
+    That is the second order statistic of ``ratios``: the tie's second
+    member when two or more rows share the least ratio, ``None`` with a
+    single candidate, and otherwise the least ratio of the other rows.
+    """
+    if ties.size > 1:
+        return float(ratios[ties[1]])
+    if ratios.size == 1:
+        return None
+    head = int(ties[0])
+    return float(
+        min(
+            ratios[:head].min(initial=np.inf),
+            ratios[head + 1 :].min(initial=np.inf),
+        )
+    )
 
 
 def _suffix_replay(
@@ -604,7 +643,8 @@ def _suffix_replay(
         if winner_utility <= 0:
             break
         steps += 1
-        row, ratio = _head_candidate(state)
+        rows, ratios, ties = _head_candidate(state)
+        row, ratio = int(rows[ties[0]]), float(ratios[ties[0]])
         if exact_guard or state.would_strand(row):
             order, ratios = _ordered_candidates(state)
             chosen_pos = _guarded_choice(state, order, exact_guard=exact_guard)

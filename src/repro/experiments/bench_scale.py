@@ -108,14 +108,17 @@ class MsoaScaleCase:
     moves prices), so the incremental path degenerates to price-column
     refreshes — exactly the cache-hit regime the carry optimizes.
     Capacities are set far above total demand so no admissibility
-    exclusion perturbs the structure mid-horizon.
+    exclusion perturbs the structure mid-horizon.  Its ``repeats`` are
+    25 round-robin rounds of ~0.4 s: with 7, the median
+    ``incremental_speedup`` of unchanged code spread 10–22% across
+    runs on a shared 2-vCPU host, as wide as the gate's 20% tolerance.
     """
 
     name: str
     config: MarketConfig
     rounds: int = 6
     seed: int = 7
-    repeats: int = 7
+    repeats: int = 25
 
 
 def default_scale_cases(

@@ -5,7 +5,8 @@ The end-to-end bit-identity contract lives in
 layer underneath it: the layout construction, the re-pricing path's
 structural sharing, state-fork independence, the batched payment
 kernel against per-winner scalar replays (including shuffled, subset,
-duplicate, and non-winner probe lists), the engine-dispatch validation,
+duplicate, and non-winner probe lists), the selection head scan's
+fallback to the ordered guard walk, the engine-dispatch validation,
 and the observability counters the new kernels emit.
 """
 
@@ -23,11 +24,17 @@ from repro.core.columnar import (
     columnar_greedy_selection,
 )
 from repro.core.ratios import price_spread
-from repro.core.ssam import PaymentRule, _critical_payment, run_ssam
+from repro.core.ssam import (
+    PaymentRule,
+    _critical_payment,
+    greedy_selection,
+    run_ssam,
+)
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
 
 _SUFFIX_REPLAY = columnar._suffix_replay
+_ORDERED_CANDIDATES = columnar._ordered_candidates
 
 
 def _no_lockstep(*args, **kwargs):
@@ -336,6 +343,72 @@ class TestObservabilityCounters:
         assert steps == 1
 
 
+class TestSelectionHead:
+    """Selection takes the head of the reference order and walks the
+    full order only when that head would strand a buyer."""
+
+    @staticmethod
+    def _select(monkeypatch, instance):
+        from repro.obs.runtime import STATE, _reset_for_tests, configure
+
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return _ORDERED_CANDIDATES(state)
+
+        monkeypatch.setattr(columnar, "_ordered_candidates", counted)
+        _reset_for_tests()
+        try:
+            configure()
+            steps = columnar_greedy_selection(instance.bids, instance.demand)
+            walks = STATE.metrics.counter(
+                "engine.columnar.selection_walks"
+            ).value
+        finally:
+            _reset_for_tests()
+        assert steps == greedy_selection(instance.bids, instance.demand)
+        return steps, len(calls), walks
+
+    def test_wide_market_never_walks_the_order(self, monkeypatch):
+        # 400 sellers over 4 buyers of demand 3: every buyer keeps ~100
+        # other suppliers, so no head ever strands one.
+        rng = np.random.default_rng(5)
+        bids = [
+            Bid(
+                seller=100 + s,
+                index=i,
+                covered=frozenset(
+                    rng.choice(4, size=rng.integers(1, 4), replace=False)
+                    .tolist()
+                ),
+                price=float(rng.integers(1, 40)),
+            )
+            for s in range(400)
+            for i in range(2)
+        ]
+        instance = WSPInstance.from_bids(bids, {j: 3 for j in range(4)})
+        steps, calls, walks = self._select(monkeypatch, instance)
+        assert len(steps) > 1
+        assert calls == walks == 0
+
+    def test_a_stranding_head_walks_the_order(self, monkeypatch):
+        # Seller 100's 1.0 bid heads the order, but accepting it removes
+        # buyer 1's only supplier: the walk takes seller 101 instead.
+        instance = WSPInstance.from_bids(
+            [
+                Bid(seller=100, index=0, covered=frozenset({0}), price=1.0),
+                Bid(seller=100, index=1, covered=frozenset({1}), price=5.0),
+                Bid(seller=101, index=0, covered=frozenset({0}), price=2.0),
+            ],
+            {0: 1, 1: 1},
+        )
+        steps, calls, walks = self._select(monkeypatch, instance)
+        assert [s.bid.key for s in steps] == [(101, 0), (100, 1)]
+        assert [s.runner_up_ratio for s in steps] == [5.0, None]
+        assert calls == walks == 1
+
+
 class TestLockstepReplays:
     """The lockstep path of the payment kernel and its scalar exits.
 
@@ -373,8 +446,8 @@ class TestLockstepReplays:
         exits = []
 
         def scalar_replay(state, row, *args, **kwargs):
-            head, _ = columnar._head_candidate(state)
-            exits.append(state.would_strand(head))
+            rows, _, ties = columnar._head_candidate(state)
+            exits.append(state.would_strand(int(rows[ties[0]])))
             return _SUFFIX_REPLAY(state, row, *args, **kwargs)
 
         monkeypatch.setattr(columnar, "_suffix_replay", scalar_replay)

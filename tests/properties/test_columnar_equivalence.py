@@ -22,13 +22,15 @@ claim across every layer that can select an engine:
   yields identical round reports and ledger totals under every engine,
 * the layout's Ξ (Theorem 3's price spread, read from the price column
   for every columnar ratio bound) equals the walk over bids exactly,
-* on tie-heavy markets (prices from a small integer set), the payment
-  kernel's head-candidate fast path breaks ratio and price ties exactly
-  like the reference order, with the guard cheap and escalated, and
+* on tie-heavy markets (prices from a small integer set), the
+  head-candidate scan of selection and of the payment kernel breaks
+  ratio and price ties and picks the runner-up exactly like the
+  reference order, with the guard cheap and escalated, and
   its lockstep replays price every winner exactly like the scalar
   replays, whichever size rule picks the path.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -42,12 +44,14 @@ from repro.core.columnar import (
     _guarded_choice,
     _head_candidate,
     _ordered_candidates,
+    _runner_up_ratio,
     columnar_critical_payments,
     columnar_greedy_selection,
 )
 from repro.core.msoa import run_msoa
 from repro.core.ratios import price_spread
 from repro.core.ssam import (
+    GreedyStep,
     PaymentRule,
     _critical_payment,
     greedy_selection,
@@ -100,14 +104,18 @@ def test_selection_trace_identical(instance):
             columnar_greedy_selection(instance.bids, dict(demand))
         return
     columnar = columnar_greedy_selection(instance.bids, dict(demand))
-    assert len(columnar) == len(reference)
-    for ours, theirs in zip(columnar, reference):
-        assert ours.bid is theirs.bid or ours.bid.key == theirs.bid.key
-        assert ours.iteration == theirs.iteration
-        assert ours.utility == theirs.utility
-        assert ours.ratio == theirs.ratio
-        assert ours.runner_up_ratio == theirs.runner_up_ratio
-        assert ours.coverage_before == theirs.coverage_before
+    assert_same_trace(columnar, reference)
+
+
+def assert_same_trace(ours, theirs):
+    """Equal :class:`GreedyStep` traces, compared field by field."""
+    assert len(ours) == len(theirs)
+    for mine, other in zip(ours, theirs):
+        for field in dataclasses.fields(GreedyStep):
+            assert getattr(mine, field.name) == getattr(other, field.name), (
+                mine.iteration,
+                field.name,
+            )
 
 
 @pytest.mark.slow
@@ -143,6 +151,32 @@ GUARD_MODES = [
     pytest.param(False, id="guard"),
     pytest.param(True, id="exact-guard"),
 ]
+
+
+@COMMON
+@given(instance=wsp_instances(price_choices=(0.0, *TIE_PRICES)))
+@pytest.mark.parametrize("exact_guard", GUARD_MODES)
+def test_tie_heavy_selection_trace_identical(instance, exact_guard):
+    """Tied ratios (zero prices included) are where the head scan's
+    tie-break and runner-up could differ from the reference sort; the
+    traces must match step for step in both guard modes."""
+    demand = dict(instance.demand)
+    try:
+        reference = greedy_selection(
+            instance.bids, dict(demand), exact_guard=exact_guard
+        )
+    except InfeasibleInstanceError:
+        with pytest.raises(InfeasibleInstanceError):
+            columnar_greedy_selection(
+                instance.bids, dict(demand), exact_guard=exact_guard
+            )
+        return
+    assert_same_trace(
+        columnar_greedy_selection(
+            instance.bids, dict(demand), exact_guard=exact_guard
+        ),
+        reference,
+    )
 
 
 @COMMON
@@ -247,12 +281,13 @@ def test_layout_price_spread_is_price_spread(instance):
 
 
 @COMMON
-@given(instance=wsp_instances(price_choices=TIE_PRICES))
+@given(instance=wsp_instances(price_choices=(0.0, *TIE_PRICES)))
 @pytest.mark.parametrize("infinite_row", [None, 0])
 def test_head_candidate_is_the_ordered_head(instance, infinite_row):
-    """``_head_candidate`` equals ``_ordered_candidates(state)[0][0]`` at
-    every step of a guarded greedy run, also with one row priced +∞ as
-    in a payment replay."""
+    """``_head_candidate``'s head is the first row of
+    ``_ordered_candidates(state)`` and ``_runner_up_ratio`` the second
+    ratio, at every step of a guarded greedy run, also with one row
+    priced +∞ as in a payment replay."""
     demand = {b: u for b, u in instance.demand.items() if u > 0}
     inst = ColumnarInstance.build(instance.bids, demand)
     prices = inst.prices.copy()
@@ -263,8 +298,15 @@ def test_head_candidate_is_the_ordered_head(instance, infinite_row):
         order, ratios = _ordered_candidates(state)
         if order.size == 0:
             break
-        head, ratio = _head_candidate(state)
-        assert (head, ratio) == (int(order[0]), float(ratios[0]))
+        rows, head_ratios, ties = _head_candidate(state)
+        head = int(ties[0])
+        assert (int(rows[head]), float(head_ratios[head])) == (
+            int(order[0]),
+            float(ratios[0]),
+        )
+        assert _runner_up_ratio(head_ratios, ties) == (
+            float(ratios[1]) if order.size > 1 else None
+        )
         row = int(order[_guarded_choice(state, order, exact_guard=False)])
         state.apply_win(row)
         state.remove_seller(int(inst.seller_rows[row]))
