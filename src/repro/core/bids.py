@@ -51,14 +51,17 @@ class Bid:
             raise ConfigurationError(
                 f"bid ({self.seller}, {self.index}) must cover at least one buyer"
             )
-        if self.price < 0:
+        # ``not x >= 0`` rejects NaN as well as negatives; +∞ stays legal
+        # (payment replays price a winner out with ``with_price(inf)``).
+        if not self.price >= 0:
             raise ConfigurationError(
-                f"bid ({self.seller}, {self.index}) has negative price {self.price}"
+                f"bid ({self.seller}, {self.index}) has invalid price "
+                f"{self.price} (must be >= 0, not NaN)"
             )
-        if self.true_cost is not None and self.true_cost < 0:
+        if self.true_cost is not None and not self.true_cost >= 0:
             raise ConfigurationError(
-                f"bid ({self.seller}, {self.index}) has negative true cost "
-                f"{self.true_cost}"
+                f"bid ({self.seller}, {self.index}) has invalid true cost "
+                f"{self.true_cost} (must be >= 0, not NaN)"
             )
         if self.seller in self.covered:
             raise ConfigurationError(

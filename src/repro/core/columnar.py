@@ -13,27 +13,32 @@ the greedy machinery on flat numpy arrays:
   shares every structural array via :meth:`ColumnarInstance.with_bids`.
 * :class:`ColumnarState` — the mutable per-run arrays (granted units,
   active mask, marginal utilities, supplier counts).  ``fork()`` is a
-  handful of ``ndarray.copy()`` calls, which is what makes the batched
-  payment kernel cheap.
+  handful of ``ndarray.copy()`` calls, which is what makes recording a
+  run's states cheap.
 * :func:`columnar_greedy_selection` — the greedy selection loop as
   vectorized candidate scans.  Each iteration takes the head of the
   exact reference order ``(ratio, price, seller, index)`` from a
   ``min`` over the ratios (:func:`_head_candidate`, ``lexsort``-ing
   only the rows tied on it) and the runner-up as the second order
   statistic; the full ``lexsort`` and ordered guard walk run only when
-  that head would strand a buyer or the exact guard is on.
-* :func:`columnar_critical_payments` — a batched critical-value kernel.
-  For a winner chosen at main-run iteration ``k``, the +∞-replay of
+  that head would strand a buyer or the exact guard is on.  It returns
+  a :class:`Trajectory`: the step list plus the state before every
+  step, kept (never mutated again) while a fork advances.
+* :func:`columnar_critical_payments` — a batched critical-value kernel
+  that walks no trajectory a second time.  For a winner chosen at
+  main-run iteration ``k``, the +∞-replay of
   :func:`repro.core.ssam._critical_payment` provably follows the main
   trajectory for every iteration before ``k`` (the stranding guard is
   price-independent, and an ∞-priced bid sorts last so it is never
-  preferred while its real-priced twin was still losing).  The kernel
-  therefore walks the main trajectory *once*, accumulating every
-  pending winner's threshold per iteration, and forks a state copy at
-  each winner's own divergence point, collecting the forks in chunks.
-* :func:`_lockstep_replays` — a chunk's suffixes advanced side by side
-  on R × bids arrays; a replay whose head is not finite or would strand
-  a buyer leaves the chunk for :func:`_suffix_replay`.
+  preferred while its real-priced twin was still losing).  Its
+  threshold over those iterations is therefore one masked reduction
+  over the recorded states (:func:`_prefix_thresholds`), and its
+  replay diverges from the state recorded at ``k``.  One call can price
+  several markets (a sharded round's shards) in one batch.
+* :func:`_lockstep_replays` — diverged replays advanced side by side on
+  R × columns arrays, each row over its own layout's columns padded to
+  the widest; a replay whose head is not finite or would strand a buyer
+  leaves the batch for :func:`_suffix_replay`.
 * :func:`_suffix_replay` — one winner's private suffix, cut to the
   steps that can still move its threshold; the fallback and in-module
   oracle of the lockstep path.  It stops as soon as the
@@ -65,7 +70,7 @@ import numpy as np
 
 from repro.core.bids import Bid
 from repro.core.ssam import GreedyStep, _residual_feasible
-from repro.core.wsp import CoverageState
+from repro.core.wsp import CoverageState, WSPInstance
 from repro.errors import InfeasibleInstanceError
 from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
@@ -75,7 +80,16 @@ __all__ = [
     "ColumnarState",
     "columnar_greedy_selection",
     "columnar_critical_payments",
+    "Trajectory",
 ]
+
+
+def _rows_by_seller(seller_rows: np.ndarray, n_sellers: int) -> list[np.ndarray]:
+    """Per seller row ``s``, the ascending bid rows of that seller: one
+    stable ``argsort`` sliced at the sellers' cumulative bid counts."""
+    order = np.argsort(seller_rows, kind="stable")
+    ends = np.cumsum(np.bincount(seller_rows, minlength=n_sellers)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 class ColumnarInstance:
@@ -158,9 +172,7 @@ class ColumnarInstance:
         )
         cover[rows_rep, cover_cols] = True
 
-        seller_bid_rows: list[np.ndarray] = [
-            np.flatnonzero(seller_rows == s) for s in range(n_sellers)
-        ]
+        seller_bid_rows = _rows_by_seller(seller_rows, n_sellers)
         seller_cov = np.zeros((n_sellers, n_buyers), dtype=bool)
         np.logical_or.at(seller_cov, seller_rows, cover)
 
@@ -288,9 +300,7 @@ class ColumnarInstance:
         # np.nonzero walks row-major: columns arrive grouped by row in
         # ascending column order — the CSR layout build() produces.
         cover_cols = np.nonzero(cover)[1].astype(np.int64)
-        seller_bid_rows = [
-            np.flatnonzero(seller_rows == s) for s in range(sellers.size)
-        ]
+        seller_bid_rows = _rows_by_seller(seller_rows, sellers.size)
         seller_cov = np.zeros((sellers.size, n_buyers), dtype=bool)
         np.logical_or.at(seller_cov, seller_rows, cover)
         positive = demand_arr > 0
@@ -365,6 +375,14 @@ class ColumnarState:
         twin.suppliers = self.suppliers.copy()
         twin.unsat = self.unsat.copy()
         twin.unmet = self.unmet
+        return twin
+
+    def priced_out(self, row: int) -> "ColumnarState":
+        """A fork with ``row`` priced +∞: where the row's critical replay
+        leaves the main run (the replay mutates it, never ``self``)."""
+        twin = self.fork()
+        twin.prices = self.prices.copy()
+        twin.prices[row] = math.inf
         return twin
 
     @property
@@ -477,6 +495,27 @@ def _guarded_choice(
     return 0
 
 
+class Trajectory(list):
+    """A columnar selection trace: the :class:`GreedyStep` list plus what
+    the payment kernel reads instead of walking the run again.
+
+    ``layout`` is the instance the run selected on and ``exact_guard``
+    its guard mode; ``rows[k]`` is step ``k``'s chosen row and
+    ``states[k]`` the :class:`ColumnarState` just before that win.  A
+    recorded state is never mutated: replays start from
+    :meth:`ColumnarState.priced_out` copies.
+    """
+
+    __slots__ = ("layout", "exact_guard", "rows", "states")
+
+    def __init__(self, layout: ColumnarInstance, exact_guard: bool) -> None:
+        super().__init__()
+        self.layout = layout
+        self.exact_guard = exact_guard
+        self.rows: list[int] = []
+        self.states: list[ColumnarState] = []
+
+
 @profiled("ssam.selection")
 def columnar_greedy_selection(
     bids: Sequence[Bid],
@@ -484,7 +523,7 @@ def columnar_greedy_selection(
     *,
     exact_guard: bool = False,
     columnar: ColumnarInstance | None = None,
-) -> list[GreedyStep]:
+) -> Trajectory:
     """Vectorized twin of :func:`repro.core.ssam.greedy_selection`.
 
     Same contract, same trace, same exceptions.  Pass a prebuilt
@@ -495,7 +534,9 @@ def columnar_greedy_selection(
     (:func:`_head_candidate`) and, as runner-up, the ratio second in
     that order (:func:`_runner_up_ratio`).  The full ordered guard walk
     runs only when the head would strand a buyer or ``exact_guard`` is
-    on; in every other case the walk would pick the head.
+    on; in every other case the walk would pick the head.  Each step's
+    state is kept and a fork of it advanced, so the returned
+    :class:`Trajectory` carries every step's state for the payments.
     """
     inst = (
         columnar
@@ -503,7 +544,7 @@ def columnar_greedy_selection(
         else ColumnarInstance.build(bids, demand)
     )
     state = ColumnarState(inst)
-    steps: list[GreedyStep] = []
+    steps = Trajectory(inst, exact_guard)
     iteration = 0
     while not state.satisfied:
         rows, ratios, ties = _head_candidate(state)
@@ -540,6 +581,9 @@ def columnar_greedy_selection(
                 coverage_before=state.coverage_before(),
             )
         )
+        steps.rows.append(row)
+        steps.states.append(state)
+        state = state.fork()
         state.apply_win(row)
         state.remove_seller(int(inst.seller_rows[row]))
         iteration += 1
@@ -671,9 +715,11 @@ def _suffix_replay(
 
 
 # Size rule of the lockstep path: a chunk holds at most
-# ``_LOCKSTEP_CELLS // n_bids`` replays, and chunks of fewer than
-# ``_LOCKSTEP_MIN`` replays run one by one in ``_suffix_replay`` (few
-# replays over many rows lose to the scalar head scan).
+# ``_LOCKSTEP_CELLS // width`` replays (``width``: the widest layout's
+# bid count), and chunks of fewer than ``_LOCKSTEP_MIN`` replays run one
+# by one in ``_suffix_replay`` (few replays over many rows lose to the
+# scalar head scan).  The same cell budget bounds the prefix guard's
+# (step, row) × buyers tensor.
 _LOCKSTEP_CELLS = 65_536
 _LOCKSTEP_MIN = 8
 
@@ -699,47 +745,90 @@ def _padded_groups(
 
 
 def _lockstep_replays(
-    batch: list[tuple[int, float, ColumnarState]],
-    *,
-    ceiling: float,
+    batch: list[tuple[int, float, ColumnarState, float]],
 ) -> list[float]:
-    """Critical values of R forked ``(winner_row, threshold, fork)``
-    replays, advanced side by side on R × bids arrays.
+    """Critical values of R ``(winner_row, threshold, state, ceiling)``
+    replays, each leaving its recorded ``state`` with the winner priced
+    +∞, advanced side by side on R × columns arrays.
 
     Each iteration is one :func:`_suffix_replay` step of every live
-    replay.  Bid columns are permuted into ``lexsort`` order of
-    ``(price, seller, index)``, so a row's first minimum of prices (+∞
-    at the winner and removed bids) over utilities — the reference's
-    IEEE-754 quotients — is that replay's reference head.  The +∞
-    winner ties only at +∞, so a replay whose head ratio is not finite,
-    or whose head would strand a buyer, leaves for
-    :func:`_suffix_replay`.  Utilities are float64, exact below 2⁵³.
-    Live rows are compacted once half have finished.
+    replay.  The rows may come from different layouts (a sharded
+    round's shards): each row holds its own layout's bid columns,
+    permuted into ``lexsort`` order of ``(price, seller, index)`` and
+    padded to the widest layout, and its own buyers, padded to the most.
+    A padded column is priced +∞ with utility 0 and a padded buyer has
+    need 0, so neither is ever a head or binds the guard.  Sellers and
+    buyers are numbered across the layouts, so one table lookup serves
+    every row.  A row's first minimum of prices (+∞ at the winner and
+    removed bids) over utilities — the reference's IEEE-754 quotients —
+    is that replay's reference head.  The +∞ winner ties only at +∞, so
+    a replay whose head ratio is not finite, or whose head would strand
+    a buyer, leaves for :func:`_suffix_replay`.  Utilities are float64,
+    exact below 2⁵³.  Live rows are compacted once half have finished.
     """
-    inst = batch[0][2].inst
-    perm = np.lexsort((inst.bid_indices, inst.seller_ids, inst.prices))
-    col_of = np.empty_like(perm)
-    col_of[perm] = np.arange(perm.size)
-    cover, sellers = inst.cover[perm], inst.seller_rows[perm]
-    seller_cov = inst.seller_cov
-    seller_cols, _ = _padded_groups(inst.seller_rows, inst.sellers.size)
-    seller_cols = col_of[seller_cols]
-    cover_cols, cover_buyers = cover.nonzero()
-    buyer_cols, buyer_real = _padded_groups(cover_buyers, inst.n_buyers)
-    buyer_cols, buyer_real = cover_cols[buyer_cols], buyer_real.astype(float)
-    forks = [fork for _, _, fork in batch]
-    winners = np.array([row for row, _, _ in batch], dtype=np.int64)
+    slot: dict[int, int] = {}
+    layouts: list[ColumnarInstance] = []
+    for _, _, state, _ in batch:
+        if id(state.inst) not in slot:
+            slot[id(state.inst)] = len(layouts)
+            layouts.append(state.inst)
+    lay = np.array([slot[id(state.inst)] for _, _, state, _ in batch])
+    winners = np.array([row for row, _, _, _ in batch], dtype=np.int64)
     ids = here = np.arange(len(batch))
-    wcol, wseller = col_of[winners], inst.seller_rows[winners]
-    wcover, wseller_cov = cover[wcol], seller_cov[wseller]
-    threshold = np.array([t for _, t, _ in batch], dtype=np.float64)
-    utilities = np.stack([f.utilities for f in forks])[:, perm].astype(float)
-    active = np.stack([f.active for f in forks])[:, perm]
-    prices = np.where(active, inst.prices[perm], np.inf)
+    width = max(inst.n_bids for inst in layouts)
+    n_buyers = max(inst.n_buyers for inst in layouts)
+    seller_base = np.cumsum([0] + [inst.sellers.size for inst in layouts])
+    buyer_base = np.cumsum([0] + [inst.n_buyers for inst in layouts])
+    # Column tables: layout l's column c sits at l * width + c.
+    cover = np.zeros((len(layouts) * width, n_buyers), dtype=bool)
+    sellers = np.zeros(len(layouts) * width, dtype=np.int64)
+    seller_cov = np.zeros((int(seller_base[-1]), n_buyers), dtype=bool)
+    wcol = np.empty(ids.size, dtype=np.int64)
+    threshold = np.array([t for _, t, _, _ in batch], dtype=np.float64)
+    utilities = np.zeros((ids.size, width))
+    active = np.zeros((ids.size, width), dtype=bool)
+    prices = np.full((ids.size, width), np.inf)
+    need = np.zeros((ids.size, n_buyers), dtype=np.int64)  # unsat: > 0
+    suppliers = np.zeros((ids.size, n_buyers), dtype=np.int64)
+    unmet = np.array([state.unmet for _, _, state, _ in batch], dtype=np.int64)
+    col_of, buyer_keys, buyer_cols = [], [], []
+    for l, inst in enumerate(layouts):
+        n, b, at = inst.n_bids, inst.n_buyers, l * width
+        perm = np.lexsort((inst.bid_indices, inst.seller_ids, inst.prices))
+        col_of.append(np.empty_like(perm))
+        col_of[l][perm] = np.arange(n)
+        cover[at : at + n, :b] = inst.cover[perm]
+        sellers[at : at + n] = seller_base[l] + inst.seller_rows[perm]
+        seller_cov[seller_base[l] : seller_base[l + 1], :b] = inst.seller_cov
+        cols, buyers = cover[at : at + n].nonzero()
+        buyer_keys.append(buyer_base[l] + buyers)
+        buyer_cols.append(cols)
+        members = (lay == l).nonzero()[0]
+        states = [batch[k][2] for k in members]
+        wcol[members] = col_of[l][winners[members]]
+        utilities[members, :n] = np.stack([s.utilities for s in states])[
+            :, perm
+        ]
+        active[members, :n] = np.stack([s.active for s in states])[:, perm]
+        prices[members, :n] = np.where(
+            active[members, :n], inst.prices[perm], np.inf
+        )
+        need[members, :b] = inst.demand - np.stack([s.granted for s in states])
+        suppliers[members, :b] = np.stack([s.suppliers for s in states])
+    real = np.concatenate([np.arange(l * width, l * width + inst.n_bids)
+                           for l, inst in enumerate(layouts)])
+    # Each seller's columns, local to its layout (padded by repetition).
+    seller_cols, _ = _padded_groups(sellers[real], int(seller_base[-1]))
+    seller_cols = real[seller_cols] % width
+    buyer_groups, buyer_real = _padded_groups(
+        np.concatenate(buyer_keys), int(buyer_base[-1])
+    )
+    buyer_cols = np.concatenate(buyer_cols)[buyer_groups]
+    buyer_real = buyer_real.astype(float)
+    base = lay * width
+    wseller = sellers[base + wcol]
+    wcover, wseller_cov = cover[base + wcol], seller_cov[wseller]
     prices[ids, wcol] = np.inf
-    need = inst.demand - np.stack([f.granted for f in forks])  # unsat: > 0
-    suppliers = np.stack([f.suppliers for f in forks])
-    unmet = np.array([f.unmet for f in forks], dtype=np.int64)
     live = np.ones(ids.size, dtype=bool)
     resolved = np.empty(ids.size)
     lockstep_steps = suffix_steps = exits = 0
@@ -752,31 +841,37 @@ def _lockstep_replays(
                 if not live.any():
                     break
                 keep = live.nonzero()[0]
-                (ids, wcol, wseller, wcover, wseller_cov, threshold, live,
-                 winner_utility, utilities, prices, active, need, suppliers,
-                 unmet) = (a[keep] for a in (
-                    ids, wcol, wseller, wcover, wseller_cov, threshold, live,
-                    winner_utility, utilities, prices, active, need,
-                    suppliers, unmet))
+                (ids, lay, base, wcol, wseller, wcover, wseller_cov,
+                 threshold, live, winner_utility, utilities, prices, active,
+                 need, suppliers, unmet) = (a[keep] for a in (
+                    ids, lay, base, wcol, wseller, wcover, wseller_cov,
+                    threshold, live, winner_utility, utilities, prices,
+                    active, need, suppliers, unmet))
                 here = np.arange(ids.size)
             ratios = prices / utilities
             head = ratios.argmin(axis=1)
             ratio = ratios[here, head]
-            head_seller = sellers[head]
-            head_cover, head_seller_cov = cover[head], seller_cov[head_seller]
+            head_seller = sellers[base + head]
+            head_cover = cover[base + head]
+            head_seller_cov = seller_cov[head_seller]
             leave = live & (
                 ~(ratio < np.inf)
                 | _strands(need, suppliers, head_cover, head_seller_cov)
             )
             for k in leave.nonzero()[0]:
-                fork = forks[ids[k]]  # now carries row k's state
-                fork.granted, fork.unsat = inst.demand - need[k], need[k] > 0
-                fork.active = active[k, col_of]
-                fork.utilities = utilities[k, col_of].astype(np.int64)
-                fork.suppliers, fork.unmet = suppliers[k].copy(), int(unmet[k])
+                row, _, start, ceiling = batch[ids[k]]
+                inst, order = start.inst, col_of[lay[k]]
+                state = start.priced_out(row)  # now carries row k's state
+                b = inst.n_buyers
+                state.granted = inst.demand - need[k, :b]
+                state.unsat = need[k, :b] > 0
+                state.active = active[k, order]
+                state.utilities = utilities[k, order].astype(np.int64)
+                state.suppliers = suppliers[k, :b].copy()
+                state.unmet = int(unmet[k])
                 threshold[k] = _suffix_replay(
-                    fork,
-                    int(winners[ids[k]]),
+                    state,
+                    row,
                     float(threshold[k]),
                     exact_guard=False,
                     ceiling=ceiling,
@@ -798,6 +893,7 @@ def _lockstep_replays(
             unmet -= was_unsat.sum(axis=1)
             # Each newly saturated buyer costs its covering bids a unit.
             rows, buyers = (was_unsat & (need <= 0)).nonzero()
+            buyers = buyer_base[lay[rows]] + buyers
             np.subtract.at(
                 utilities,
                 (rows[:, None], buyer_cols[buyers]),
@@ -820,150 +916,234 @@ def _lockstep_replays(
     return resolved.tolist()
 
 
+def _replay_suffixes(
+    jobs: list[tuple[int, float, ColumnarState, float]],
+    *,
+    exact_guard: bool,
+) -> list[float]:
+    """Finish ``(winner_row, threshold, state, ceiling)`` replays from
+    their recorded divergence states: in lockstep chunks across every
+    layout of the batch where the module's size rule allows, otherwise
+    (and always under the exact guard) one by one."""
+    width = max(state.inst.n_bids for _, _, state, _ in jobs)
+    chunk = 1 if exact_guard else max(_LOCKSTEP_CELLS // max(width, 1), 1)
+    payments: list[float] = []
+    for start in range(0, len(jobs), chunk):
+        part = jobs[start : start + chunk]
+        if len(part) >= _LOCKSTEP_MIN and not exact_guard:
+            payments += _lockstep_replays(part)
+            continue
+        payments += [
+            _suffix_replay(
+                state.priced_out(row),
+                row,
+                threshold,
+                exact_guard=exact_guard,
+                ceiling=ceiling,
+            )
+            for row, threshold, state, ceiling in part
+        ]
+    return payments
+
+
+def _prefix_thresholds(
+    recorded: Trajectory, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's threshold over the steps its +∞ replay shares with the
+    main run, and the step its replay diverges at (-1 if none).
+
+    A row's replay follows the recorded trajectory up to its *end*: its
+    own win (the replay diverges there, from that step's recorded
+    state), one past the step a sibling bid of its seller wins (the
+    replay breaks there), or the whole run for a bid whose seller never
+    wins.  Each step ``k`` before the end offers ``U_k · ρ_k`` — the
+    row's marginal utility times the step's ratio — when ``U_k > 0`` and
+    accepting the row would strand no buyer at step ``k``; the threshold
+    is the largest offer, or 0.  One masked reduction over the recorded
+    states computes every row's, the guard in chunks of the lockstep
+    cell budget.  Under the exact guard each row's offers are probed
+    from the largest down with :func:`_residual_feasible`, stopping at
+    the first feasible one.
+    """
+    inst = recorded.layout
+    n_steps = len(recorded)
+    thresholds = np.zeros(rows.size)
+    diverge = np.full(rows.size, -1, dtype=np.int64)
+    if not n_steps:
+        return thresholds, diverge
+    chosen = np.asarray(recorded.rows, dtype=np.int64)
+    step_of_seller = np.full(inst.sellers.size, n_steps, dtype=np.int64)
+    step_of_seller[inst.seller_rows[chosen]] = np.arange(n_steps)
+    end = step_of_seller[inst.seller_rows[rows]]
+    own = (end < n_steps) & (chosen[np.minimum(end, n_steps - 1)] == rows)
+    diverge[own] = end[own]
+    end = np.where(own, end, np.minimum(end + 1, n_steps))
+    horizon = int(end.max())
+    if not horizon:
+        return thresholds, diverge
+    states = recorded.states[:horizon]
+    utilities = np.array([state.utilities[rows] for state in states])
+    ratios = np.array([step.ratio for step in recorded[:horizon]])
+    with np.errstate(invalid="ignore"):  # 0 · ∞ (an ∞-priced pick): masked
+        offers = utilities * ratios[:, None]
+    steps, cols = (
+        (utilities > 0)
+        & (offers > 0)
+        & (np.arange(horizon)[:, None] < end)
+    ).nonzero()
+    if not steps.size:
+        return thresholds, diverge
+    need = inst.demand - np.array([state.granted for state in states])
+    suppliers = np.array([state.suppliers for state in states])
+    candidates = rows[cols]
+    safe = np.empty(steps.size, dtype=bool)
+    chunk = max(_LOCKSTEP_CELLS // max(inst.n_buyers, 1), 1)
+    for lo in range(0, steps.size, chunk):
+        k, row = steps[lo : lo + chunk], candidates[lo : lo + chunk]
+        safe[lo : lo + chunk] = ~_strands(
+            need[k],
+            suppliers[k],
+            inst.cover[row],
+            inst.seller_cov[inst.seller_rows[row]],
+        )
+    steps, cols = steps[safe], cols[safe]
+    values = offers[steps, cols]
+    if not recorded.exact_guard:
+        np.maximum.at(thresholds, cols, values)
+        return thresholds, diverge
+    for col in np.unique(cols).tolist():
+        mine = (cols == col).nonzero()[0]
+        infinite = inst.bids[int(rows[col])].with_price(math.inf)
+        for j in mine[np.argsort(-values[mine], kind="stable")].tolist():
+            state = states[int(steps[j])]
+            if _residual_feasible(
+                infinite, state.active_bids(), state.coverage_view()
+            ):
+                thresholds[col] = values[j]
+                break
+    return thresholds, diverge
+
+
+def _recorded(
+    instance: WSPInstance,
+    trajectory: Sequence[GreedyStep] | None,
+    *,
+    exact_guard: bool,
+    columnar: ColumnarInstance | None,
+) -> Trajectory:
+    """``trajectory`` if it is a recorded :class:`Trajectory`, else the
+    market's selection re-run on ``columnar`` (built when omitted)."""
+    if isinstance(trajectory, Trajectory):
+        return trajectory
+    demand = {b: u for b, u in instance.demand.items() if u > 0}
+    return columnar_greedy_selection(
+        instance.bids,
+        demand,
+        exact_guard=exact_guard,
+        columnar=(
+            columnar
+            if columnar is not None
+            else ColumnarInstance.build(instance.bids, demand)
+        ),
+    )
+
+
 @profiled("columnar.payments")
 def columnar_critical_payments(
-    instance,
+    instance: WSPInstance | Sequence[WSPInstance],
     winners: Sequence[Bid],
     *,
     exact_guard: bool = False,
     columnar: ColumnarInstance | None = None,
-    trajectory: Sequence[GreedyStep] | None = None,
+    trajectory: Sequence | None = None,
 ) -> list[float]:
-    """Batched critical values: one shared prefix, per-winner suffixes.
+    """Critical values of ``winners``, from the recorded selection run.
+
+    ``instance`` is one market, or a sequence of markets priced in one
+    batch (a sharded round's shards); ``trajectory`` is then the
+    matching sequence, the markets hold disjoint bid keys, and each
+    winner is priced in the market whose layout holds its key.  A
+    :class:`Trajectory` from :func:`columnar_greedy_selection` brings
+    its layout, guard mode and recorded states; anything else
+    (``None``, a plain step list) is re-derived by selecting with
+    ``exact_guard`` on ``columnar`` (one market only; built when
+    omitted).
 
     Each winner's critical replay provably coincides with the main
     greedy trajectory up to the iteration where that winner was chosen
-    (see the module docstring), so a single pass over the trajectory
-    accumulates every pending winner's threshold — the winner's current
-    marginal utility times the iteration's selected ratio, whenever the
-    winner is guard-safe — and a state fork at each winner's own
-    iteration, with the winner priced +∞, joins a chunk whose divergent
-    suffixes run in lockstep or one by one (the module's size rule).
-    A bid whose seller sibling wins first resolves at that iteration
+    (see the module docstring), so its threshold over that shared
+    prefix is read off the recorded states (:func:`_prefix_thresholds`);
+    a bid whose seller sibling wins first resolves at that iteration
     (the replay breaks there), matching the scalar replay's early exit.
-
-    ``trajectory`` (the main run's :class:`GreedyStep` list) skips the
-    re-selection pass; omitted, the kernel re-derives it.  Results are
-    bit-identical to :func:`repro.core.ssam._critical_payment` per
-    winner.
+    The replays that diverge start from the state recorded at their own
+    win, with the winner priced +∞, and run in lockstep chunks across
+    every market of the batch, or one by one (the module's size rule).
+    Results are bit-identical to
+    :func:`repro.core.ssam._critical_payment` per winner.
     """
     if not winners:
         return []
-    demand = {b: u for b, u in instance.demand.items() if u > 0}
-    inst = (
-        columnar
-        if columnar is not None
-        else ColumnarInstance.build(instance.bids, demand)
-    )
-    if trajectory is None:
-        trajectory = columnar_greedy_selection(
-            instance.bids,
-            demand,
-            exact_guard=exact_guard,
-            columnar=inst,
+    if isinstance(instance, WSPInstance):
+        instance, trajectory = [instance], [trajectory]
+    else:
+        columnar = None  # a layout belongs to one market
+        if trajectory is None:
+            trajectory = [None] * len(instance)
+    markets = [
+        (
+            market,
+            _recorded(
+                market, recorded, exact_guard=exact_guard, columnar=columnar
+            ),
         )
-    traj_rows = [inst.row_of[step.bid.key] for step in trajectory]
-    winner_rows = [inst.row_of[w.key] for w in winners]
-    ceiling = instance.effective_ceiling
-
-    pending = np.array(list(dict.fromkeys(winner_rows)), dtype=np.int64)
-    thresholds = np.zeros(pending.size)
-    resolved: dict[int, float] = {}
-
-    def resolve(done: np.ndarray) -> None:
-        nonlocal pending, thresholds
-        if done.any():
-            resolved.update(
-                zip(pending[done].tolist(), thresholds[done].tolist())
+        for market, recorded in zip(instance, trajectory, strict=True)
+    ]
+    row_ofs = [recorded.layout.row_of for _, recorded in markets]
+    if len(row_ofs) > 1 and len(set().union(*row_ofs)) != sum(
+        map(len, row_ofs)
+    ):
+        raise ValueError("the markets of a payment batch share a bid key")
+    located, m = [], 0
+    for bid in winners:
+        if bid.key not in row_ofs[m]:  # winners mostly come market by market
+            m = next(
+                (i for i, row_of in enumerate(row_ofs) if bid.key in row_of),
+                None,
             )
-            pending, thresholds = pending[~done], thresholds[~done]
+            if m is None:
+                raise KeyError(bid.key)
+        located.append((m, row_ofs[m][bid.key]))
 
-    state = ColumnarState(inst)
-    forks = 0
-    chunk = _LOCKSTEP_CELLS // max(inst.n_bids, 1)
-    if exact_guard or chunk < _LOCKSTEP_MIN:
-        chunk = 1  # no lockstep: replay each fork at once, cache-warm
-    batch: list[tuple[int, float, ColumnarState]] = []
-
-    def finish_batch() -> None:
-        if len(batch) >= _LOCKSTEP_MIN and not exact_guard:
-            payments = _lockstep_replays(batch, ceiling=ceiling)
-        else:
-            payments = [
-                _suffix_replay(
-                    fork,
-                    row,
-                    threshold,
-                    exact_guard=exact_guard,
-                    ceiling=ceiling,
+    pending: list[dict[int, None]] = [{} for _ in markets]  # rows, deduped
+    for m, row in located:
+        pending[m][row] = None
+    resolved: dict[tuple[int, int], float] = {}
+    jobs: dict[bool, list] = {False: [], True: []}  # by guard mode
+    for m, ((market, recorded), rows) in enumerate(zip(markets, pending)):
+        if not rows:
+            continue
+        rows = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        thresholds, diverge = _prefix_thresholds(recorded, rows)
+        ceiling = market.effective_ceiling
+        for row, threshold, step in zip(
+            rows.tolist(), thresholds.tolist(), diverge.tolist()
+        ):
+            if step < 0:
+                resolved[m, row] = threshold
+            else:
+                jobs[recorded.exact_guard].append(
+                    ((m, row), (row, threshold, recorded.states[step], ceiling))
                 )
-                for row, threshold, fork in batch
-            ]
-        resolved.update(zip((row for row, _, _ in batch), payments))
-        batch.clear()
-
-    for chosen_row in traj_rows:
-        if not pending.size:
-            break
-        if state.satisfied:
-            break
-        ratio = float(
-            state.prices[chosen_row] / state.utilities[chosen_row]
-        )
-        chosen_seller = int(inst.seller_rows[chosen_row])
-        chosen = pending == chosen_row
-        if chosen.any():
-            # This winner's replay diverges here: fork a private state
-            # with the winner priced +∞; its suffix runs with its chunk.
-            prices = state.prices.copy()
-            prices[chosen_row] = math.inf
-            fork = state.fork()
-            fork.prices = prices
-            batch.append((chosen_row, float(thresholds[chosen][0]), fork))
-            if len(batch) == chunk:
-                finish_batch()
-            pending, thresholds = pending[~chosen], thresholds[~chosen]
-            forks += 1
-        if pending.size:
-            utilities = np.where(
-                state.active[pending], state.utilities[pending], 0
+    for exact, replays in jobs.items():
+        if replays:
+            payments = _replay_suffixes(
+                [job for _, job in replays], exact_guard=exact
             )
-            updatable = utilities > 0
-            if updatable.any():
-                unsafe = _strands(
-                    inst.demand - state.granted,
-                    state.suppliers,
-                    inst.cover[pending],
-                    inst.seller_cov[inst.seller_rows[pending]],
-                )
-                if exact_guard:
-                    for k in np.flatnonzero(updatable & ~unsafe):
-                        infinite = inst.bids[int(pending[k])].with_price(
-                            math.inf
-                        )
-                        if not _residual_feasible(
-                            infinite,
-                            state.active_bids(),
-                            state.coverage_view(),
-                        ):
-                            unsafe[k] = True
-                updatable &= ~unsafe
-            bids = utilities[updatable] * ratio
-            kept = thresholds[updatable]
-            thresholds[updatable] = np.where(bids > kept, bids, kept)
-        state.apply_win(chosen_row)
-        # A sibling of a pending bid's seller won: the scalar replay
-        # breaks here, freezing the accumulated threshold.
-        resolve(inst.seller_rows[pending] == chosen_seller)
-        state.remove_seller(chosen_seller)
-    if batch:
-        finish_batch()
-    resolve(np.ones(pending.size, dtype=bool))
+            resolved.update(zip((key for key, _ in replays), payments))
     if _OBS.enabled:
         metrics = _OBS.metrics
         metrics.counter("engine.columnar.payment_batches").inc()
-        metrics.counter("engine.columnar.payment_forks").inc(forks)
-        metrics.counter("engine.columnar.payment_prefix_iterations").inc(
-            len(traj_rows)
+        metrics.counter("engine.columnar.payment_forks").inc(
+            len(jobs[False]) + len(jobs[True])
         )
-    return [resolved[row] for row in winner_rows]
+    return [resolved[key] for key in located]

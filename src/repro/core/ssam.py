@@ -392,35 +392,206 @@ def _ratio_bound(
     return harmonic(max(1, instance.total_demand)) * layout.price_spread()
 
 
+@dataclass(frozen=True)
+class _Selection:
+    """One market after the select step: what paying and assembling it
+    need.  ``layout`` is its columnar instance (``None`` on the
+    reference engine) and ``steps`` the selection trace — on the
+    columnar engine a :class:`~repro.core.columnar.Trajectory`, which
+    carries the states the payment kernel reads."""
+
+    instance: WSPInstance
+    demand: dict[int, int]
+    steps: list[GreedyStep]
+    exact_guard: bool
+    layout: "ColumnarInstance | None"
+
+
+def _select(
+    instance: WSPInstance,
+    demand: dict[int, int],
+    *,
+    layout: "ColumnarInstance | None",
+) -> _Selection:
+    """The select step: greedy selection in a ``greedy-selection`` span,
+    escalated to the exact residual-feasibility guard when the cheap
+    lookahead cannot complete it (the exact guard completes whenever the
+    instance is feasible at all)."""
+    select = greedy_selection
+    if layout is not None:
+        from repro.core.columnar import columnar_greedy_selection
+
+        select = functools.partial(columnar_greedy_selection, columnar=layout)
+    tracer = _OBS.tracer
+    with tracer.span("greedy-selection") as selection_span:
+        try:
+            steps = select(instance.bids, demand)
+            exact_guard = False
+        except InfeasibleInstanceError:
+            steps = select(instance.bids, demand, exact_guard=True)
+            exact_guard = True
+        tracer.annotate(
+            selection_span, iterations=len(steps), exact_guard=exact_guard
+        )
+    return _Selection(instance, demand, steps, exact_guard, layout)
+
+
 @profiled("ssam.payments")
 def _critical_payments(
-    instance: WSPInstance,
-    steps: list[GreedyStep],
-    *,
-    engine: str,
-    exact_guard: bool,
-    columnar: "ColumnarInstance | None",
-) -> list[float]:
-    """Critical values for every winner of the main run ``steps``.
+    selections: list[_Selection], *, engine: str
+) -> list[list[float]]:
+    """Critical values for every winner of every selection, per selection.
 
-    The columnar engine shares the greedy prefix across winners in one
-    batched pass; the reference engine replays the greedy once per
+    On the columnar engine one batched kernel call prices every
+    selection's winners together (a sharded round's shards share one
+    lockstep batch); the reference engine replays the greedy once per
     winner (:func:`_critical_payment`).
     """
-    if engine == "columnar":
-        from repro.core.columnar import columnar_critical_payments
+    if engine != "columnar":
+        return [
+            [
+                _critical_payment(s.instance, step.bid, exact_guard=s.exact_guard)
+                for step in s.steps
+            ]
+            for s in selections
+        ]
+    from repro.core.columnar import columnar_critical_payments
 
-        return columnar_critical_payments(
-            instance,
-            [step.bid for step in steps],
-            exact_guard=exact_guard,
-            columnar=columnar,
-            trajectory=steps,
+    flat = columnar_critical_payments(
+        [s.instance for s in selections],
+        [step.bid for s in selections for step in s.steps],
+        trajectory=[s.steps for s in selections],
+    )
+    payments, start = [], 0
+    for s in selections:
+        payments.append(flat[start : start + len(s.steps)])
+        start += len(s.steps)
+    return payments
+
+
+def _pay(
+    selections: list[_Selection],
+    payment_rule: PaymentRule,
+    *,
+    engine: str,
+    **span_fields,
+) -> list[list[float]]:
+    """The pay step, in one ``payment-computation`` span for all
+    ``selections``: each winner's payment, per selection."""
+    with _OBS.tracer.span(
+        "payment-computation", rule=payment_rule.value, **span_fields
+    ):
+        if payment_rule is PaymentRule.CRITICAL_RERUN:
+            return _critical_payments(selections, engine=engine)
+        return [
+            [_runner_up_payment(s.instance, step) for step in s.steps]
+            for s in selections
+        ]
+
+
+def _auction_span(
+    instance: WSPInstance,
+    demand: dict[int, int],
+    *,
+    engine: str,
+    payment_rule: PaymentRule,
+):
+    """Count one SSAM run and open its ``auction`` span."""
+    if _OBS.enabled:
+        metrics = _OBS.metrics
+        metrics.counter("ssam.runs").inc()
+        metrics.counter("ssam.bids_considered").inc(len(instance.bids))
+    return _OBS.tracer.span(
+        "auction",
+        mechanism="ssam",
+        engine=engine,
+        payment_rule=payment_rule.value,
+        bids=len(instance.bids),
+        total_demand=instance.total_demand,
+        # JSON keys are strings; summarize() converts them back to ints.
+        demand={str(b): u for b, u in demand.items()},
+    )
+
+
+def _assemble(
+    selection: _Selection,
+    payments: list[float],
+    *,
+    payment_rule: PaymentRule,
+    original_prices: Mapping[tuple[int, int], float] | None,
+    auction_span,
+) -> AuctionOutcome:
+    """The assemble step: winners, dual certificate, ``winner`` events
+    and the verified outcome, annotated on ``auction_span``."""
+    instance, demand, steps = selection.instance, selection.demand, selection.steps
+    tracer = _OBS.tracer
+    duals = DualSolution(instance=instance)
+    winners: list[WinningBid] = []
+    for step, payment in zip(steps, payments):
+        # Tag every unit this bid newly covers with its average price
+        # (the dual-fitting bookkeeping behind Lemma 1 / Theorem 3).
+        dual_updates = 0
+        for buyer in step.bid.covered:
+            if step.coverage_before.get(buyer, 0) < demand.get(buyer, 0):
+                duals.record_unit(buyer, step.ratio)
+                dual_updates += 1
+        key = step.bid.key
+        original = (
+            original_prices[key]
+            if original_prices is not None
+            else step.bid.price
         )
-    return [
-        _critical_payment(instance, step.bid, exact_guard=exact_guard)
-        for step in steps
-    ]
+        winners.append(
+            WinningBid(
+                bid=step.bid,
+                payment=payment,
+                iteration=step.iteration,
+                marginal_utility=step.utility,
+                average_price=step.ratio,
+                original_price=original,
+            )
+        )
+        if _OBS.enabled:
+            _OBS.metrics.counter("ssam.dual_updates").inc(dual_updates)
+            tracer.event(
+                "winner",
+                iteration=step.iteration,
+                seller=step.bid.seller,
+                index=step.bid.index,
+                price=step.bid.price,
+                original_price=float(original),
+                payment=float(payment),
+                utility=step.utility,
+                average_price=step.ratio,
+                covered=sorted(step.bid.covered),
+            )
+    outcome = AuctionOutcome(
+        instance=instance,
+        winners=tuple(winners),
+        duals=duals,
+        ratio_bound=_ratio_bound(instance, selection.layout),
+        payment_rule=payment_rule.value,
+        iterations=len(steps),
+        mechanism="ssam",
+    )
+    tracer.annotate(
+        auction_span,
+        social_cost=outcome.social_cost,
+        total_payment=outcome.total_payment,
+        iterations=len(steps),
+        winners=len(winners),
+    )
+    if _OBS.enabled:
+        metrics = _OBS.metrics
+        metrics.counter("ssam.winners").inc(len(winners))
+        metrics.counter("ssam.iterations").inc(len(steps))
+        for winning in winners:
+            if winning.bid.price > 0 and math.isfinite(winning.payment):
+                metrics.histogram("ssam.payment_price_ratio").observe(
+                    winning.payment / winning.bid.price
+                )
+    outcome.verify()
+    return outcome
 
 
 def run_ssam(
@@ -476,45 +647,25 @@ def run_ssam(
     True
     """
     engine = resolve_engine(engine)
-    select = greedy_selection
     demand = {b: u for b, u in instance.demand.items() if u > 0}
-    cinst = None
+    layout = None
     if engine == "columnar" and demand:
-        from repro.core.columnar import (
-            ColumnarInstance,
-            columnar_greedy_selection,
-        )
-
         if columnar is not None:
             if len(columnar.bids) != len(instance.bids):
                 raise ConfigurationError(
                     "columnar layout does not match the instance: "
                     f"{len(columnar.bids)} rows vs {len(instance.bids)} bids"
                 )
-            cinst = columnar
+            layout = columnar
         else:
-            cinst = ColumnarInstance.build(instance.bids, demand)
+            from repro.core.columnar import ColumnarInstance
 
-        select = functools.partial(columnar_greedy_selection, columnar=cinst)
-
-    duals = DualSolution(instance=instance)
-    tracer = _OBS.tracer
-    with tracer.span(
-        "auction",
-        mechanism="ssam",
-        engine=engine,
-        payment_rule=payment_rule.value,
-        bids=len(instance.bids),
-        total_demand=instance.total_demand,
-        # JSON keys are strings; summarize() converts them back to ints.
-        demand={str(b): u for b, u in demand.items()},
+            layout = ColumnarInstance.build(instance.bids, demand)
+    with _auction_span(
+        instance, demand, engine=engine, payment_rule=payment_rule
     ) as auction_span:
-        if _OBS.enabled:
-            metrics = _OBS.metrics
-            metrics.counter("ssam.runs").inc()
-            metrics.counter("ssam.bids_considered").inc(len(instance.bids))
         if not demand:
-            tracer.annotate(
+            _OBS.tracer.annotate(
                 auction_span,
                 social_cost=0.0,
                 total_payment=0.0,
@@ -524,100 +675,18 @@ def run_ssam(
             return AuctionOutcome(
                 instance=instance,
                 winners=(),
-                duals=duals,
+                duals=DualSolution(instance=instance),
                 ratio_bound=1.0,
                 payment_rule=payment_rule.value,
                 iterations=0,
                 mechanism="ssam",
             )
-        with tracer.span("greedy-selection") as selection_span:
-            try:
-                steps = select(instance.bids, demand)
-                exact_guard = False
-            except InfeasibleInstanceError:
-                # The cheap lookahead could not keep the greedy on a
-                # completing trajectory; escalate to the exact
-                # residual-feasibility guard (which completes whenever the
-                # instance is feasible at all).
-                steps = select(instance.bids, demand, exact_guard=True)
-                exact_guard = True
-            tracer.annotate(
-                selection_span, iterations=len(steps), exact_guard=exact_guard
-            )
-        with tracer.span("payment-computation", rule=payment_rule.value):
-            if payment_rule is PaymentRule.CRITICAL_RERUN:
-                payments = _critical_payments(
-                    instance,
-                    steps,
-                    engine=engine,
-                    exact_guard=exact_guard,
-                    columnar=cinst,
-                )
-            else:
-                payments = [_runner_up_payment(instance, step) for step in steps]
-        winners: list[WinningBid] = []
-        for step, payment in zip(steps, payments):
-            # Tag every unit this bid newly covers with its average price
-            # (the dual-fitting bookkeeping behind Lemma 1 / Theorem 3).
-            dual_updates = 0
-            for buyer in step.bid.covered:
-                if step.coverage_before.get(buyer, 0) < demand.get(buyer, 0):
-                    duals.record_unit(buyer, step.ratio)
-                    dual_updates += 1
-            key = step.bid.key
-            original = (
-                original_prices[key]
-                if original_prices is not None
-                else step.bid.price
-            )
-            winners.append(
-                WinningBid(
-                    bid=step.bid,
-                    payment=payment,
-                    iteration=step.iteration,
-                    marginal_utility=step.utility,
-                    average_price=step.ratio,
-                    original_price=original,
-                )
-            )
-            if _OBS.enabled:
-                _OBS.metrics.counter("ssam.dual_updates").inc(dual_updates)
-                tracer.event(
-                    "winner",
-                    iteration=step.iteration,
-                    seller=step.bid.seller,
-                    index=step.bid.index,
-                    price=step.bid.price,
-                    original_price=float(original),
-                    payment=float(payment),
-                    utility=step.utility,
-                    average_price=step.ratio,
-                    covered=sorted(step.bid.covered),
-                )
-        outcome = AuctionOutcome(
-            instance=instance,
-            winners=tuple(winners),
-            duals=duals,
-            ratio_bound=_ratio_bound(instance, cinst),
-            payment_rule=payment_rule.value,
-            iterations=len(steps),
-            mechanism="ssam",
+        selection = _select(instance, demand, layout=layout)
+        (payments,) = _pay([selection], payment_rule, engine=engine)
+        return _assemble(
+            selection,
+            payments,
+            payment_rule=payment_rule,
+            original_prices=original_prices,
+            auction_span=auction_span,
         )
-        tracer.annotate(
-            auction_span,
-            social_cost=outcome.social_cost,
-            total_payment=outcome.total_payment,
-            iterations=len(steps),
-            winners=len(winners),
-        )
-        if _OBS.enabled:
-            metrics = _OBS.metrics
-            metrics.counter("ssam.winners").inc(len(winners))
-            metrics.counter("ssam.iterations").inc(len(steps))
-            for winning in winners:
-                if winning.bid.price > 0 and math.isfinite(winning.payment):
-                    metrics.histogram("ssam.payment_price_ratio").observe(
-                        winning.payment / winning.bid.price
-                    )
-        outcome.verify()
-        return outcome

@@ -3,11 +3,14 @@
 One round's market is decomposed by a :class:`~repro.shard.plan.ShardPlan`
 (:func:`~repro.shard.plan.partition_round`) and cleared in two passes:
 
-1. **Local pass** — every shard with positive demand runs plain
-   :func:`~repro.core.ssam.run_ssam` on its sub-market, in shard order.
-   A locally infeasible shard (its buyers need cross-shard supply)
-   clamps demand to what its own bids can cover — the remainder becomes
-   *residual*.
+1. **Local pass** — every shard with positive demand runs SSAM's
+   selection on its sub-market, in shard order; one critical-payment
+   batch then prices every shard's winners together (the columnar
+   kernel advances all shards' replays in one lockstep batch), and each
+   shard's outcome is assembled as :func:`~repro.core.ssam.run_ssam`
+   would.  A locally infeasible shard (its buyers need cross-shard
+   supply) clamps demand to what its own bids can cover and clears on
+   its own — the remainder becomes *residual*.
 2. **Reconciliation pass** — cross-shard bids (cover spanning shards, or
    seller-coupled across shards) are cleared against the merged residual
    demand, excluding sellers that already won locally, so the global
@@ -33,12 +36,21 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from repro.core.duals import DualSolution
 from repro.core.outcomes import AuctionOutcome, WinningBid
-from repro.core.ssam import PaymentRule, _ratio_bound, run_ssam
+from repro.core.ssam import (
+    PaymentRule,
+    _assemble,
+    _auction_span,
+    _pay,
+    _ratio_bound,
+    _select,
+    _Selection,
+    run_ssam,
+)
 from repro.core.wsp import WSPInstance, clear_supply_clamped
 from repro.errors import InfeasibleInstanceError
 from repro.obs.profiler import profiled
@@ -54,7 +66,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShardRoundStats:
-    """Observability summary of one sharded round."""
+    """Observability summary of one sharded round.
+
+    ``shard_ms`` holds each active shard's own work, in shard order: its
+    selection and outcome assembly, or its whole clearing when it
+    clamps.  The payment batch the unclamped shards share is timed by
+    the ``ssam.payments`` phase, not here.
+    """
 
     n_shards: int
     active_shards: int
@@ -91,30 +109,6 @@ class ShardedRoundOutcome:
     cross_outcome: AuctionOutcome | None
     partition: ShardPartition
     stats: ShardRoundStats
-
-
-def _clear_local(
-    sub: WSPInstance,
-    *,
-    payment_rule: PaymentRule,
-    original_prices: Mapping | None,
-    columnar,
-    engine: str,
-) -> tuple[AuctionOutcome, bool]:
-    """Clear one shard; never raises — unmet demand becomes residual.
-    The flag says whether the shard's demand was clamped."""
-    clear = functools.partial(
-        run_ssam,
-        payment_rule=payment_rule,
-        original_prices=original_prices,
-        engine=engine,
-    )
-    try:
-        return clear(sub, columnar=columnar), False
-    except InfeasibleInstanceError:
-        # Clamping changes the demand vector, so the prebuilt layout no
-        # longer matches; the repair rebuilds inside run_ssam.
-        return clear_supply_clamped(sub, clear), True
 
 
 @profiled("shard.round")
@@ -189,20 +183,41 @@ def run_sharded_ssam(
             )
 
     shard_outcomes: list[AuctionOutcome | None] = [None] * partition.n_shards
-    clamped_shards = 0
-    shard_ms: list[float] = []
-    for shard in active:
-        started = time.perf_counter()
-        outcome, clamped = _clear_local(
-            partition.sub_instance(shard),
+    selections, clamped, shard_ms = _select_locals(
+        partition,
+        columnar_views,
+        clear=functools.partial(
+            run_ssam,
             payment_rule=payment_rule,
             original_prices=original_prices,
-            columnar=columnar_views.get(shard),
             engine=engine,
-        )
-        shard_ms.append((time.perf_counter() - started) * 1e3)
+        ),
+    )
+    for shard, outcome in clamped.items():
         shard_outcomes[shard] = outcome
-        clamped_shards += int(clamped)
+    if selections:
+        payments = _pay(
+            list(selections.values()),
+            payment_rule,
+            engine=engine,
+            shards=len(selections),
+        )
+        for (shard, selection), paid in zip(selections.items(), payments):
+            started = time.perf_counter()
+            with _auction_span(
+                selection.instance,
+                selection.demand,
+                engine=engine,
+                payment_rule=payment_rule,
+            ) as auction_span:
+                shard_outcomes[shard] = _assemble(
+                    selection,
+                    paid,
+                    payment_rule=payment_rule,
+                    original_prices=original_prices,
+                    auction_span=auction_span,
+                )
+            shard_ms[shard] += (time.perf_counter() - started) * 1e3
 
     # Residual demand after the local pass.
     granted: dict[int, int] = dict.fromkeys(demand, 0)
@@ -248,9 +263,9 @@ def run_sharded_ssam(
         cross_winners=(
             len(cross_outcome.winners) if cross_outcome is not None else 0
         ),
-        clamped_shards=clamped_shards,
+        clamped_shards=len(clamped),
         fast_path=False,
-        shard_ms=tuple(shard_ms),
+        shard_ms=tuple(shard_ms.values()),
         reconcile_ms=reconcile_ms,
     )
     _record_stats(stats)
@@ -261,6 +276,37 @@ def run_sharded_ssam(
         partition=partition,
         stats=stats,
     )
+
+
+def _select_locals(
+    partition: ShardPartition,
+    columnar_views: Mapping[int, object],
+    *,
+    clear: Callable[[WSPInstance], AuctionOutcome],
+) -> tuple[dict[int, _Selection], dict[int, AuctionOutcome], dict[int, float]]:
+    """Run selection on every active shard, in shard order.
+
+    Returns the shards' selections, the outcomes of the shards that
+    clamped, and each shard's time so far.  A locally infeasible shard
+    never raises: it clears at once through
+    :func:`~repro.core.wsp.clear_supply_clamped` with ``clear`` (unmet
+    demand becomes residual; the clamped demand no longer matches the
+    prebuilt layout, so that clearing rebuilds).
+    """
+    selections: dict[int, _Selection] = {}
+    clamped: dict[int, AuctionOutcome] = {}
+    shard_ms: dict[int, float] = {}
+    for shard in partition.active_shards:
+        started = time.perf_counter()
+        sub = partition.sub_instance(shard)
+        try:
+            selections[shard] = _select(
+                sub, dict(sub.demand), layout=columnar_views.get(shard)
+            )
+        except InfeasibleInstanceError:
+            clamped[shard] = clear_supply_clamped(sub, clear)
+        shard_ms[shard] = (time.perf_counter() - started) * 1e3
+    return selections, clamped, shard_ms
 
 
 @profiled("shard.reconcile")

@@ -41,6 +41,19 @@ class TestBid:
         with pytest.raises(ConfigurationError):
             make_bid(true_cost=-0.5)
 
+    def test_nan_price_and_true_cost_rejected(self):
+        # NaN slips past ``< 0``; the engines would then disagree (the
+        # reference sort is undefined, the columnar head scan finds no
+        # minimum).
+        with pytest.raises(ConfigurationError, match="nan"):
+            make_bid(price=float("nan"))
+        with pytest.raises(ConfigurationError, match="nan"):
+            make_bid(true_cost=float("nan"))
+
+    def test_infinite_price_stays_legal(self):
+        # Payment replays price a winner out with ``with_price(inf)``.
+        assert make_bid().with_price(float("inf")).price == float("inf")
+
     def test_seller_cannot_cover_itself(self):
         with pytest.raises(ConfigurationError):
             make_bid(seller=10, covered=(10, 11))

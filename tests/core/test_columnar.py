@@ -88,6 +88,20 @@ class TestBuild:
             ]
             assert sorted(np.flatnonzero(inst.cover[row])) == sorted(cols)
 
+    def test_seller_bid_rows_group_rows_by_seller(self, make_instance):
+        instance = make_instance(3, n_sellers=40)
+        inst = ColumnarInstance.build(instance.bids, instance.demand)
+        view = inst.subset(range(0, inst.n_bids, 2), inst.buyers)
+        for layout in (inst, view):
+            expected = [
+                np.flatnonzero(layout.seller_rows == s)
+                for s in range(layout.sellers.size)
+            ]
+            assert len(layout.seller_bid_rows) == len(expected)
+            for got, want in zip(layout.seller_bid_rows, expected):
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+
 
 class TestWithBids:
     def test_shares_structure_and_swaps_prices(self):
@@ -238,6 +252,57 @@ class TestBatchedPayments:
         scalar = [_critical_payment(instance, bid) for bid in losers]
         assert batched == scalar
 
+    def test_recorded_trajectory_prices_again_unchanged(self, make_instance):
+        # The kernel reads the states selection recorded and replays
+        # from copies: a second call with the same trajectory agrees,
+        # and every recorded state still holds what it held.
+        instance = make_instance(4)
+        steps = self._selection(instance)
+        snapshot = [
+            (s.granted.tolist(), s.active.tolist(), s.utilities.tolist(),
+             s.suppliers.tolist(), s.unsat.tolist(), s.unmet, s.prices)
+            for s in steps.states
+        ]
+        winners = [step.bid for step in steps]
+        first = columnar_critical_payments(
+            instance, winners, trajectory=steps
+        )
+        assert first == columnar_critical_payments(
+            instance, winners, trajectory=steps
+        )
+        assert first == [_critical_payment(instance, w) for w in winners]
+        assert snapshot == [
+            (s.granted.tolist(), s.active.tolist(), s.utilities.tolist(),
+             s.suppliers.tolist(), s.unsat.tolist(), s.unmet, s.prices)
+            for s in steps.states
+        ]
+        assert all(s.prices is steps.layout.prices for s in steps.states)
+
+    def test_prefix_ends_before_the_winners_own_step(self):
+        # Seller 100 is buyer 0's only supplier and asks 80 over a
+        # ceiling of 50: it is pivotal, so its critical value is the
+        # cap 1 × 50.  Its own step's offer 1 × 80 lies past the end of
+        # its shared prefix and must not count.
+        instance = WSPInstance.from_bids(
+            [
+                Bid(seller=100, index=0, covered=frozenset({0}), price=80.0),
+                Bid(seller=101, index=0, covered=frozenset({1}), price=5.0),
+            ],
+            {0: 1, 1: 1},
+            price_ceiling=50.0,
+        )
+        winners = [step.bid for step in self._selection(instance)]
+        assert [bid.seller for bid in winners] == [101, 100]
+        assert columnar_critical_payments(instance, winners) == [
+            _critical_payment(instance, bid) for bid in winners
+        ] == [80.0, 50.0]
+
+    def test_batch_markets_must_hold_disjoint_keys(self, make_instance):
+        instance = make_instance(4)
+        winners = [step.bid for step in self._selection(instance)]
+        with pytest.raises(ValueError, match="share a bid key"):
+            columnar_critical_payments([instance, instance], winners)
+
     def test_empty_winner_list(self, make_instance):
         assert columnar_critical_payments(make_instance(), []) == []
 
@@ -277,12 +342,6 @@ class TestObservabilityCounters:
             )
             assert (
                 metrics.counter("engine.columnar.payment_forks").value >= 1
-            )
-            assert (
-                metrics.counter(
-                    "engine.columnar.payment_prefix_iterations"
-                ).value
-                >= 1
             )
             # @profiled phases on the new kernels.
             assert metrics.counter("phase.columnar.build.calls").value >= 1

@@ -27,7 +27,11 @@ claim across every layer that can select an engine:
   ratio and price ties and picks the runner-up exactly like the
   reference order, with the guard cheap and escalated, and
   its lockstep replays price every winner exactly like the scalar
-  replays, whichever size rule picks the path.
+  replays, whichever size rule picks the path,
+* one payment call over several markets (a sharded round's batch)
+  prices every bid exactly like one call per market, and like the
+  scalar reference replay, and a second call on the same recorded
+  trajectories agrees.
 """
 
 import dataclasses
@@ -57,6 +61,7 @@ from repro.core.ssam import (
     greedy_selection,
     run_ssam,
 )
+from repro.core.wsp import WSPInstance
 from repro.errors import InfeasibleInstanceError
 from repro.faults import FaultPlan, SellerDefault
 
@@ -257,6 +262,113 @@ def test_lockstep_payments_identical(instance):
                 patch.setattr(columnar, name, value)
             got = columnar_critical_payments(instance, winners)
         assert got == expected, mode
+
+
+def _select_like_run_ssam(instance):
+    """The columnar trajectory ``run_ssam`` would select, escalated to
+    the exact guard when the cheap one cannot complete (None if even
+    that is infeasible)."""
+    demand = {b: u for b, u in instance.demand.items() if u > 0}
+    for exact_guard in (False, True):
+        try:
+            return columnar_greedy_selection(
+                instance.bids, demand, exact_guard=exact_guard
+            )
+        except InfeasibleInstanceError:
+            continue
+    return None
+
+
+def _own_sellers(instance, market, ceiling):
+    """``instance`` under price ceiling ``ceiling``, its sellers
+    renumbered so that no two markets of a batch share a bid key."""
+    return WSPInstance(
+        bids=tuple(
+            dataclasses.replace(bid, seller=bid.seller + 1000 * market)
+            for bid in instance.bids
+        ),
+        demand=instance.demand,
+        price_ceiling=ceiling,
+    )
+
+
+# Each market with its own ceiling: 2.5 sits below most TIE_PRICES, so
+# a pivotal winner priced above it is paid less than its own offer.
+BATCH_MARKETS = st.lists(
+    st.tuples(
+        st.one_of(
+            wsp_instances(
+                min_sellers=6,
+                max_sellers=14,
+                min_buyers=3,
+                max_buyers=8,
+                max_covered=3,
+                price_choices=TIE_PRICES,
+            ),
+            # Scarcer supply: more replays meet a head that strands a
+            # buyer.
+            wsp_instances(
+                min_sellers=4,
+                max_sellers=12,
+                min_buyers=3,
+                max_buyers=8,
+                max_covered=2,
+                max_demand=4,
+                price_choices=TIE_PRICES,
+            ),
+        ),
+        st.sampled_from((2.5, 100.0, None)),
+    ),
+    min_size=2,
+    max_size=4,
+)
+
+
+@COMMON
+@given(markets=BATCH_MARKETS)
+@pytest.mark.parametrize(
+    "mode", ["defaults", "lockstep", "lockstep-chunks"]
+)
+def test_multi_market_batch_is_per_market_payments(markets, mode):
+    """One kernel call over several markets (a sharded round's shards,
+    of different widths and ceilings) prices every bid — winners and
+    probed losers, on tie-heavy prices, with stranding heads that leave
+    the lockstep batch — exactly like one call per market, which prices
+    it exactly
+    like the scalar reference replay.  A second call with the same
+    trajectories agrees: the recorded states are never mutated."""
+    markets = [_own_sellers(m, i, c) for i, (m, c) in enumerate(markets)]
+    trajectories = [_select_like_run_ssam(m) for m in markets]
+    kept = [(m, t) for m, t in zip(markets, trajectories) if t is not None]
+    if not kept:
+        return
+    markets, trajectories = map(list, zip(*kept))
+    # Probes run market by market backwards, so a bid's market is not
+    # always the previous bid's.
+    probes = [bid for m in reversed(markets) for bid in m.bids]
+    expected = {
+        bid.key: _critical_payment(m, bid, exact_guard=t.exact_guard)
+        for m, t in zip(markets, trajectories)
+        for bid in m.bids
+    }
+    width = max(len(m.bids) for m in markets)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in KERNEL_MODES[mode](width).items():
+            patch.setattr(columnar, name, value)
+        per_market = {
+            bid.key: payment
+            for m, t in zip(markets, trajectories)
+            for bid, payment in zip(
+                m.bids,
+                columnar_critical_payments(m, m.bids, trajectory=t),
+            )
+        }
+        batched = [
+            columnar_critical_payments(markets, probes, trajectory=trajectories)
+            for _ in range(2)
+        ]
+    assert per_market == expected
+    assert batched[0] == batched[1] == [expected[bid.key] for bid in probes]
 
 
 @COMMON

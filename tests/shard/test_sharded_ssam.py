@@ -174,11 +174,36 @@ class TestReconciliation:
 
 
 class TestProfiledPhases:
+    @staticmethod
+    def _phase_calls(instance):
+        from repro.obs.runtime import STATE, _reset_for_tests, configure
+
+        _reset_for_tests()
+        try:
+            configure()
+            result = run_sharded_ssam(instance, PLAN)
+            metrics = STATE.metrics
+            calls = {
+                phase: metrics.counter(f"phase.{phase}.calls").value
+                for phase in (
+                    "shard.round",
+                    "shard.partition",
+                    "ssam.selection",
+                    "ssam.payments",
+                    "shard.reconcile",
+                )
+            }
+        finally:
+            _reset_for_tests()
+        return result, calls
+
     def test_partition_and_reconcile_are_profiled(self):
         # A metrics registry alone splits a sharded round into the
         # partition, the per-shard kernels and the reconciliation.
-        from repro.obs.runtime import STATE, _reset_for_tests, configure
-
+        # Buyer 1 needs 2 units but only seller 100 covers it locally:
+        # shard "a" clamps and clears through clear_supply_clamped,
+        # paying its winners on its own; shard "b"'s winners are paid in
+        # the round's batch, and the reconciliation pays its own.
         bids = [
             bid(100, {0, 1}, 10.0),
             bid(101, {0}, 9.0),
@@ -189,26 +214,18 @@ class TestProfiledPhases:
         instance = WSPInstance.from_bids(
             bids, {0: 1, 1: 2, 2: 1, 3: 1}, price_ceiling=50.0
         )
-        _reset_for_tests()
-        try:
-            configure()
-            run_sharded_ssam(instance, PLAN)
-            metrics = STATE.metrics
-            calls = {
-                phase: metrics.counter(f"phase.{phase}.calls").value
-                for phase in (
-                    "shard.round",
-                    "shard.partition",
-                    "ssam.payments",
-                    "shard.reconcile",
-                )
-            }
-        finally:
-            _reset_for_tests()
-        # Two local shards and the reconciliation each pay their winners.
+        result, calls = self._phase_calls(instance)
+        assert result.stats.clamped_shards == 1
+        del calls["ssam.selection"]  # shard "a" also escalates its guard
         assert calls == {
             "shard.round": 1,
             "shard.partition": 1,
             "ssam.payments": 3,
             "shard.reconcile": 1,
         }
+
+    def test_unclamped_shards_share_one_payment_batch(self):
+        result, calls = self._phase_calls(split_market())
+        assert result.stats.clamped_shards == 0
+        assert result.cross_outcome is None
+        assert (calls["ssam.selection"], calls["ssam.payments"]) == (2, 1)
