@@ -23,7 +23,8 @@ the greedy machinery on flat numpy arrays:
   statistic; the full ``lexsort`` and ordered guard walk run only when
   that head would strand a buyer or the exact guard is on.  It returns
   a :class:`Trajectory`: the step list plus the state before every
-  step, kept (never mutated again) while a fork advances.
+  step, kept (never mutated again) while a fork advances; a step's
+  ``coverage_before`` is a read-only view of that state.
 * :func:`columnar_critical_payments` — a batched critical-value kernel
   that walks no trajectory a second time.  For a winner chosen at
   main-run iteration ``k``, the +∞-replay of
@@ -35,17 +36,13 @@ the greedy machinery on flat numpy arrays:
   over the recorded states (:func:`_prefix_thresholds`), and its
   replay diverges from the state recorded at ``k``.  One call can price
   several markets (a sharded round's shards) in one batch.
-* :func:`_lockstep_replays` — diverged replays advanced side by side on
-  R × columns arrays, each row over its own layout's columns padded to
-  the widest; a replay whose head is not finite or would strand a buyer
-  leaves the batch for :func:`_suffix_replay`.
-* :func:`_suffix_replay` — one winner's private suffix, cut to the
-  steps that can still move its threshold; the fallback and in-module
-  oracle of the lockstep path.  It stops as soon as the
-  winner's marginal utility reaches 0: utilities only fall and sellers
-  never re-enter, so no later step can raise the threshold (every
-  update, the ceiling-capped terminal cases included, needs a positive
-  utility).  Each step takes its head as the selection loop does.
+* :func:`_lockstep_replays` — the one payment-replay walker: a batch's
+  diverged replays side by side on R × columns arrays, each row over
+  its own layout and in its own guard mode, every head resolved inside
+  the batch.  A replay stops once the winner's marginal utility is 0:
+  utilities only fall and sellers never re-enter, so no later step can
+  raise the threshold (every update needs a positive utility).
+  Batches run in chunks of at most ``_LOCKSTEP_CELLS`` bid cells.
 
 Bit-identical outcomes to the ``reference`` engine are the
 contract (IEEE-754 division of the same operands, the same lexicographic
@@ -118,6 +115,7 @@ class ColumnarInstance:
         "initial_utilities",
         "initial_suppliers",
         "row_of",
+        "tables",
     )
 
     def __init__(self, **fields) -> None:
@@ -200,6 +198,7 @@ class ColumnarInstance:
             initial_utilities=initial_utilities,
             initial_suppliers=initial_suppliers,
             row_of={bid.key: i for i, bid in enumerate(bids)},
+            tables={},
         )
 
     @property
@@ -236,6 +235,18 @@ class ColumnarInstance:
         fields["bids"] = bids
         fields["prices"] = np.asarray(prices, dtype=np.float64)
         return ColumnarInstance(**fields)
+
+    def replay_tables(self) -> tuple[np.ndarray, ...]:
+        """The payment replays' structure tables, built on first use and
+        shared by every re-pricing (:attr:`tables` is the same dict):
+        the bid rows of each seller row and of each buyer (padded by
+        repeating one), and each buyer's count of covering rows."""
+        if "replay" not in self.tables:
+            seller_cols, _ = _padded_groups(self.seller_rows, self.sellers.size)
+            entries, counts = _padded_groups(self.cover_cols, self.n_buyers)
+            rows = np.repeat(np.arange(self.n_bids), np.diff(self.cover_indptr))
+            self.tables["replay"] = (seller_cols, rows[entries], counts)
+        return self.tables["replay"]
 
     def price_spread(self) -> float:
         """Theorem 3's ``Ξ`` from the price column grouped by seller row:
@@ -327,6 +338,7 @@ class ColumnarInstance:
             initial_utilities=initial_utilities,
             initial_suppliers=initial_suppliers,
             row_of={bid.key: i for i, bid in enumerate(bids)},
+            tables={},
         )
 
 
@@ -365,7 +377,7 @@ class ColumnarState:
         self.unmet = int(inst.demand.sum())
 
     def fork(self) -> "ColumnarState":
-        """Independent copy (payment suffix replays mutate it freely)."""
+        """Independent copy (selection advances it, keeping ``self``)."""
         twin = ColumnarState.__new__(ColumnarState)
         twin.inst = self.inst
         twin.prices = self.prices
@@ -377,24 +389,9 @@ class ColumnarState:
         twin.unmet = self.unmet
         return twin
 
-    def priced_out(self, row: int) -> "ColumnarState":
-        """A fork with ``row`` priced +∞: where the row's critical replay
-        leaves the main run (the replay mutates it, never ``self``)."""
-        twin = self.fork()
-        twin.prices = self.prices.copy()
-        twin.prices[row] = math.inf
-        return twin
-
     @property
     def satisfied(self) -> bool:
         return self.unmet == 0
-
-    def coverage_before(self) -> dict[int, int]:
-        """Granted units per buyer, as the reference engine's dict."""
-        return {
-            buyer: int(units)
-            for buyer, units in zip(self.inst.buyers, self.granted)
-        }
 
     def would_strand(self, row: int) -> bool:
         """Vector twin of :func:`repro.core.ssam._selection_strands`.
@@ -443,8 +440,38 @@ class ColumnarState:
     def coverage_view(self) -> CoverageState:
         """A :class:`CoverageState` snapshot (exact-guard escalations)."""
         return CoverageState(
-            demand=self.inst.demand_map, granted=self.coverage_before()
+            demand=self.inst.demand_map,
+            granted=dict(zip(self.inst.buyers, self.granted.tolist())),
         )
+
+
+class _Granted(Mapping):
+    """Read-only ``{buyer: granted units}`` over a recorded state: a
+    columnar step's ``coverage_before``, equal to the reference
+    engine's dict without building one per step."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: ColumnarState) -> None:
+        self._state = state
+
+    def __getitem__(self, buyer: int) -> int:
+        inst = self._state.inst
+        pos = inst.tables.get("buyer_pos")
+        if pos is None:
+            pos = inst.tables["buyer_pos"] = {
+                b: j for j, b in enumerate(inst.buyers)
+            }
+        return int(self._state.granted[pos[buyer]])
+
+    def __iter__(self):
+        return iter(self._state.inst.buyers)
+
+    def __len__(self) -> int:
+        return len(self._state.inst.buyers)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def _ordered_candidates(
@@ -502,11 +529,11 @@ class Trajectory(list):
     ``layout`` is the instance the run selected on and ``exact_guard``
     its guard mode; ``rows[k]`` is step ``k``'s chosen row and
     ``states[k]`` the :class:`ColumnarState` just before that win.  A
-    recorded state is never mutated: replays start from
-    :meth:`ColumnarState.priced_out` copies.
+    recorded state is never mutated: the payment replays copy what they
+    read (:meth:`stacked`).
     """
 
-    __slots__ = ("layout", "exact_guard", "rows", "states")
+    __slots__ = ("layout", "exact_guard", "rows", "states", "_stacked")
 
     def __init__(self, layout: ColumnarInstance, exact_guard: bool) -> None:
         super().__init__()
@@ -514,6 +541,17 @@ class Trajectory(list):
         self.exact_guard = exact_guard
         self.rows: list[int] = []
         self.states: list[ColumnarState] = []
+        self._stacked: tuple[np.ndarray, ...] | None = None
+
+    def stacked(self) -> tuple[np.ndarray, ...]:
+        """The recorded states' ``utilities``, ``active``, ``granted`` and
+        ``suppliers``, each stacked one row per step (built once)."""
+        if self._stacked is None or len(self._stacked[0]) != len(self.states):
+            self._stacked = tuple(
+                np.array([getattr(state, name) for state in self.states])
+                for name in ("utilities", "active", "granted", "suppliers")
+            )
+        return self._stacked
 
 
 @profiled("ssam.selection")
@@ -578,7 +616,7 @@ def columnar_greedy_selection(
                 utility=int(state.utilities[row]),
                 ratio=ratio,
                 runner_up_ratio=runner_up,
-                coverage_before=state.coverage_before(),
+                coverage_before=_Granted(state),
             )
         )
         steps.rows.append(row)
@@ -643,85 +681,10 @@ def _runner_up_ratio(ratios: np.ndarray, ties: np.ndarray) -> float | None:
     )
 
 
-def _suffix_replay(
-    state: ColumnarState,
-    winner_row: int,
-    threshold: float,
-    *,
-    exact_guard: bool,
-    ceiling: float,
-) -> float:
-    """Finish one winner's +∞ critical replay from its divergence point.
-
-    ``state`` is a private fork whose price column already carries +∞
-    at ``winner_row``; the loop body is the exact tail of
-    :func:`repro.core.ssam._critical_payment`, with two shortcuts that
-    cannot change its result:
-
-    * **Zero-utility exit.**  The replay stops as soon as the winner's
-      marginal utility is 0.  Granted units only grow and sellers never
-      re-enter, so the utility stays 0, and every threshold update —
-      the per-step one and the ceiling-capped terminal one — requires
-      it to be positive.
-    * **Head-candidate fast path.**  The step's choice is the head of
-      the reference order (:func:`_head_candidate`) whenever the head
-      strands nobody; the full ordered walk
-      (:func:`_ordered_candidates` + :func:`_guarded_choice`) runs only
-      when the head would strand a buyer or ``exact_guard`` is on.
-
-    A step whose bid ``winner_utility * ratio`` cannot raise the
-    threshold also skips the winner's guard probe: ``max`` would keep
-    the threshold either way.
-    """
-    inst = state.inst
-    winner_seller = int(inst.seller_rows[winner_row])
-    infinite = (
-        inst.bids[winner_row].with_price(math.inf) if exact_guard else None
-    )
-    steps = 0
-    while not state.satisfied:
-        # The winner stays active until a sibling wins (which breaks
-        # below), so while its utility is positive it is a candidate
-        # itself and _head_candidate always finds a head.
-        winner_utility = int(state.utilities[winner_row])
-        if winner_utility <= 0:
-            break
-        steps += 1
-        rows, ratios, ties = _head_candidate(state)
-        row, ratio = int(rows[ties[0]]), float(ratios[ties[0]])
-        if exact_guard or state.would_strand(row):
-            order, ratios = _ordered_candidates(state)
-            chosen_pos = _guarded_choice(state, order, exact_guard=exact_guard)
-            row, ratio = int(order[chosen_pos]), float(ratios[chosen_pos])
-        if row == winner_row:
-            threshold = max(threshold, winner_utility * ceiling)
-            break
-        bid = winner_utility * ratio
-        if bid > threshold:
-            winner_safe = not state.would_strand(winner_row)
-            if winner_safe and exact_guard:
-                winner_safe = _residual_feasible(
-                    infinite, state.active_bids(), state.coverage_view()
-                )
-            if winner_safe:
-                threshold = bid
-        state.apply_win(row)
-        if int(inst.seller_rows[row]) == winner_seller:
-            break
-        state.remove_seller(int(inst.seller_rows[row]))
-    if _OBS.enabled:
-        _OBS.metrics.counter("engine.columnar.payment_suffix_steps").inc(steps)
-    return threshold
-
-
-# Size rule of the lockstep path: a chunk holds at most
-# ``_LOCKSTEP_CELLS // width`` replays (``width``: the widest layout's
-# bid count), and chunks of fewer than ``_LOCKSTEP_MIN`` replays run one
-# by one in ``_suffix_replay`` (few replays over many rows lose to the
-# scalar head scan).  The same cell budget bounds the prefix guard's
-# (step, row) × buyers tensor.
+# A lockstep chunk holds at most ``_LOCKSTEP_CELLS // width`` replays
+# (``width``: the widest layout's bid count); the same cell budget
+# bounds the prefix guard's (step, row) × buyers tensor.
 _LOCKSTEP_CELLS = 65_536
-_LOCKSTEP_MIN = 8
 
 
 def _strands(need, suppliers, cover_rows, seller_cov_rows) -> np.ndarray:
@@ -735,215 +698,249 @@ def _padded_groups(
     keys: np.ndarray, n_keys: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row ``k``: the positions ``i`` with ``keys[i] == k``, ascending,
-    padded by repeating a position; plus the mask of real entries."""
-    order = np.argsort(keys, kind="stable")
+    padded by repeating a position; plus each key's count.
+    (Keys cast to the narrowest type that holds them: a stable sort of
+    16-bit keys is a radix sort.)"""
+    order = np.argsort(keys.astype(np.min_scalar_type(n_keys)), kind="stable")
     counts = np.bincount(keys, minlength=n_keys)
     slots = np.arange(max(int(counts.max()), 1))
     last = np.cumsum(counts)[:, None] - 1
     padded = np.minimum(last - counts[:, None] + 1 + slots, last)
-    return order[np.maximum(padded, 0)], slots < counts[:, None]
+    return order[np.maximum(padded, 0)], counts
+
+
+def _stacked(tables: list[np.ndarray]) -> np.ndarray:
+    """Concatenate per-layout tables; 2-D ones row-wise, each padded to
+    the widest by repeating its last column."""
+    if len(tables) == 1:
+        return tables[0]
+    if tables[0].ndim == 1:
+        return np.concatenate(tables)
+    cols = np.arange(max(t.shape[1] for t in tables))
+    return np.concatenate([t[:, np.minimum(cols, t.shape[1] - 1)] for t in tables])
 
 
 def _lockstep_replays(
-    batch: list[tuple[int, float, ColumnarState, float]],
+    batch: list[tuple[int, float, Trajectory, int, float]],
 ) -> list[float]:
-    """Critical values of R ``(winner_row, threshold, state, ceiling)``
-    replays, each leaving its recorded ``state`` with the winner priced
-    +∞, advanced side by side on R × columns arrays.
+    """Critical values of R ``(winner_row, threshold, recorded, step,
+    ceiling)`` replays, each leaving the state ``recorded`` holds at
+    ``step`` with the winner priced +∞: one step of the tail of
+    :func:`repro.core.ssam._critical_payment` per iteration for every
+    live replay, in its trajectory's guard mode.
 
-    Each iteration is one :func:`_suffix_replay` step of every live
-    replay.  The rows may come from different layouts (a sharded
-    round's shards): each row holds its own layout's bid columns,
-    permuted into ``lexsort`` order of ``(price, seller, index)`` and
-    padded to the widest layout, and its own buyers, padded to the most.
-    A padded column is priced +∞ with utility 0 and a padded buyer has
-    need 0, so neither is ever a head or binds the guard.  Sellers and
-    buyers are numbered across the layouts, so one table lookup serves
-    every row.  A row's first minimum of prices (+∞ at the winner and
-    removed bids) over utilities — the reference's IEEE-754 quotients —
-    is that replay's reference head.  The +∞ winner ties only at +∞, so
-    a replay whose head ratio is not finite, or whose head would strand
-    a buyer, leaves for :func:`_suffix_replay`.  Utilities are float64,
-    exact below 2⁵³.  Live rows are compacted once half have finished.
+    Each row holds its own layout's bid columns, padded to the widest
+    layout, and its own buyers, padded to the most; a padded column is
+    priced +∞ with utility 0 and a padded buyer's need starts at 0 and
+    only falls, so neither is ever a head or binds the guard.  A row's
+    head is its least ratio (the reference's IEEE-754 quotients) and,
+    among the candidates tied on it, the least ``(price, seller,
+    index)``; a row whose least quotient is not finite (0/0 from a
+    zero-priced bid without utility, or only +∞-priced candidates left)
+    takes it over its candidates alone.  A stranding head and every
+    exact-guard step take the ordered guard walk on a
+    :class:`ColumnarState` over the row's slices.  A replay ends
+    ceiling-capped when it chooses the +∞ winner, and early on a
+    sibling win or once the winner's utility is 0 (it only falls, and
+    every update needs it positive).  Live rows are compacted once half
+    of a batch of 16 or more have finished.
     """
-    slot: dict[int, int] = {}
-    layouts: list[ColumnarInstance] = []
-    for _, _, state, _ in batch:
-        if id(state.inst) not in slot:
-            slot[id(state.inst)] = len(layouts)
-            layouts.append(state.inst)
-    lay = np.array([slot[id(state.inst)] for _, _, state, _ in batch])
-    winners = np.array([row for row, _, _, _ in batch], dtype=np.int64)
-    ids = here = np.arange(len(batch))
+    runs = list({id(job[2]): job[2] for job in batch}.values())
+    slot = {id(recorded): l for l, recorded in enumerate(runs)}
+    layouts = [recorded.layout for recorded in runs]
+    # Rows ordered by trajectory (``ids``: their batch positions), so
+    # each trajectory's rows fill one slice.
+    lay = np.array([slot[id(job[2])] for job in batch])
+    ids = np.argsort(lay, kind="stable")
+    jobs = [batch[k] for k in ids.tolist()]
+    lay = lay[ids]
+    wcol = np.array([job[0] for job in jobs], dtype=np.int64)
+    threshold = np.array([job[1] for job in jobs], dtype=np.float64)
+    ceiling = np.array([job[4] for job in jobs], dtype=np.float64)
+    exact = np.array([runs[l].exact_guard for l in lay.tolist()], dtype=bool)
+    here = np.arange(ids.size)
     width = max(inst.n_bids for inst in layouts)
     n_buyers = max(inst.n_buyers for inst in layouts)
-    seller_base = np.cumsum([0] + [inst.sellers.size for inst in layouts])
-    buyer_base = np.cumsum([0] + [inst.n_buyers for inst in layouts])
-    # Column tables: layout l's column c sits at l * width + c.
-    cover = np.zeros((len(layouts) * width, n_buyers), dtype=bool)
-    sellers = np.zeros(len(layouts) * width, dtype=np.int64)
-    seller_cov = np.zeros((int(seller_base[-1]), n_buyers), dtype=bool)
-    wcol = np.empty(ids.size, dtype=np.int64)
-    threshold = np.array([t for _, t, _, _ in batch], dtype=np.float64)
     utilities = np.zeros((ids.size, width))
     active = np.zeros((ids.size, width), dtype=bool)
     prices = np.full((ids.size, width), np.inf)
-    need = np.zeros((ids.size, n_buyers), dtype=np.int64)  # unsat: > 0
-    suppliers = np.zeros((ids.size, n_buyers), dtype=np.int64)
-    unmet = np.array([state.unmet for _, _, state, _ in batch], dtype=np.int64)
-    col_of, buyer_keys, buyer_cols = [], [], []
-    for l, inst in enumerate(layouts):
-        n, b, at = inst.n_bids, inst.n_buyers, l * width
-        perm = np.lexsort((inst.bid_indices, inst.seller_ids, inst.prices))
-        col_of.append(np.empty_like(perm))
-        col_of[l][perm] = np.arange(n)
-        cover[at : at + n, :b] = inst.cover[perm]
-        sellers[at : at + n] = seller_base[l] + inst.seller_rows[perm]
-        seller_cov[seller_base[l] : seller_base[l + 1], :b] = inst.seller_cov
-        cols, buyers = cover[at : at + n].nonzero()
-        buyer_keys.append(buyer_base[l] + buyers)
-        buyer_cols.append(cols)
-        members = (lay == l).nonzero()[0]
-        states = [batch[k][2] for k in members]
-        wcol[members] = col_of[l][winners[members]]
-        utilities[members, :n] = np.stack([s.utilities for s in states])[
-            :, perm
-        ]
-        active[members, :n] = np.stack([s.active for s in states])[:, perm]
-        prices[members, :n] = np.where(
-            active[members, :n], inst.prices[perm], np.inf
-        )
-        need[members, :b] = inst.demand - np.stack([s.granted for s in states])
-        suppliers[members, :b] = np.stack([s.suppliers for s in states])
-    real = np.concatenate([np.arange(l * width, l * width + inst.n_bids)
-                           for l, inst in enumerate(layouts)])
-    # Each seller's columns, local to its layout (padded by repetition).
-    seller_cols, _ = _padded_groups(sellers[real], int(seller_base[-1]))
-    seller_cols = real[seller_cols] % width
-    buyer_groups, buyer_real = _padded_groups(
-        np.concatenate(buyer_keys), int(buyer_base[-1])
+    # int32 suffices: in a feasible market both are at most the seller
+    # count.  Need > 0 marks an unsatisfied buyer.
+    need = np.zeros((ids.size, n_buyers), dtype=np.int32)
+    suppliers = np.zeros((ids.size, n_buyers), dtype=np.int32)
+    ends = np.cumsum(np.bincount(lay, minlength=len(runs))).tolist()
+    for recorded, lo, hi in zip(runs, [0, *ends], ends):
+        inst = recorded.layout
+        n, b = inst.n_bids, inst.n_buyers
+        steps = [job[3] for job in jobs[lo:hi]]
+        run_utilities, run_active, granted, run_suppliers = recorded.stacked()
+        utilities[lo:hi, :n] = run_utilities[steps]
+        active[lo:hi, :n] = run_active[steps]
+        np.copyto(prices[lo:hi, :n], inst.prices, where=active[lo:hi, :n])
+        need[lo:hi, :b] = inst.demand - granted[steps]
+        suppliers[lo:hi, :b] = run_suppliers[steps]
+    unmet = need.clip(min=0).sum(axis=1)
+    # Layout l's column c, seller row s and buyer j are entries
+    # col_base[l] + c, seller_base[l] + s and buyer_base[l] + j of the
+    # batch tables; group tables hold columns local to their layout.
+    col_base, seller_base, buyer_base = np.cumsum(
+        [(0, 0, 0)]
+        + [(inst.n_bids, inst.sellers.size, inst.n_buyers) for inst in layouts],
+        axis=0,
+    ).T
+    tables = [inst.replay_tables() for inst in layouts]
+    seller_cols, buyer_cols, buyer_counts = (
+        _stacked([t[i] for t in tables]) for i in range(3)
     )
-    buyer_cols = np.concatenate(buyer_cols)[buyer_groups]
-    buyer_real = buyer_real.astype(float)
-    base = lay * width
-    wseller = sellers[base + wcol]
-    wcover, wseller_cov = cover[base + wcol], seller_cov[wseller]
-    prices[ids, wcol] = np.inf
+    cover, seller_cov, seller_ids, bid_indices = (
+        _stacked([getattr(inst, name) for inst in layouts])
+        for name in ("cover", "seller_cov", "seller_ids", "bid_indices")
+    )
+    sellers = _stacked([at + i.seller_rows for at, i in zip(seller_base, layouts)])
+    slots = np.arange(buyer_cols.shape[1])
+    base = col_base[lay]
+    row_buyers = buyer_base[lay]
+
+    def guard_rows(cols: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each row's column ``cols``: its cover row, seller and seller
+        coverage, the rows as int32 (the type of need and suppliers)."""
+        seller = sellers[base + cols]
+        return (
+            cover[base + cols].astype(np.int32),
+            seller,
+            seller_cov[seller].astype(np.int32),
+        )
+
+    wcover, wseller, wseller_cov = guard_rows(wcol)
+    prices[here, wcol] = np.inf
+    guarded = bool(exact.any())
+
+    def row_state(k: int) -> ColumnarState:
+        """Row ``k`` of the batch as a state of its own layout, for the
+        guard walk (``unsat`` and ``unmet`` are left unset)."""
+        inst = layouts[lay[k]]
+        n, b = inst.n_bids, inst.n_buyers
+        state = ColumnarState.__new__(ColumnarState)
+        state.inst = inst
+        state.prices = prices[k, :n]
+        state.active = active[k, :n]
+        state.utilities = utilities[k, :n]
+        state.granted = inst.demand - need[k, :b]
+        state.suppliers = suppliers[k, :b]
+        return state
+
     live = np.ones(ids.size, dtype=bool)
     resolved = np.empty(ids.size)
-    lockstep_steps = suffix_steps = exits = 0
+    # One ratio buffer: a fresh R × columns temporary every step costs
+    # page faults once it outgrows the allocator's heap.
+    ratios = np.empty_like(prices)
+    lockstep_steps = suffix_steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             winner_utility = utilities[here, wcol]
             live &= (unmet > 0) & (winner_utility > 0)
-            if 2 * np.count_nonzero(live) <= ids.size:
+            n_live = int(np.count_nonzero(live))
+            if not n_live:
+                break
+            if 2 * n_live <= ids.size >= 16:
                 resolved[ids] = threshold
-                if not live.any():
-                    break
                 keep = live.nonzero()[0]
-                (ids, lay, base, wcol, wseller, wcover, wseller_cov,
-                 threshold, live, winner_utility, utilities, prices, active,
-                 need, suppliers, unmet) = (a[keep] for a in (
-                    ids, lay, base, wcol, wseller, wcover, wseller_cov,
-                    threshold, live, winner_utility, utilities, prices,
-                    active, need, suppliers, unmet))
+                (ids, lay, base, row_buyers, wcol, wseller, wcover,
+                 wseller_cov, threshold, ceiling, exact, live, winner_utility,
+                 utilities, prices, active, need, suppliers, unmet) = (
+                    a[keep] for a in (
+                        ids, lay, base, row_buyers, wcol, wseller, wcover,
+                        wseller_cov, threshold, ceiling, exact, live,
+                        winner_utility, utilities, prices, active, need,
+                        suppliers, unmet))
                 here = np.arange(ids.size)
-            ratios = prices / utilities
+                ratios = np.empty_like(prices)
+            lockstep_steps += 1
+            suffix_steps += n_live
+            np.divide(prices, utilities, out=ratios)
             head = ratios.argmin(axis=1)
             ratio = ratios[here, head]
-            head_seller = sellers[base + head]
-            head_cover = cover[base + head]
-            head_seller_cov = seller_cov[head_seller]
-            leave = live & (
-                ~(ratio < np.inf)
-                | _strands(need, suppliers, head_cover, head_seller_cov)
-            )
-            for k in leave.nonzero()[0]:
-                row, _, start, ceiling = batch[ids[k]]
-                inst, order = start.inst, col_of[lay[k]]
-                state = start.priced_out(row)  # now carries row k's state
-                b = inst.n_buyers
-                state.granted = inst.demand - need[k, :b]
-                state.unsat = need[k, :b] > 0
-                state.active = active[k, order]
-                state.utilities = utilities[k, order].astype(np.int64)
-                state.suppliers = suppliers[k, :b].copy()
-                state.unmet = int(unmet[k])
-                threshold[k] = _suffix_replay(
-                    state,
-                    row,
-                    float(threshold[k]),
-                    exact_guard=False,
-                    ceiling=ceiling,
+            # A tie iff the least ratio of the other columns matches.
+            ratios[here, head] = np.inf
+            resolve = live & (ratios[here, ratios.argmin(axis=1)] == ratio)
+            ratios[here, head] = ratio
+            odd = live & ~(ratio < np.inf)
+            odd_rows = odd.any()
+            if odd_rows:
+                k = odd.nonzero()[0]
+                candidate = active[k] & (utilities[k] > 0)
+                ratio[k] = np.where(candidate, ratios[k], np.inf).min(axis=1)
+                resolve |= odd
+            if resolve.any():
+                # The least (price, seller, index) of each row's ties.
+                k = resolve.nonzero()[0]
+                tied = (ratios[k] == ratio[k, None]) & active[k]
+                rows, cols = (tied & (utilities[k] > 0)).nonzero()
+                at = base[k[rows]] + cols
+                first = np.lexsort(
+                    (bid_indices[at], seller_ids[at], prices[k[rows], cols], rows)
                 )
-                exits += 1
-            live &= ~leave
-            advanced = int(np.count_nonzero(live))
-            if not advanced:
-                continue
-            lockstep_steps += 1
-            suffix_steps += advanced
+                rows, cols = rows[first], cols[first]
+                head[k] = cols[np.unique(rows, return_index=True)[1]]
+            head_cover, head_seller, head_seller_cov = guard_rows(head)
+            walk = live & _strands(need, suppliers, head_cover, head_seller_cov)
+            walked = (walk | live & exact if guarded else walk).nonzero()[0]
+            for k in walked.tolist():
+                state = row_state(k)
+                order, ordered = _ordered_candidates(state)
+                pos = _guarded_choice(state, order, exact_guard=bool(exact[k]))
+                head[k], ratio[k] = order[pos], ordered[pos]
+            if walked.size:
+                head_cover, head_seller, head_seller_cov = guard_rows(head)
+            if walked.size or odd_rows:
+                # The +∞ winner chosen: pivotal, ceiling-capped.
+                pivotal = live & (head == wcol)
+                capped = winner_utility * ceiling
+                threshold = np.where(
+                    pivotal & (capped > threshold), capped, threshold
+                )
+                live &= ~pivotal
             bid = winner_utility * ratio
             raised = live & (bid > threshold)
             if raised.any():
                 raised &= ~_strands(need, suppliers, wcover, wseller_cov)
-            threshold = np.where(raised, bid, threshold)
-            was_unsat = (need > 0) & head_cover
-            need -= head_cover
+                for k in (raised & exact).nonzero()[0].tolist() if guarded else ():
+                    state = row_state(k)
+                    infinite = state.inst.bids[wcol[k]].with_price(math.inf)
+                    raised[k] = _residual_feasible(
+                        infinite, state.active_bids(), state.coverage_view()
+                    )
+                threshold = np.where(raised, bid, threshold)
+            covered = head_cover > 0
+            was_unsat = (need > 0) & covered
             unmet -= was_unsat.sum(axis=1)
             # Each newly saturated buyer costs its covering bids a unit.
-            rows, buyers = (was_unsat & (need <= 0)).nonzero()
-            buyers = buyer_base[lay[rows]] + buyers
-            np.subtract.at(
-                utilities,
-                (rows[:, None], buyer_cols[buyers]),
-                buyer_real[buyers],
-            )
+            rows, buyers = ((need == 1) & covered).nonzero()
+            need -= head_cover
+            if rows.size:
+                buyers += row_buyers[rows]
+                np.subtract.at(
+                    utilities.reshape(-1),
+                    (rows[:, None] * width + buyer_cols[buyers]).reshape(-1),
+                    # float weights: ufunc.at is slow on mixed types.
+                    (slots < buyer_counts[buyers, None]).astype(float).ravel(),
+                )
             # A sibling win ends the replay; the rest drop the seller.
             live &= head_seller != wseller
             removed = (here[:, None], seller_cols[head_seller])
             active[removed] = False
             prices[removed] = np.inf
             suppliers -= head_seller_cov
+    resolved[ids] = threshold
     if _OBS.enabled:
         metrics = _OBS.metrics
-        for name, value in (
-            ("lockstep_steps", lockstep_steps),
-            ("lockstep_exits", exits),
-            ("suffix_steps", suffix_steps),
-        ):
-            metrics.counter(f"engine.columnar.payment_{name}").inc(value)
+        metrics.counter("engine.columnar.payment_lockstep_steps").inc(
+            lockstep_steps
+        )
+        metrics.counter("engine.columnar.payment_suffix_steps").inc(
+            suffix_steps
+        )
     return resolved.tolist()
-
-
-def _replay_suffixes(
-    jobs: list[tuple[int, float, ColumnarState, float]],
-    *,
-    exact_guard: bool,
-) -> list[float]:
-    """Finish ``(winner_row, threshold, state, ceiling)`` replays from
-    their recorded divergence states: in lockstep chunks across every
-    layout of the batch where the module's size rule allows, otherwise
-    (and always under the exact guard) one by one."""
-    width = max(state.inst.n_bids for _, _, state, _ in jobs)
-    chunk = 1 if exact_guard else max(_LOCKSTEP_CELLS // max(width, 1), 1)
-    payments: list[float] = []
-    for start in range(0, len(jobs), chunk):
-        part = jobs[start : start + chunk]
-        if len(part) >= _LOCKSTEP_MIN and not exact_guard:
-            payments += _lockstep_replays(part)
-            continue
-        payments += [
-            _suffix_replay(
-                state.priced_out(row),
-                row,
-                threshold,
-                exact_guard=exact_guard,
-                ceiling=ceiling,
-            )
-            for row, threshold, state, ceiling in part
-        ]
-    return payments
 
 
 def _prefix_thresholds(
@@ -981,8 +978,8 @@ def _prefix_thresholds(
     horizon = int(end.max())
     if not horizon:
         return thresholds, diverge
-    states = recorded.states[:horizon]
-    utilities = np.array([state.utilities[rows] for state in states])
+    run_utilities, _, granted, run_suppliers = recorded.stacked()
+    utilities = run_utilities[:horizon, rows]
     ratios = np.array([step.ratio for step in recorded[:horizon]])
     with np.errstate(invalid="ignore"):  # 0 · ∞ (an ∞-priced pick): masked
         offers = utilities * ratios[:, None]
@@ -993,8 +990,8 @@ def _prefix_thresholds(
     ).nonzero()
     if not steps.size:
         return thresholds, diverge
-    need = inst.demand - np.array([state.granted for state in states])
-    suppliers = np.array([state.suppliers for state in states])
+    need = inst.demand - granted[:horizon]
+    suppliers = run_suppliers[:horizon]
     candidates = rows[cols]
     safe = np.empty(steps.size, dtype=bool)
     chunk = max(_LOCKSTEP_CELLS // max(inst.n_buyers, 1), 1)
@@ -1015,7 +1012,7 @@ def _prefix_thresholds(
         mine = (cols == col).nonzero()[0]
         infinite = inst.bids[int(rows[col])].with_price(math.inf)
         for j in mine[np.argsort(-values[mine], kind="stable")].tolist():
-            state = states[int(steps[j])]
+            state = recorded.states[int(steps[j])]
             if _residual_feasible(
                 infinite, state.active_bids(), state.coverage_view()
             ):
@@ -1076,8 +1073,9 @@ def columnar_critical_payments(
     a bid whose seller sibling wins first resolves at that iteration
     (the replay breaks there), matching the scalar replay's early exit.
     The replays that diverge start from the state recorded at their own
-    win, with the winner priced +∞, and run in lockstep chunks across
-    every market of the batch, or one by one (the module's size rule).
+    win, with the winner priced +∞, and run in :func:`_lockstep_replays`
+    across every market and guard mode of the batch, in chunks of at
+    most ``_LOCKSTEP_CELLS`` bid cells.
     Results are bit-identical to
     :func:`repro.core.ssam._critical_payment` per winner.
     """
@@ -1118,7 +1116,7 @@ def columnar_critical_payments(
     for m, row in located:
         pending[m][row] = None
     resolved: dict[tuple[int, int], float] = {}
-    jobs: dict[bool, list] = {False: [], True: []}  # by guard mode
+    keys, jobs = [], []
     for m, ((market, recorded), rows) in enumerate(zip(markets, pending)):
         if not rows:
             continue
@@ -1131,19 +1129,15 @@ def columnar_critical_payments(
             if step < 0:
                 resolved[m, row] = threshold
             else:
-                jobs[recorded.exact_guard].append(
-                    ((m, row), (row, threshold, recorded.states[step], ceiling))
-                )
-    for exact, replays in jobs.items():
-        if replays:
-            payments = _replay_suffixes(
-                [job for _, job in replays], exact_guard=exact
-            )
-            resolved.update(zip((key for key, _ in replays), payments))
+                keys.append((m, row))
+                jobs.append((row, threshold, recorded, step, ceiling))
+    if jobs:
+        chunk = max(_LOCKSTEP_CELLS // max(j[2].layout.n_bids for j in jobs), 1)
+        for at in range(0, len(jobs), chunk):
+            part = slice(at, at + chunk)
+            resolved.update(zip(keys[part], _lockstep_replays(jobs[part])))
     if _OBS.enabled:
         metrics = _OBS.metrics
         metrics.counter("engine.columnar.payment_batches").inc()
-        metrics.counter("engine.columnar.payment_forks").inc(
-            len(jobs[False]) + len(jobs[True])
-        )
+        metrics.counter("engine.columnar.payment_forks").inc(len(jobs))
     return [resolved[key] for key in located]

@@ -119,7 +119,9 @@ class GreedyStep:
 
     ``coverage_before`` maps buyers to units granted *before* this step,
     which is what payment re-runs need to evaluate a foreign bid's
-    marginal utility at this point in time.
+    marginal utility at this point in time.  The reference engine
+    stores a dict; the columnar engine a read-only mapping over the
+    recorded state, equal to that dict.
     """
 
     iteration: int
@@ -127,7 +129,7 @@ class GreedyStep:
     utility: int
     ratio: float
     runner_up_ratio: float | None
-    coverage_before: dict[int, int]
+    coverage_before: Mapping[int, int]
 
 
 def _selection_key(ratio: float, bid: Bid) -> tuple[float, float, int, int]:

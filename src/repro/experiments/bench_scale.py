@@ -91,7 +91,8 @@ class ScaleBenchCase:
     timed at all — at 10^5 bids it is prohibitively slow, so the large
     case reports only columnar timings and no ratios.  ``repeats`` is
     the number of round-robin timing rounds (see :func:`_interleaved`);
-    in the payment-phase timing each round runs the batched kernel
+    each round runs the columnar engine :data:`_COLUMNAR_REPEATS` times
+    and, in the payment-phase timing, the batched kernel
     :data:`_PAYMENT_REPEATS` times.
     """
 
@@ -108,6 +109,12 @@ class ScaleBenchCase:
 # median ``payment_batch_speedup`` of unchanged code spread ~12% across
 # runs on a shared 2-vCPU host; with 25, ~6%.
 _PAYMENT_REPEATS = 25
+
+# Back-to-back columnar ``run_ssam`` calls per timing round of a case
+# with a reference side, for the same reason: one ~30 ms call against a
+# ~3 s reference run let the median ``speedup_columnar`` of unchanged
+# code spread 74.7–91.5×.
+_COLUMNAR_REPEATS = 10
 
 
 @dataclass(frozen=True)
@@ -279,28 +286,41 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
             instance, payment_rule=PaymentRule.CRITICAL_RERUN, engine=engine
         )
 
-    columnar_outcome = _ssam("columnar")()
-    engines = ("columnar",)
+    columnar = _ssam("columnar")
+    columnar_outcome = columnar()
+    # The mean of back-to-back calls only matters against a reference.
+    repeats = _COLUMNAR_REPEATS if case.time_reference else 1
+    runs = {"columnar": lambda: [columnar() for _ in range(repeats)]}
     equivalent = True
     if case.time_reference:
-        engines = ("reference", *engines)
         equivalent = _ssam("reference")().to_dict() == columnar_outcome.to_dict()
-    timed = dict(
-        zip(
-            engines,
-            _interleaved(case.repeats, *(_ssam(e) for e in engines)),
-        )
-    )
+        runs = {"reference": _ssam("reference"), **runs}
+    timed = dict(zip(runs, _interleaved(case.repeats, *runs.values())))
+    timed["columnar"] = [seconds / repeats for seconds in timed["columnar"]]
     reference_times = timed.get("reference")
 
     # Isolate the payment phase: the batched kernel vs. the reference
     # engine's per-winner serial replays.  Both start from the same
     # recorded trajectory (its states are never mutated, so every timed
     # call reads the same ones) and only the kernels differ.
-    cinst = ColumnarInstance.build(instance.bids, instance.demand)
-    steps = columnar_greedy_selection(
-        instance.bids, instance.demand, columnar=cinst
-    )
+    def recorded():
+        layout = ColumnarInstance.build(instance.bids, instance.demand)
+        return layout, columnar_greedy_selection(
+            instance.bids, instance.demand, columnar=layout
+        )
+
+    # The first call on a fresh layout and trajectory also builds the
+    # structure tables and stacked states the kernel caches on them.
+    cold_times = []
+    for _ in range(case.repeats):
+        cinst, steps = recorded()
+        start = time.perf_counter()
+        columnar_critical_payments(
+            instance, [step.bid for step in steps], columnar=cinst,
+            trajectory=steps,
+        )
+        cold_times.append(time.perf_counter() - start)
+    cinst, steps = recorded()
     winners = tuple(step.bid for step in steps)
 
     def batched():
@@ -333,6 +353,7 @@ def _run_single_case(case: ScaleBenchCase) -> dict:
         "columnar_ms": _best_ms(timed["columnar"]),
         "reference_payment_ms": _best_ms(reference_payment_times),
         "batched_payment_ms": _best_ms(payment_times["batched"]),
+        "cold_payment_ms": _best_ms(cold_times),
         "speedup_columnar": (
             _median_ratio(reference_times, timed["columnar"])
             if reference_times is not None
@@ -615,7 +636,8 @@ def render_scale_bench(payload: dict, baseline: dict | None = None) -> str:
     lines = [
         f"scale bench (quick={payload['quick']})",
         f"{'case':<14} {'bids':>7} {'ref ms':>10} {'col ms':>10} "
-        f"{'col/ref':>8} {'paybatch':>8} {'equal':>6}",
+        f"{'col/ref':>8} {'paybatch':>8} {'pay ms':>10} {'cold ms':>10} "
+        f"{'equal':>6}",
     ]
     for row in payload["cases"]:
         lines.append(
@@ -624,6 +646,8 @@ def render_scale_bench(payload: dict, baseline: dict | None = None) -> str:
             f"{_fmt_ms(row['columnar_ms'])} "
             f"{_fmt_x(row['speedup_columnar'])} "
             f"{_fmt_x(row['payment_batch_speedup'])} "
+            f"{_fmt_ms(row['batched_payment_ms'])} "
+            f"{_fmt_ms(row.get('cold_payment_ms'))} "
             f"{str(row['equivalent']):>6}"
         )
     msoa = payload.get("msoa")

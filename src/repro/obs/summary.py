@@ -125,9 +125,9 @@ def summarize(source: str | pathlib.Path | list[dict]) -> TraceSummary:
     for node in _walk(roots):
         if node.name == "msoa.round":
             rounds.append(_summarize_round(node))
-        elif node.name == "auction" and not _inside_round(node, roots):
+        elif node.name in _CLEARINGS and not _inside_clearing(node, roots):
             if node.status == "ok":
-                standalone.append(_summarize_auction(node))
+                standalone.append(_summarize_clearing(node))
     rounds.sort(key=lambda r: r.round_index)
     _check_round_monotonicity(rounds)
     return TraceSummary(
@@ -209,7 +209,13 @@ def _walk(roots: list[_SpanNode]):
         stack.extend(reversed(node.children))
 
 
-def _inside_round(node: _SpanNode, roots: list[_SpanNode]) -> bool:
+# Spans that clear one market: an SSAM run, or a sharded round's merge
+# of per-shard auctions plus the reconciliation (``sharded-auction``).
+_CLEARINGS = ("auction", "sharded-auction")
+
+
+def _inside_clearing(node: _SpanNode, roots: list[_SpanNode]) -> bool:
+    """Whether ``node`` is part of an MSOA round or a sharded merge."""
     parents = {}
     for root in roots:
         for parent in _walk([root]):
@@ -217,7 +223,7 @@ def _inside_round(node: _SpanNode, roots: list[_SpanNode]) -> bool:
                 parents[child.span_id] = parent
     current = parents.get(node.span_id)
     while current is not None:
-        if current.name == "msoa.round":
+        if current.name in ("msoa.round", "sharded-auction"):
             return True
         current = parents.get(current.span_id)
     return False
@@ -234,12 +240,32 @@ def _check_round_monotonicity(rounds: list[RoundSummary]) -> None:
 # ----------------------------------------------------------------------
 # reconstruction
 # ----------------------------------------------------------------------
-def _summarize_auction(node: _SpanNode) -> AuctionSummary:
-    winners = tuple(
-        dict(event.get("fields", {}))
-        for event in node.events
-        if event.get("name") == "winner"
-    )
+def _summarize_clearing(node: _SpanNode) -> AuctionSummary:
+    """An ``auction`` span, or a ``sharded-auction`` as the merged
+    auction: its ``ok`` parts' winners concatenated in trace order,
+    which is the merge's order (shards in order, then reconciliation)."""
+    if node.name == "auction":
+        return _summarize_auction(node)
+    winners = [
+        winner
+        for part in node.children
+        if part.name == "auction" and part.status == "ok"
+        for winner in _summarize_auction(part).winners
+    ]
+    return _summarize_auction(node, winners=tuple(winners))
+
+
+def _summarize_auction(
+    node: _SpanNode, winners: tuple[dict, ...] | None = None
+) -> AuctionSummary:
+    """``node``'s economics from its ``winner`` events, or from
+    ``winners`` (a sharded merge's parts) when given."""
+    if winners is None:
+        winners = tuple(
+            dict(event.get("fields", {}))
+            for event in node.events
+            if event.get("name") == "winner"
+        )
     # Selection order is event order; summing in it reproduces the
     # outcome object's own left fold exactly.
     social_cost = float(sum(w["original_price"] for w in winners))
@@ -281,9 +307,9 @@ def _summarize_auction(node: _SpanNode) -> AuctionSummary:
 
 def _summarize_round(node: _SpanNode) -> RoundSummary:
     auctions = tuple(
-        _summarize_auction(child)
+        _summarize_clearing(child)
         for child in node.children
-        if child.name == "auction" and child.status == "ok"
+        if child.name in _CLEARINGS and child.status == "ok"
     )
     # Infeasible attempts (status "error") precede the round's effective
     # auction; the last completed one is what the round committed to.

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core.duals import DualSolution
@@ -168,133 +168,157 @@ def run_sharded_ssam(
         )
 
     demand = {b: u for b, u in instance.demand.items() if u > 0}
+    tracer = _OBS.tracer
+    # One span around the parts the merge joins (each shard's auction
+    # in shard order, then the reconciliation's), so a trace summary
+    # can rebuild the merged outcome.
+    with tracer.span(
+        "sharded-auction",
+        mechanism="ssam",
+        engine=engine,
+        shards=len(active),
+        demand={str(b): u for b, u in demand.items()},
+    ) as merged_span:
+        # Shared columnar layout: one parent build, per-shard slices.
+        columnar_views: dict[int, object] = {}
+        parent = None
+        if engine == "columnar" and demand:
+            from repro.core.columnar import ColumnarInstance
 
-    # Shared columnar layout: one parent build, per-shard slices.
-    columnar_views: dict[int, object] = {}
-    parent = None
-    if engine == "columnar" and demand:
-        from repro.core.columnar import ColumnarInstance
+            parent = ColumnarInstance.build(instance.bids, demand)
+            for shard in active:
+                columnar_views[shard] = parent.subset(
+                    partition.local_rows[shard],
+                    list(partition.shard_demand[shard]),
+                )
 
-        parent = ColumnarInstance.build(instance.bids, demand)
-        for shard in active:
-            columnar_views[shard] = parent.subset(
-                partition.local_rows[shard],
-                list(partition.shard_demand[shard]),
+        shard_outcomes: list[AuctionOutcome | None] = [None] * partition.n_shards
+        selections, shard_ms = _select_locals(partition, columnar_views)
+        paid: dict[int, list[float]] = {}
+        if selections:
+            paid = dict(
+                zip(
+                    selections,
+                    _pay(
+                        list(selections.values()),
+                        payment_rule,
+                        engine=engine,
+                        shards=len(selections),
+                    ),
+                )
             )
-
-    shard_outcomes: list[AuctionOutcome | None] = [None] * partition.n_shards
-    selections, clamped, shard_ms = _select_locals(
-        partition,
-        columnar_views,
-        clear=functools.partial(
-            run_ssam,
-            payment_rule=payment_rule,
-            original_prices=original_prices,
-            engine=engine,
-        ),
-    )
-    for shard, outcome in clamped.items():
-        shard_outcomes[shard] = outcome
-    if selections:
-        payments = _pay(
-            list(selections.values()),
-            payment_rule,
-            engine=engine,
-            shards=len(selections),
-        )
-        for (shard, selection), paid in zip(selections.items(), payments):
+        clamped = 0
+        # Outcomes in shard order: the trace holds the auctions in the
+        # order the merge concatenates them.
+        for shard in active:
             started = time.perf_counter()
-            with _auction_span(
-                selection.instance,
-                selection.demand,
-                engine=engine,
-                payment_rule=payment_rule,
-            ) as auction_span:
-                shard_outcomes[shard] = _assemble(
-                    selection,
-                    paid,
+            if shard in selections:
+                selection = selections[shard]
+                with _auction_span(
+                    selection.instance,
+                    selection.demand,
+                    engine=engine,
                     payment_rule=payment_rule,
-                    original_prices=original_prices,
-                    auction_span=auction_span,
+                ) as auction_span:
+                    shard_outcomes[shard] = _assemble(
+                        selection,
+                        paid[shard],
+                        payment_rule=payment_rule,
+                        original_prices=original_prices,
+                        auction_span=auction_span,
+                    )
+            else:
+                # Locally infeasible: unmet demand becomes residual; the
+                # clamped demand no longer matches the prebuilt layout, so
+                # this clearing rebuilds.
+                clamped += 1
+                shard_outcomes[shard] = clear_supply_clamped(
+                    partition.sub_instance(shard),
+                    functools.partial(
+                        run_ssam,
+                        payment_rule=payment_rule,
+                        original_prices=original_prices,
+                        engine=engine,
+                    ),
                 )
             shard_ms[shard] += (time.perf_counter() - started) * 1e3
 
-    # Residual demand after the local pass.
-    granted: dict[int, int] = dict.fromkeys(demand, 0)
-    local_winner_sellers: set[int] = set()
-    local_winners = 0
-    for outcome in shard_outcomes:
-        if outcome is None:
-            continue
-        local_winners += len(outcome.winners)
-        for winner in outcome.winners:
-            local_winner_sellers.add(winner.bid.seller)
-            for buyer in winner.bid.covered:
-                if buyer in granted:
-                    granted[buyer] += 1
-    residual = {
-        b: u - granted[b] for b, u in demand.items() if u - granted[b] > 0
-    }
+        # Residual demand after the local pass.
+        granted: dict[int, int] = dict.fromkeys(demand, 0)
+        local_winner_sellers: set[int] = set()
+        local_winners = 0
+        for outcome in shard_outcomes:
+            if outcome is None:
+                continue
+            local_winners += len(outcome.winners)
+            for winner in outcome.winners:
+                local_winner_sellers.add(winner.bid.seller)
+                for buyer in winner.bid.covered:
+                    if buyer in granted:
+                        granted[buyer] += 1
+        residual = {
+            b: u - granted[b] for b, u in demand.items() if u - granted[b] > 0
+        }
 
-    cross_outcome: AuctionOutcome | None = None
-    reconcile_ms = 0.0
-    if residual or partition.cross_bids:
-        started = time.perf_counter()
-        cross_outcome = _reconcile(
-            partition,
-            residual,
-            local_winner_sellers,
+        cross_outcome: AuctionOutcome | None = None
+        reconcile_ms = 0.0
+        if residual or partition.cross_bids:
+            started = time.perf_counter()
+            cross_outcome = _reconcile(
+                partition,
+                residual,
+                local_winner_sellers,
+                payment_rule=payment_rule,
+                original_prices=original_prices,
+                engine=engine,
+            )
+            reconcile_ms = (time.perf_counter() - started) * 1e3
+
+        merged = _merge_outcomes(
+            instance,
+            [o for o in shard_outcomes if o is not None],
+            cross_outcome,
             payment_rule=payment_rule,
-            original_prices=original_prices,
-            engine=engine,
+            layout=parent,
         )
-        reconcile_ms = (time.perf_counter() - started) * 1e3
-
-    merged = _merge_outcomes(
-        instance,
-        [o for o in shard_outcomes if o is not None],
-        cross_outcome,
-        payment_rule=payment_rule,
-        layout=parent,
-    )
-    stats = ShardRoundStats(
-        **stats_common,
-        local_winners=local_winners,
-        cross_winners=(
-            len(cross_outcome.winners) if cross_outcome is not None else 0
-        ),
-        clamped_shards=len(clamped),
-        fast_path=False,
-        shard_ms=tuple(shard_ms.values()),
-        reconcile_ms=reconcile_ms,
-    )
-    _record_stats(stats)
-    return ShardedRoundOutcome(
-        outcome=merged,
-        shard_outcomes=tuple(shard_outcomes),
-        cross_outcome=cross_outcome,
-        partition=partition,
-        stats=stats,
-    )
+        stats = ShardRoundStats(
+            **stats_common,
+            local_winners=local_winners,
+            cross_winners=(
+                len(cross_outcome.winners) if cross_outcome is not None else 0
+            ),
+            clamped_shards=clamped,
+            fast_path=False,
+            shard_ms=tuple(shard_ms.values()),
+            reconcile_ms=reconcile_ms,
+        )
+        _record_stats(stats)
+        tracer.annotate(
+            merged_span,
+            social_cost=merged.social_cost,
+            total_payment=merged.total_payment,
+            iterations=merged.iterations,
+            winners=len(merged.winners),
+        )
+        return ShardedRoundOutcome(
+            outcome=merged,
+            shard_outcomes=tuple(shard_outcomes),
+            cross_outcome=cross_outcome,
+            partition=partition,
+            stats=stats,
+        )
 
 
 def _select_locals(
-    partition: ShardPartition,
-    columnar_views: Mapping[int, object],
-    *,
-    clear: Callable[[WSPInstance], AuctionOutcome],
-) -> tuple[dict[int, _Selection], dict[int, AuctionOutcome], dict[int, float]]:
+    partition: ShardPartition, columnar_views: Mapping[int, object]
+) -> tuple[dict[int, _Selection], dict[int, float]]:
     """Run selection on every active shard, in shard order.
 
-    Returns the shards' selections, the outcomes of the shards that
-    clamped, and each shard's time so far.  A locally infeasible shard
-    never raises: it clears at once through
-    :func:`~repro.core.wsp.clear_supply_clamped` with ``clear`` (unmet
-    demand becomes residual; the clamped demand no longer matches the
-    prebuilt layout, so that clearing rebuilds).
+    Returns the selections of the shards that are locally feasible and
+    each active shard's time so far; a locally infeasible shard has no
+    selection (it clears clamped once payments are done).
     """
     selections: dict[int, _Selection] = {}
-    clamped: dict[int, AuctionOutcome] = {}
     shard_ms: dict[int, float] = {}
     for shard in partition.active_shards:
         started = time.perf_counter()
@@ -304,9 +328,9 @@ def _select_locals(
                 sub, dict(sub.demand), layout=columnar_views.get(shard)
             )
         except InfeasibleInstanceError:
-            clamped[shard] = clear_supply_clamped(sub, clear)
+            pass
         shard_ms[shard] = (time.perf_counter() - started) * 1e3
-    return selections, clamped, shard_ms
+    return selections, shard_ms
 
 
 @profiled("shard.reconcile")

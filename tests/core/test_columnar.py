@@ -33,12 +33,8 @@ from repro.core.ssam import (
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
 
-_SUFFIX_REPLAY = columnar._suffix_replay
 _ORDERED_CANDIDATES = columnar._ordered_candidates
-
-
-def _no_lockstep(*args, **kwargs):
-    pytest.fail("the payment kernel entered the lockstep path")
+_LOCKSTEP_REPLAYS = columnar._lockstep_replays
 
 
 def tiny_instance():
@@ -469,47 +465,54 @@ class TestSelectionHead:
 
 
 class TestLockstepReplays:
-    """The lockstep path of the payment kernel and its scalar exits.
-
-    Markets this small have fewer winners than the lockstep floor, so
-    these tests lower ``_LOCKSTEP_MIN`` to 1 to put every replay on it.
-    """
+    """The one payment-replay walker resolves every head inside the
+    batch: a stranding head through the ordered guard walk on its row,
+    the +∞ winner as a ceiling-capped end, every exact-guard step
+    through the walk with ``exact_guard=True``."""
 
     @staticmethod
-    def _counters(instance, winners):
+    def _replay(monkeypatch, instance, winners, *, exact_guard=False):
+        """Price ``winners`` from their recorded run; the payments, the
+        kernel counters, and per ordered walk whether the head of its
+        state (a view of a batch row, read at the call) would strand a
+        buyer."""
         from repro.obs.runtime import STATE, _reset_for_tests, configure
 
+        trajectory = columnar_greedy_selection(
+            instance.bids, instance.demand, exact_guard=exact_guard
+        )
+        walks = []
+
+        def counted(state):
+            rows, _, ties = columnar._head_candidate(state)
+            walks.append(state.would_strand(int(rows[ties[0]])))
+            return _ORDERED_CANDIDATES(state)
+
+        monkeypatch.setattr(columnar, "_ordered_candidates", counted)
         _reset_for_tests()
         try:
             configure()
-            payments = columnar_critical_payments(instance, winners)
+            payments = columnar_critical_payments(
+                instance, winners, trajectory=trajectory
+            )
             counts = {
                 name: STATE.metrics.counter(
                     f"engine.columnar.payment_{name}"
                 ).value
-                for name in (
-                    "lockstep_steps",
-                    "lockstep_exits",
-                    "suffix_steps",
-                )
+                for name in ("lockstep_steps", "suffix_steps")
             }
         finally:
             _reset_for_tests()
-        return payments, counts
+        return payments, counts, walks
 
-    def test_head_that_strands_a_buyer_leaves_the_batch(self, monkeypatch):
+    def test_head_that_strands_a_buyer_walks_the_order_in_the_batch(
+        self, monkeypatch
+    ):
         # Seller 100 wins buyer 0.  In its +∞ replay the head is
         # seller 101's 1.2 bid, whose acceptance removes buyer 1's only
-        # supplier: the replay leaves the batch before its first step.
-        monkeypatch.setattr(columnar, "_LOCKSTEP_MIN", 1)
-        exits = []
-
-        def scalar_replay(state, row, *args, **kwargs):
-            rows, _, ties = columnar._head_candidate(state)
-            exits.append(state.would_strand(int(rows[ties[0]])))
-            return _SUFFIX_REPLAY(state, row, *args, **kwargs)
-
-        monkeypatch.setattr(columnar, "_suffix_replay", scalar_replay)
+        # supplier: the walk on that row takes seller 101's 5.0 bid
+        # (threshold 1 × 5.0), then the winner is the only candidate
+        # left and the replay ends ceiling-capped.
         instance = WSPInstance.from_bids(
             [
                 Bid(seller=100, index=0, covered=frozenset({0}), price=1.0),
@@ -520,24 +523,18 @@ class TestLockstepReplays:
             price_ceiling=50.0,
         )
         winner = instance.bids[0]
-        payments, counts = self._counters(instance, [winner])
+        payments, counts, walks = self._replay(monkeypatch, instance, [winner])
         assert payments == [_critical_payment(instance, winner)] == [50.0]
-        assert exits == [True]
-        assert counts["lockstep_exits"] == 1
-        # Both steps run in the scalar replay: the stranding one, where
-        # the guard walk takes seller 101's 5.0 bid, then the winner's
-        # own, ceiling-capped.
-        assert counts["lockstep_steps"] == 0
-        assert counts["suffix_steps"] == 2
+        assert walks == [True]
+        assert counts == {"lockstep_steps": 2, "suffix_steps": 2}
 
     def test_replay_that_ends_on_the_winner_is_ceiling_capped(
         self, monkeypatch
     ):
         # Seller 100 is buyer 0's only supplier.  Its +∞ replay takes
-        # seller 101 in lockstep (threshold 1 × 2.0), then its head is
-        # the +∞ winner itself: it leaves the batch and the scalar
-        # replay caps the threshold at utility × ceiling.
-        monkeypatch.setattr(columnar, "_LOCKSTEP_MIN", 1)
+        # seller 101 (threshold 1 × 2.0), then its head is the +∞
+        # winner itself: the replay ends with the threshold capped at
+        # utility × ceiling, with no walk.
         instance = WSPInstance.from_bids(
             [
                 Bid(seller=100, index=0, covered=frozenset({0}), price=1.0),
@@ -547,19 +544,14 @@ class TestLockstepReplays:
             price_ceiling=50.0,
         )
         winner = instance.bids[0]
-        payments, counts = self._counters(instance, [winner])
+        payments, counts, walks = self._replay(monkeypatch, instance, [winner])
         assert payments == [_critical_payment(instance, winner)] == [50.0]
-        assert counts == {
-            "lockstep_steps": 1,
-            "lockstep_exits": 1,
-            "suffix_steps": 2,
-        }
+        assert walks == []
+        assert counts == {"lockstep_steps": 2, "suffix_steps": 2}
 
-    def test_exact_guard_never_enters_the_lockstep_path(
+    def test_exact_guard_rows_walk_the_order_every_step(
         self, make_instance, monkeypatch
     ):
-        monkeypatch.setattr(columnar, "_LOCKSTEP_MIN", 1)
-        monkeypatch.setattr(columnar, "_lockstep_replays", _no_lockstep)
         instance = make_instance(3)
         winners = [
             step.bid
@@ -567,19 +559,28 @@ class TestLockstepReplays:
                 instance.bids, instance.demand, exact_guard=True
             )
         ]
-        assert columnar_critical_payments(
-            instance, winners, exact_guard=True
-        ) == [
+        payments, counts, walks = self._replay(
+            monkeypatch, instance, winners, exact_guard=True
+        )
+        assert payments == [
             _critical_payment(instance, bid, exact_guard=True)
             for bid in winners
         ]
+        assert counts["suffix_steps"] > 0
+        assert len(walks) == counts["suffix_steps"]
 
-    def test_ten_thousand_bid_market_takes_the_scalar_path(
+    def test_ten_thousand_bid_market_runs_in_two_chunks(
         self, make_instance, monkeypatch
     ):
-        # ⌊65 536 / 10⁴⌋ = 6 replays per chunk, below the floor of 8:
-        # scale_10k's payment_batch_speedup times the scalar replays.
-        monkeypatch.setattr(columnar, "_lockstep_replays", _no_lockstep)
+        # ⌊65 536 / 10⁴⌋ = 6 replays per chunk: scale_10k's 11 winners
+        # diverge at their own steps and run as chunks of 6 and 5.
+        chunks = []
+
+        def counted(batch):
+            chunks.append(len(batch))
+            return _LOCKSTEP_REPLAYS(batch)
+
+        monkeypatch.setattr(columnar, "_lockstep_replays", counted)
         instance = make_instance(
             2019, n_sellers=5_000, n_buyers=16, demand_units_range=(1, 3)
         )
@@ -590,6 +591,8 @@ class TestLockstepReplays:
                 instance.bids, instance.demand
             )
         ]
-        assert len(winners) > columnar._LOCKSTEP_MIN
-        payments = columnar_critical_payments(instance, winners)
-        assert len(payments) == len(winners)
+        assert len(winners) == 11
+        assert columnar_critical_payments(instance, winners) == [
+            _critical_payment(instance, bid) for bid in winners
+        ]
+        assert chunks == [6, 5]

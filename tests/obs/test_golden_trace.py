@@ -1,6 +1,6 @@
 """Golden-trace regression tests.
 
-Seeded SSAM and MSOA runs are traced and the trace is held to the
+Seeded SSAM, MSOA and sharded MSOA runs are traced and the trace is held to the
 schema contract: versioned header, strictly increasing sequence numbers,
 properly nested spans, monotone round indices — and, the load-bearing
 property, :func:`repro.obs.summarize` reconstructs the run's social cost
@@ -9,12 +9,24 @@ must also never perturb the auction itself: a traced run's winners and
 payments equal the untraced run's exactly.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.bids import Bid
 from repro.core.msoa import run_msoa
 from repro.core.ssam import PaymentRule, run_ssam
+from repro.core.wsp import WSPInstance
 from repro.obs import observing, read_trace, summarize
 from repro.obs.tracer import TRACE_SCHEMA, TRACE_SCHEMA_VERSION, iter_spans
+from repro.shard.msoa import ShardedOnlineAuction
+from repro.shard.plan import RegionShardPlan
+from repro.shard.ssam import run_sharded_ssam
+from repro.shard.streaming import (
+    StreamConfig,
+    region_plan,
+    stream_capacities,
+    stream_rounds,
+)
 from repro.workload.bidgen import generate_horizon
 
 ENGINES = ("columnar", "reference")
@@ -174,3 +186,83 @@ class TestGoldenMsoa:
             assert [w.bid.key for w in t_round.outcome.winners] == [
                 w.bid.key for w in u_round.outcome.winners
             ]
+
+
+def _clamped_round():
+    """Shard "b" (buyers 2–3) clamps: buyer 3 needs two units but only
+    seller 200 covers it locally, so seller 300's cross bid serves the
+    rest.  Shard "a" clears normally.  The prices make a left fold over
+    the winners depend on their order."""
+    bids = [
+        Bid(seller=100, index=0, covered=frozenset({0}), price=0.1),
+        Bid(seller=101, index=0, covered=frozenset({1}), price=0.1),
+        Bid(seller=200, index=0, covered=frozenset({2, 3}), price=0.4),
+        Bid(seller=201, index=0, covered=frozenset({2}), price=0.3),
+        Bid(seller=300, index=0, covered=frozenset({1, 3}), price=0.1),
+    ]
+    return WSPInstance.from_bids(
+        bids, {0: 1, 1: 1, 2: 1, 3: 2}, price_ceiling=50.0
+    )
+
+
+class TestGoldenSharded:
+    """A sharded round's auctions are parts of one ``sharded-auction``
+    span; the summary joins them into the round's merged auction."""
+
+    @staticmethod
+    def _check_rounds(path, results):
+        summary = summarize(path)
+        assert [r.social_cost for r in summary.rounds] == [
+            r.social_cost for r in results
+        ]  # bit-for-bit
+        assert [r.total_payment for r in summary.rounds] == [
+            r.total_payment for r in results
+        ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_summary_of_a_sharded_stream_is_the_outcome(
+        self, tmp_path, engine
+    ):
+        config = StreamConfig(
+            rounds=3, regions=3, buyers_per_region=6, sellers_per_region=18
+        )
+        auction = ShardedOnlineAuction(
+            stream_capacities(config), plan=region_plan(config), engine=engine
+        )
+        rounds = stream_rounds(config, np.random.default_rng(3))
+        path = tmp_path / "sharded.jsonl"
+        with observing(trace=path):
+            results = [auction.process_round(r) for r in rounds]
+        assert all(s.active_shards == 3 for s in auction.shard_stats)
+        self._check_rounds(path, results)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_summary_of_a_round_with_a_clamped_shard(self, tmp_path, engine):
+        instance = _clamped_round()
+        plan = RegionShardPlan(
+            regions={0: "a", 1: "a", 2: "b", 3: "b"}, n_shards=2
+        )
+        auction = ShardedOnlineAuction(
+            {bid.seller: 10 for bid in instance.bids}, plan=plan, engine=engine
+        )
+        path = tmp_path / "clamped.jsonl"
+        with observing(trace=path):
+            results = [auction.process_round(instance) for _ in range(2)]
+        assert [s.clamped_shards for s in auction.shard_stats] == [1, 1]
+        winners = results[0].outcome.winners
+        assert [w.bid.seller for w in winners] == [100, 101, 200, 300]
+        prices = [w.original_price for w in winners]
+        assert sum(prices) != sum(prices[2:3] + prices[:2] + prices[3:])
+        self._check_rounds(path, results)
+
+    def test_standalone_sharded_round_is_one_auction(self, tmp_path):
+        plan = RegionShardPlan(
+            regions={0: "a", 1: "a", 2: "b", 3: "b"}, n_shards=2
+        )
+        path = tmp_path / "standalone.jsonl"
+        with observing(trace=path):
+            result = run_sharded_ssam(_clamped_round(), plan)
+        (auction,) = summarize(path).auctions
+        assert auction.social_cost == result.outcome.social_cost
+        assert auction.total_payment == result.outcome.total_payment
+        assert auction.coverage == result.outcome.coverage

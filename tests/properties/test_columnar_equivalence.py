@@ -209,17 +209,17 @@ def test_tie_heavy_payments_identical(instance, exact_guard):
     ]
 
 
-# The payment kernel's size rule, overridden per run: all scalar, all
-# lockstep (one chunk), lockstep in chunks of three replays, defaults.
+# The payment kernel's chunk bound, overridden per run: every replay
+# in one chunk (the default at these sizes), or chunks of three.
 KERNEL_MODES = {
-    "scalar": lambda n_bids: {"_LOCKSTEP_MIN": 10**9},
-    "lockstep": lambda n_bids: {"_LOCKSTEP_MIN": 1},
-    "lockstep-chunks": lambda n_bids: {
-        "_LOCKSTEP_MIN": 1,
-        "_LOCKSTEP_CELLS": 3 * n_bids,
-    },
-    "defaults": lambda n_bids: {},
+    "lockstep": lambda n_bids: {},
+    "lockstep-chunks": lambda n_bids: {"_LOCKSTEP_CELLS": 3 * n_bids},
 }
+
+# Zero-priced bids (a 0/0 quotient once their utility is gone) and
+# +∞-priced ones (ties with the +∞ winner) on top of the tie-heavy
+# prices: heads the walker must resolve inside the batch.
+EDGE_PRICES = (0.0, *TIE_PRICES, math.inf)
 
 
 @COMMON
@@ -231,7 +231,7 @@ KERNEL_MODES = {
             min_buyers=6,
             max_buyers=10,
             max_covered=3,
-            price_choices=TIE_PRICES,
+            price_choices=EDGE_PRICES,
         ),
         # Scarcer supply: more replays meet a head that strands a buyer.
         wsp_instances(
@@ -241,14 +241,14 @@ KERNEL_MODES = {
             max_buyers=10,
             max_covered=2,
             max_demand=6,
-            price_choices=TIE_PRICES,
+            price_choices=EDGE_PRICES,
         ),
     )
 )
 def test_lockstep_payments_identical(instance):
-    """Narrow tie-heavy markets have enough winners for the lockstep
-    replays; every size rule prices every winner exactly like its scalar
-    reference replay."""
+    """Narrow tie-heavy markets, with zero and +∞ prices among the
+    ties, price every winner exactly like its scalar reference replay,
+    in one chunk or in chunks of three."""
     demand = {b: u for b, u in instance.demand.items() if u > 0}
     try:
         steps = greedy_selection(instance.bids, demand)
@@ -303,7 +303,7 @@ BATCH_MARKETS = st.lists(
                 min_buyers=3,
                 max_buyers=8,
                 max_covered=3,
-                price_choices=TIE_PRICES,
+                price_choices=EDGE_PRICES,
             ),
             # Scarcer supply: more replays meet a head that strands a
             # buyer.
@@ -314,7 +314,7 @@ BATCH_MARKETS = st.lists(
                 max_buyers=8,
                 max_covered=2,
                 max_demand=4,
-                price_choices=TIE_PRICES,
+                price_choices=EDGE_PRICES,
             ),
         ),
         st.sampled_from((2.5, 100.0, None)),
@@ -326,16 +326,14 @@ BATCH_MARKETS = st.lists(
 
 @COMMON
 @given(markets=BATCH_MARKETS)
-@pytest.mark.parametrize(
-    "mode", ["defaults", "lockstep", "lockstep-chunks"]
-)
+@pytest.mark.parametrize("mode", list(KERNEL_MODES))
 def test_multi_market_batch_is_per_market_payments(markets, mode):
     """One kernel call over several markets (a sharded round's shards,
-    of different widths and ceilings) prices every bid — winners and
-    probed losers, on tie-heavy prices, with stranding heads that leave
-    the lockstep batch — exactly like one call per market, which prices
-    it exactly
-    like the scalar reference replay.  A second call with the same
+    of different widths, ceilings and guard modes) prices every bid —
+    winners and probed losers, on tie-heavy, zero and +∞ prices, with
+    stranding heads resolved inside the batch — exactly like one call
+    per market, which prices it exactly like the scalar reference
+    replay.  A second call with the same
     trajectories agrees: the recorded states are never mutated."""
     markets = [_own_sellers(m, i, c) for i, (m, c) in enumerate(markets)]
     trajectories = [_select_like_run_ssam(m) for m in markets]
