@@ -29,6 +29,7 @@ __all__ = [
     "RoundResult",
     "OnlineOutcome",
     "ScaledBids",
+    "BidRows",
     "RowMapping",
 ]
 
@@ -76,6 +77,41 @@ class ScaledBids(Sequence):
 
     def __repr__(self) -> str:
         return f"ScaledBids({tuple(self)!r})"
+
+    def announced(self) -> list[Bid]:
+        """Each row's announced bid: the seller, index and cover of row
+        ``i`` (at the announced price), read without building row ``i``."""
+        bids = self._bids
+        return [bids[r] for r in self._rows.tolist()]
+
+
+class BidRows(Sequence):
+    """Read-only view of the rows ``rows`` of ``bids``: row ``i`` is
+    ``bids[rows[i]]``, read on access, so a view over a lazy
+    :class:`ScaledBids` builds only the bids something reads."""
+
+    __slots__ = ("_bids", "_rows")
+
+    def __init__(self, bids: Sequence[Bid], rows: Sequence[int]):
+        self._bids, self._rows = bids, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return self._bids[self._rows[i]]
+
+    def __iter__(self):
+        return map(self._bids.__getitem__, self._rows)
+
+    def __eq__(self, other) -> bool:
+        is_sequence = isinstance(other, Sequence)
+        return tuple(self) == tuple(other) if is_sequence else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BidRows({tuple(self)!r})"
 
 
 class RowMapping(Mapping):

@@ -27,11 +27,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.bids import Bid
+from repro.core.outcomes import BidRows, ScaledBids
 from repro.core.wsp import WSPInstance
 from repro.errors import ConfigurationError
 from repro.obs.profiler import profiled
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.columnar import ColumnarInstance
 
 __all__ = [
     "ShardPlan",
@@ -270,10 +277,11 @@ class ShardPartition:
         the parent demand map's key order.
     local_bids / local_rows:
         Per shard, the bids whose positively-demanded cover lives wholly
-        in that shard (original bid order) and their row indices into
-        ``instance.bids``.  Bids covering no positive demand (inert:
-        they can never be selected) are assigned to the shard of their
-        smallest covered buyer.
+        in that shard (original bid order; a lazy
+        :class:`~repro.core.outcomes.BidRows` view) and their row
+        indices into ``instance.bids``.  Bids covering no positive
+        demand (inert: they can never be selected) are assigned to the
+        shard of their smallest covered buyer.
     cross_bids / cross_rows:
         Bids whose positively-demanded cover spans ≥ 2 shards, cleared
         in the reconciliation pass.
@@ -285,7 +293,7 @@ class ShardPartition:
 
     plan: ShardPlan
     shard_demand: tuple[Mapping[int, int], ...]
-    local_bids: tuple[tuple[Bid, ...], ...]
+    local_bids: tuple[Sequence[Bid], ...]
     local_rows: tuple[tuple[int, ...], ...]
     cross_bids: tuple[Bid, ...]
     cross_rows: tuple[int, ...]
@@ -314,67 +322,83 @@ class ShardPartition:
 
 @profiled("shard.partition")
 def partition_round(
-    instance: WSPInstance, plan: ShardPlan
+    instance: WSPInstance,
+    plan: ShardPlan,
+    *,
+    layout: "ColumnarInstance | None" = None,
 ) -> ShardPartition:
-    """Decompose one round's instance under ``plan`` (bound per round)."""
+    """Decompose one round's instance under ``plan`` (bound per round).
+
+    The bids are classified from ``layout``, the round's columnar
+    layout over its positive demand (``ColumnarInstance.build(
+    instance.bids, positive demand)``, built here when omitted): its
+    cover matrix gives the shards a bid touches, its seller rows the
+    sellers live in two shards, and its price column the effective
+    ceiling.  So a :class:`~repro.core.outcomes.ScaledBids` round
+    builds a scaled :class:`Bid` only for its cross-shard bids; each
+    shard's ``local_bids`` is a lazy view of ``instance.bids``.
+    """
     plan = plan.for_round(instance)
     n_shards = plan.n_shards
     demand = {b: u for b, u in instance.demand.items() if u > 0}
-    shard_by_buyer = {b: plan.shard_of(b) for b in demand}
+    if layout is None:
+        from repro.core.columnar import ColumnarInstance
+
+        layout = ColumnarInstance.build(instance.bids, demand)
+    elif layout.buyers != list(demand):
+        raise ValueError("partition_round: layout is not over the positive demand")
+    shard_of_col = np.array(
+        [plan.shard_of(b) for b in layout.buyers], dtype=np.int64
+    )
     shard_demand: list[dict[int, int]] = [{} for _ in range(n_shards)]
-    for buyer, units in demand.items():
-        shard_demand[shard_by_buyer[buyer]][buyer] = units
-    # Pass 1: classify each bid by the shards its positive cover touches.
-    assigned: list[int | None] = []  # shard id, or None for cross-shard
-    inert: list[bool] = []
-    for bid in instance.bids:
-        touched = {
-            shard_by_buyer[b] for b in bid.covered if b in shard_by_buyer
-        }
-        if len(touched) > 1:
-            assigned.append(None)
-            inert.append(False)
-        elif touched:
-            assigned.append(next(iter(touched)))
-            inert.append(False)
-        else:
-            # Inert bid (covers no positive demand): park it anywhere
-            # deterministic — it can never be selected.
-            assigned.append(
-                plan.shard_of(min(bid.covered)) if bid.covered else 0
-            )
-            inert.append(True)
+    for buyer, shard in zip(layout.buyers, shard_of_col.tolist()):
+        shard_demand[shard][buyer] = demand[buyer]
+    # Pass 1: the least and greatest shard each bid's positive cover
+    # touches (its CSR entries are grouped by row).
+    n = layout.n_bids
+    touched = shard_of_col[layout.cover_cols]
+    live = np.diff(layout.cover_indptr) > 0
+    first = layout.cover_indptr[:-1][live]
+    shard = np.zeros(n, dtype=np.int64)
+    cross = np.zeros(n, dtype=bool)
+    if first.size:
+        shard[live] = np.minimum.reduceat(touched, first)
+        cross[live] = np.maximum.reduceat(touched, first) != shard[live]
+    # Inert bids (no positive cover) can never be selected: park each
+    # on the shard of its smallest covered buyer.
+    inert = (~live).nonzero()[0].tolist()
+    if inert:
+        bids = instance.bids
+        shapes = bids.announced() if isinstance(bids, ScaledBids) else bids
+        for row in inert:
+            covered = shapes[row].covered
+            shard[row] = plan.shard_of(min(covered)) if covered else 0
     # Pass 2: a seller with live local bids in two different shards could
     # win once per shard under independent clearing, violating SSAM's
     # one-bid-per-seller rule.  Its live bids are seller-coupled even
     # though each is single-shard, so they all move to reconciliation.
-    seller_shards: dict[int, set[int]] = {}
-    for bid, shard, is_inert in zip(instance.bids, assigned, inert):
-        if shard is not None and not is_inert:
-            seller_shards.setdefault(bid.seller, set()).add(shard)
-    coupled = {s for s, shards in seller_shards.items() if len(shards) > 1}
-    local_bids: list[list[Bid]] = [[] for _ in range(n_shards)]
-    local_rows: list[list[int]] = [[] for _ in range(n_shards)]
-    cross_bids: list[Bid] = []
-    cross_rows: list[int] = []
-    for row, (bid, shard, is_inert) in enumerate(
-        zip(instance.bids, assigned, inert)
-    ):
-        if shard is None or (not is_inert and bid.seller in coupled):
-            cross_bids.append(bid)
-            cross_rows.append(row)
-        else:
-            local_bids[shard].append(bid)
-            local_rows[shard].append(row)
+    local = live & ~cross
+    sellers = layout.sellers.size
+    low = np.full(sellers, n_shards, dtype=np.int64)
+    high = np.full(sellers, -1, dtype=np.int64)
+    np.minimum.at(low, layout.seller_rows[local], shard[local])
+    np.maximum.at(high, layout.seller_rows[local], shard[local])
+    coupled = (low < high)[layout.seller_rows]
+    cross |= live & coupled
+    cross_rows = cross.nonzero()[0]
+    kept = (~cross).nonzero()[0]
+    order = np.argsort(shard[kept], kind="stable")
+    ends = np.cumsum(np.bincount(shard[kept], minlength=n_shards)).tolist()
+    local_rows = [kept[order[a:b]].tolist() for a, b in zip([0, *ends], ends)]
     ceiling = instance.price_ceiling
-    if ceiling is None and instance.bids:
-        ceiling = instance.effective_ceiling
+    if ceiling is None and n:
+        ceiling = float(layout.prices.max())
     return ShardPartition(
         plan=plan,
         shard_demand=tuple(shard_demand),
-        local_bids=tuple(tuple(bids) for bids in local_bids),
-        local_rows=tuple(tuple(rows) for rows in local_rows),
-        cross_bids=tuple(cross_bids),
-        cross_rows=tuple(cross_rows),
+        local_bids=tuple(BidRows(instance.bids, rows) for rows in local_rows),
+        local_rows=tuple(map(tuple, local_rows)),
+        cross_bids=tuple(instance.bids[row] for row in cross_rows.tolist()),
+        cross_rows=tuple(cross_rows.tolist()),
         price_ceiling=ceiling,
     )

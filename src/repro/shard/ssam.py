@@ -4,13 +4,20 @@ One round's market is decomposed by a :class:`~repro.shard.plan.ShardPlan`
 (:func:`~repro.shard.plan.partition_round`) and cleared in two passes:
 
 1. **Local pass** — every shard with positive demand runs SSAM's
-   selection on its sub-market, in shard order; one critical-payment
-   batch then prices every shard's winners together (the columnar
-   kernel advances all shards' replays in one lockstep batch), and each
-   shard's outcome is assembled as :func:`~repro.core.ssam.run_ssam`
-   would.  A locally infeasible shard (its buyers need cross-shard
-   supply) clamps demand to what its own bids can cover and clears on
-   its own — the remainder becomes *residual*.
+   selection on its sub-market; one critical-payment batch then prices
+   every shard's winners together, and each shard's outcome is
+   assembled as :func:`~repro.core.ssam.run_ssam` would.  On the
+   columnar engine the round stays columnar: one layout of the round
+   (:meth:`~repro.core.columnar.ColumnarInstance.build`, which reads
+   MSOA's scaled bids as columns) feeds the partition, each shard's
+   layout is a row subset of it, all shards select in lockstep (one
+   step takes every unfinished shard's head), and the payment kernel
+   advances all shards' replays in one lockstep batch — so a round
+   builds a scaled :class:`~repro.core.bids.Bid` only for its winners
+   and its cross-shard bids.  The reference engine selects shard by
+   shard, in shard order.  A locally infeasible shard (its buyers need
+   cross-shard supply) clamps demand to what its own bids can cover and
+   clears on its own — the remainder becomes *residual*.
 2. **Reconciliation pass** — cross-shard bids (cover spanning shards, or
    seller-coupled across shards) are cleared against the merged residual
    demand, excluding sellers that already won locally, so the global
@@ -38,6 +45,7 @@ import functools
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.duals import DualSolution
 from repro.core.outcomes import AuctionOutcome, WinningBid
@@ -57,6 +65,9 @@ from repro.obs.profiler import profiled
 from repro.obs.runtime import STATE as _OBS
 from repro.shard.plan import ShardPartition, ShardPlan, partition_round
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.columnar import ColumnarInstance
+
 __all__ = [
     "ShardRoundStats",
     "ShardedRoundOutcome",
@@ -69,9 +80,13 @@ class ShardRoundStats:
     """Observability summary of one sharded round.
 
     ``shard_ms`` holds each active shard's own work, in shard order: its
-    selection and outcome assembly, or its whole clearing when it
-    clamps.  The payment batch the unclamped shards share is timed by
-    the ``ssam.payments`` phase, not here.
+    share of the selection, plus its outcome assembly, or its whole
+    clearing when it clamps.  On the columnar engine the shards select
+    in lockstep calls, and each call's time is shared out in proportion
+    to the steps each shard took in it (evenly when no shard
+    completes); on the reference engine a shard's selection is its
+    own.  The payment batch the unclamped shards share is timed by the
+    ``ssam.payments`` phase, not here.
     """
 
     n_shards: int
@@ -125,7 +140,15 @@ def run_sharded_ssam(
     Parameters mirror :func:`~repro.core.ssam.run_ssam`; ``plan`` picks
     the decomposition.
     """
-    partition = partition_round(instance, plan)
+    demand = {b: u for b, u in instance.demand.items() if u > 0}
+    layout = None
+    if engine == "columnar":
+        from repro.core.columnar import ColumnarInstance
+
+        # The round's one layout: the partition reads its columns and
+        # each shard's layout is a row subset of it.
+        layout = ColumnarInstance.build(instance.bids, demand)
+    partition = partition_round(instance, plan, layout=layout)
     active = partition.active_shards
     stats_common = {
         "n_shards": partition.n_shards,
@@ -144,6 +167,7 @@ def run_sharded_ssam(
             payment_rule=payment_rule,
             original_prices=original_prices,
             engine=engine,
+            columnar=layout,
         )
         elapsed_ms = (time.perf_counter() - started) * 1e3
         stats = ShardRoundStats(
@@ -167,7 +191,6 @@ def run_sharded_ssam(
             stats=stats,
         )
 
-    demand = {b: u for b, u in instance.demand.items() if u > 0}
     tracer = _OBS.tracer
     # One span around the parts the merge joins (each shard's auction
     # in shard order, then the reconciliation's), so a trace summary
@@ -179,21 +202,8 @@ def run_sharded_ssam(
         shards=len(active),
         demand={str(b): u for b, u in demand.items()},
     ) as merged_span:
-        # Shared columnar layout: one parent build, per-shard slices.
-        columnar_views: dict[int, object] = {}
-        parent = None
-        if engine == "columnar" and demand:
-            from repro.core.columnar import ColumnarInstance
-
-            parent = ColumnarInstance.build(instance.bids, demand)
-            for shard in active:
-                columnar_views[shard] = parent.subset(
-                    partition.local_rows[shard],
-                    list(partition.shard_demand[shard]),
-                )
-
         shard_outcomes: list[AuctionOutcome | None] = [None] * partition.n_shards
-        selections, shard_ms = _select_locals(partition, columnar_views)
+        selections, shard_ms = _select_locals(partition, layout)
         paid: dict[int, list[float]] = {}
         if selections:
             paid = dict(
@@ -279,7 +289,7 @@ def run_sharded_ssam(
             [o for o in shard_outcomes if o is not None],
             cross_outcome,
             payment_rule=payment_rule,
-            layout=parent,
+            layout=layout,
         )
         stats = ShardRoundStats(
             **stats_common,
@@ -310,27 +320,77 @@ def run_sharded_ssam(
 
 
 def _select_locals(
-    partition: ShardPartition, columnar_views: Mapping[int, object]
+    partition: ShardPartition, layout: "ColumnarInstance | None"
 ) -> tuple[dict[int, _Selection], dict[int, float]]:
-    """Run selection on every active shard, in shard order.
+    """Run selection on every active shard.
+
+    On the columnar engine (``layout`` is the round's layout) every
+    shard selects on its row subset of it, all in lockstep: one
+    :func:`~repro.core.columnar.columnar_greedy_selection` call, and one
+    more under the exact guard for the shards whose cheap guard cannot
+    complete.  Each shard's time is its share of those calls, in
+    proportion to the steps it took (a pass no shard completes is
+    shared evenly).  The reference engine selects shard by shard.
 
     Returns the selections of the shards that are locally feasible and
     each active shard's time so far; a locally infeasible shard has no
     selection (it clears clamped once payments are done).
     """
     selections: dict[int, _Selection] = {}
-    shard_ms: dict[int, float] = {}
-    for shard in partition.active_shards:
+    shard_ms = dict.fromkeys(partition.active_shards, 0.0)
+    subs = {shard: partition.sub_instance(shard) for shard in shard_ms}
+    if layout is None:
+        for shard, sub in subs.items():
+            started = time.perf_counter()
+            try:
+                selections[shard] = _select(sub, dict(sub.demand), layout=None)
+            except InfeasibleInstanceError:
+                pass
+            shard_ms[shard] = (time.perf_counter() - started) * 1e3
+        return selections, shard_ms
+
+    from repro.core.columnar import columnar_greedy_selection
+
+    views = {
+        shard: layout.subset(partition.local_rows[shard], list(sub.demand))
+        for shard, sub in subs.items()
+    }
+    pending = list(subs)
+    tracer = _OBS.tracer
+    for exact_guard in (False, True):
+        if not pending:
+            break
         started = time.perf_counter()
-        sub = partition.sub_instance(shard)
-        try:
-            selections[shard] = _select(
-                sub, dict(sub.demand), layout=columnar_views.get(shard)
+        with tracer.span(
+            "greedy-selection", shards=len(pending), exact_guard=exact_guard
+        ) as span:
+            runs = columnar_greedy_selection(
+                layout.bids,
+                layout.demand_map,
+                exact_guard=exact_guard,
+                columnar=layout,
+                shards=[views[shard] for shard in pending],
             )
-        except InfeasibleInstanceError:
-            pass
-        shard_ms[shard] = (time.perf_counter() - started) * 1e3
-    return selections, shard_ms
+            failed = [s for s, run in zip(pending, runs) if run is None]
+            tracer.annotate(
+                span,
+                iterations=sum(len(run) for run in runs if run is not None),
+                infeasible=len(failed),
+            )
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        steps = [len(run) if run is not None else 0 for run in runs]
+        total = sum(steps)
+        for shard, run, count in zip(pending, runs, steps):
+            shard_ms[shard] += (
+                elapsed_ms * count / total if total else elapsed_ms / len(runs)
+            )
+            if run is not None:
+                sub = subs[shard]
+                selections[shard] = _Selection(
+                    sub, dict(sub.demand), run, exact_guard, views[shard]
+                )
+        pending = failed
+    return dict(sorted(selections.items())), shard_ms
 
 
 @profiled("shard.reconcile")

@@ -342,3 +342,46 @@ def test_competitive_bound_holds_when_a_later_round_is_worse():
     online = run_msoa(rounds, capacities)
     offline = run_offline_optimal(rounds, capacities)
     assert online.social_cost <= online.competitive_bound * offline.social_cost
+
+
+def _theorem8_rounds(report):
+    """ROADMAP item 9's counterexample: buyer 0 needs one unit per
+    round; seller 1 wins round 0, so its ψ is positive in round 1,
+    where its true cost is 1.5 and it bids ``report``."""
+    first = WSPInstance.from_bids([bid(1, {0}, 1.0), bid(2, {0}, 5.0)], {0: 1})
+    second = WSPInstance.from_bids(
+        [
+            Bid(
+                seller=1,
+                index=0,
+                covered=frozenset({0}),
+                price=report,
+                true_cost=1.5,
+            ),
+            bid(2, {0}, 1.6),
+        ],
+        {0: 1},
+    )
+    return [first, second]
+
+
+def _round_one_utility(report):
+    online = run_msoa(_theorem8_rounds(report), {1: 2, 2: 10}, alpha=1.0)
+    return sum(
+        winner.payment - 1.5
+        for winner in online.rounds[1].outcome.winners
+        if winner.bid.seller == 1
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 9: MSOA pays the scaled critical value τ, but the "
+        "seller's threshold on its own report is τ − |S|·ψ"
+    ),
+)
+def test_misreport_does_not_pay_in_a_later_round():
+    # Truthful, seller 2 wins round 1 and seller 1 earns 0; reporting
+    # 1.3 wins at a payment of 1.6 over a true cost of 1.5.
+    assert _round_one_utility(1.3) <= _round_one_utility(1.5)

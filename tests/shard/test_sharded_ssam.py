@@ -228,4 +228,6 @@ class TestProfiledPhases:
         result, calls = self._phase_calls(split_market())
         assert result.stats.clamped_shards == 0
         assert result.cross_outcome is None
-        assert (calls["ssam.selection"], calls["ssam.payments"]) == (2, 1)
+        # The shards select in lockstep (one selection call) and share
+        # one payment batch.
+        assert (calls["ssam.selection"], calls["ssam.payments"]) == (1, 1)
