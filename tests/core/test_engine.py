@@ -61,23 +61,31 @@ class TestColumnarState:
             coverage.utility_of(b) for b in self.BIDS
         ]
 
+    def run(self):
+        return columnar_greedy_selection(self.BIDS, dict(self.DEMAND))
+
     def test_apply_win_propagates_saturation(self):
-        state, coverage = self.make()
-        # Winning bid 0 saturates buyers 1 and 2; bid 1 (covers only
-        # buyer 1) drops to zero, bid 2 keeps buyer 3's unit.
-        assert state.apply_win(0) == coverage.apply(self.BIDS[0]) == 2
-        assert state.utilities[1] == 0
-        assert state.utilities[2] == 1
-        assert state.utilities.tolist() == [
-            coverage.utility_of(b) for b in self.BIDS
-        ]
+        # Seller 13's bid wins first (ratio 4), then seller 12's
+        # saturates buyers 2 and 3: bid 0 keeps only buyer 1's unit.
+        run = self.run()
+        assert [s.bid for s in run] == [self.BIDS[3], self.BIDS[2], self.BIDS[1]]
+        coverage = CoverageState(demand=dict(self.DEMAND))
+        for step, state in zip(run, run.states):
+            assert state.utilities.tolist() == [
+                coverage.utility_of(b) for b in self.BIDS
+            ]
+            coverage.apply(step.bid)
+        assert run.states[2].utilities.tolist() == [1, 1, 0, 0]
 
     def test_remove_seller_deactivates_and_reports(self):
-        state, _ = self.make()
-        state.remove_seller(state.inst.seller_rows[2])
-        assert [b.seller for b in state.active_bids()] == [10, 11, 13]
-        # Buyers 2 and 3 lost seller 12 as a supplier.
-        assert state.suppliers.tolist() == [2, 1, 1]
+        # Each win retires its seller: its rows leave the market and the
+        # buyers it covered lose it as a supplier.
+        run = self.run()
+        _, after_13, after_12 = run.states
+        assert [b.seller for b in after_13.active_bids()] == [10, 11, 12]
+        assert after_13.suppliers.tolist() == [2, 2, 1]
+        assert [b.seller for b in after_12.active_bids()] == [10, 11]
+        assert after_12.suppliers.tolist() == [2, 1, 0]
 
     def test_would_strand_matches_reference_guard(self):
         state, coverage = self.make()

@@ -46,9 +46,7 @@ from repro.core.columnar import (
     ColumnarInstance,
     ColumnarState,
     _guarded_choice,
-    _head_candidate,
     _ordered_candidates,
-    _runner_up_ratio,
     columnar_critical_payments,
     columnar_greedy_selection,
 )
@@ -394,32 +392,30 @@ def test_layout_price_spread_is_price_spread(instance):
 @given(instance=wsp_instances(price_choices=(0.0, *TIE_PRICES)))
 @pytest.mark.parametrize("infinite_row", [None, 0])
 def test_head_candidate_is_the_ordered_head(instance, infinite_row):
-    """``_head_candidate``'s head is the first row of
-    ``_ordered_candidates(state)`` and ``_runner_up_ratio`` the second
-    ratio, at every step of a guarded greedy run, also with one row
-    priced +∞ as in a payment replay."""
+    """At every step of a greedy run, the selection loop's winner is the
+    row of ``_ordered_candidates(state)`` the guard walk picks (its head
+    unless that strands a buyer) and its runner-up the next ratio, and
+    the run is the reference's step for step; also with one row priced
+    +∞ as in a payment replay."""
     demand = {b: u for b, u in instance.demand.items() if u > 0}
-    inst = ColumnarInstance.build(instance.bids, demand)
-    prices = inst.prices.copy()
+    bids = list(instance.bids)
     if infinite_row is not None:
-        prices[infinite_row] = math.inf
-    state = ColumnarState(inst, prices)
-    while not state.satisfied:
+        bids[infinite_row] = bids[infinite_row].with_price(math.inf)
+    try:
+        reference = greedy_selection(bids, dict(demand))
+    except InfeasibleInstanceError:
+        with pytest.raises(InfeasibleInstanceError):
+            columnar_greedy_selection(bids, demand)
+        return
+    run = columnar_greedy_selection(bids, demand)
+    assert_same_trace(run, reference)
+    for row, step, state in zip(run.rows, run, run.states):
         order, ratios = _ordered_candidates(state)
-        if order.size == 0:
-            break
-        rows, head_ratios, ties = _head_candidate(state)
-        head = int(ties[0])
-        assert (int(rows[head]), float(head_ratios[head])) == (
-            int(order[0]),
-            float(ratios[0]),
+        pos = _guarded_choice(state, order, exact_guard=False)
+        assert (row, step.ratio) == (int(order[pos]), float(ratios[pos]))
+        assert step.runner_up_ratio == (
+            float(ratios[pos + 1]) if pos + 1 < order.size else None
         )
-        assert _runner_up_ratio(head_ratios, ties) == (
-            float(ratios[1]) if order.size > 1 else None
-        )
-        row = int(order[_guarded_choice(state, order, exact_guard=False)])
-        state.apply_win(row)
-        state.remove_seller(int(inst.seller_rows[row]))
 
 
 class TestMsoaEquivalence:

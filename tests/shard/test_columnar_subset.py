@@ -19,6 +19,7 @@ ARRAY_FIELDS = (
     "cover",
     "cover_indptr",
     "cover_cols",
+    "seller_table",
     "seller_cov",
     "initial_utilities",
     "initial_suppliers",
@@ -51,8 +52,6 @@ def assert_equivalent(view, rebuilt):
         np.testing.assert_array_equal(
             getattr(view, name), getattr(rebuilt, name), err_msg=name
         )
-    for a, b in zip(view.seller_bid_rows, rebuilt.seller_bid_rows):
-        np.testing.assert_array_equal(a, b)
 
 
 class TestSubsetEqualsBuild:
