@@ -25,7 +25,7 @@ Three strategies ship:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -74,7 +74,7 @@ class ShardPlan:
     Static plans implement :meth:`shard_of` directly; adaptive plans
     (locality) override :meth:`for_round` to bind themselves to a
     round's instance first.  ``partition_round`` always calls
-    ``plan.for_round(instance)`` before asking for assignments.
+    ``plan.for_round(instance, layout)`` before asking for assignments.
     """
 
     n_shards: int
@@ -82,8 +82,17 @@ class ShardPlan:
     def shard_of(self, buyer: int) -> int:
         raise NotImplementedError
 
-    def for_round(self, instance: WSPInstance) -> "ShardPlan":
-        """Bind the plan to one round's market (default: already bound)."""
+    def for_round(
+        self,
+        instance: WSPInstance,
+        layout: "ColumnarInstance | None" = None,
+    ) -> "ShardPlan":
+        """Bind the plan to one round's market (default: already bound).
+
+        ``layout``, when given, is the round's columnar layout over its
+        positive demand; an adaptive plan reads the bids' covers from it
+        instead of from ``instance.bids``.
+        """
         return self
 
 
@@ -172,14 +181,28 @@ class LocalityShardPlan(ShardPlan):
             return self._fallback.shard_of(buyer)
         return shard
 
-    def for_round(self, instance: WSPInstance) -> "LocalityShardPlan":
+    def for_round(
+        self,
+        instance: WSPInstance,
+        layout: "ColumnarInstance | None" = None,
+    ) -> "LocalityShardPlan":
         if self.assignment is not None:
             return self
+        if layout is None:
+            covers = (bid.covered for bid in instance.bids)
+        else:
+            # The layout's CSR cover holds each row's positively demanded
+            # buyers, so no (scaled) Bid is built to read them.
+            buyers = layout.buyers
+            cols = layout.cover_cols.tolist()
+            indptr = layout.cover_indptr.tolist()
+            covers = (
+                [buyers[c] for c in cols[a:b]]
+                for a, b in zip(indptr, indptr[1:])
+            )
         return LocalityShardPlan(
             n_shards=self.n_shards,
-            assignment=self._components_assignment(
-                instance.bids, instance.demand
-            ),
+            assignment=self._components_assignment(covers, instance.demand),
         )
 
     @classmethod
@@ -193,12 +216,17 @@ class LocalityShardPlan(ShardPlan):
         plan = cls(n_shards=n_shards)
         return LocalityShardPlan(
             n_shards=n_shards,
-            assignment=plan._components_assignment(bids, demand),
+            assignment=plan._components_assignment(
+                (bid.covered for bid in bids), demand
+            ),
         )
 
     def _components_assignment(
-        self, bids: Sequence[Bid], demand: Mapping[int, int]
+        self, covers: Iterable[Iterable[int]], demand: Mapping[int, int]
     ) -> dict[int, int]:
+        """Bin-pack the co-coverage components; ``covers`` holds each
+        bid's covered buyers (buyers without positive demand are
+        ignored)."""
         positive = sorted(b for b, u in demand.items() if u > 0)
         parent = {b: b for b in positive}
 
@@ -210,8 +238,8 @@ class LocalityShardPlan(ShardPlan):
                 parent[b], b = root, parent[b]
             return root
 
-        for bid in bids:
-            touched = [b for b in bid.covered if b in parent]
+        for covered in covers:
+            touched = [b for b in covered if b in parent]
             for other in touched[1:]:
                 ra, rb = find(touched[0]), find(other)
                 if ra != rb:
@@ -336,10 +364,9 @@ def partition_round(
     sellers live in two shards, and its price column the effective
     ceiling.  So a :class:`~repro.core.outcomes.ScaledBids` round
     builds a scaled :class:`Bid` only for its cross-shard bids; each
-    shard's ``local_bids`` is a lazy view of ``instance.bids``.
+    shard's ``local_bids`` is a lazy view of ``instance.bids``.  An
+    unbound locality plan binds from the same layout.
     """
-    plan = plan.for_round(instance)
-    n_shards = plan.n_shards
     demand = {b: u for b, u in instance.demand.items() if u > 0}
     if layout is None:
         from repro.core.columnar import ColumnarInstance
@@ -347,6 +374,8 @@ def partition_round(
         layout = ColumnarInstance.build(instance.bids, demand)
     elif layout.buyers != list(demand):
         raise ValueError("partition_round: layout is not over the positive demand")
+    plan = plan.for_round(instance, layout)
+    n_shards = plan.n_shards
     shard_of_col = np.array(
         [plan.shard_of(b) for b in layout.buyers], dtype=np.int64
     )

@@ -2,9 +2,9 @@
 
 A deliberately small, dependency-free DES kernel: a clock, an event queue,
 and a dispatch table mapping :class:`~repro.sim.events.EventKind` to handler
-callables.  Handlers receive the engine itself plus the event, and may
-schedule further events.  The engine enforces the fundamental DES invariant
-that time never moves backwards.
+callables, indexed by the integer kind.  Handlers receive the engine itself
+plus the event, and may schedule further events.  The engine enforces the
+fundamental DES invariant that time never moves backwards.
 
 The request-processing processes built on top of this kernel live in
 :mod:`repro.sim.processes`.
@@ -12,6 +12,7 @@ The request-processing processes built on top of this kernel live in
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable
 
 from repro.errors import SimulationError
@@ -40,7 +41,9 @@ class SimulationEngine:
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._handlers: dict[EventKind, list[Handler]] = {kind: [] for kind in EventKind}
+        # One handler list per kind, at the index of the kind's value:
+        # dispatch indexes a list instead of hashing the kind.
+        self._handlers: list[list[Handler]] = [[] for _ in EventKind]
         self._now = 0.0
         self._processed = 0
 
@@ -102,8 +105,13 @@ class SimulationEngine:
             raise SimulationError(
                 f"horizon {horizon} is before current time {self._now}"
             )
+        # The heap is re-checked before each pop, so events that handlers
+        # push during the run are dispatched in their turn.
+        heap = self._queue._heap
+        pop = heapq.heappop
         handlers = self._handlers
-        for event in self._queue.pop_before(horizon):
+        while heap and heap[0].time < horizon:
+            event = pop(heap)
             self._now = event.time
             self._processed += 1
             for handler in handlers[event.kind]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from typing import Any
 
 from repro.errors import SimulationError
@@ -21,42 +21,58 @@ from repro.errors import SimulationError
 __all__ = ["EventKind", "Event", "EventQueue"]
 
 
-class EventKind(enum.Enum):
-    """The kinds of events the edge-cloud request simulator understands."""
+class EventKind(enum.IntEnum):
+    """The kinds of events the edge-cloud request simulator understands.
 
-    ARRIVAL = "arrival"
+    The kinds are small consecutive integers, so the engine dispatches an
+    event by indexing a list of handler lists with its kind: no
+    ``Enum.__hash__`` call per event.
+    """
+
+    ARRIVAL = 0
     """A user request arrives at a microservice's queue."""
 
-    SERVICE_START = "service_start"
+    SERVICE_START = 1
     """A queued request begins execution on allocated resources."""
 
-    DEPARTURE = "departure"
+    DEPARTURE = 2
     """A request finishes execution and leaves the system."""
 
-    ROUND_BOUNDARY = "round_boundary"
+    ROUND_BOUNDARY = 3
     """An auction-round boundary: metrics are snapshotted and reset."""
 
-    CUSTOM = "custom"
+    CUSTOM = 4
     """A user-defined event processed by a registered handler."""
 
 
-@dataclass(frozen=True, order=True)
-class Event:
-    """A single simulation event.
+class Event(namedtuple("Event", ("time", "sequence", "kind", "payload"))):
+    """A single simulation event: an immutable ``(time, sequence, kind, payload)``.
 
-    Events are totally ordered by ``(time, sequence)``; ``kind`` and
-    ``payload`` are excluded from the comparison so heterogeneous payloads
-    never break heap ordering.
+    A tuple subclass, so building one costs a tuple and the heap compares
+    events in C.  Equality, order and hash are the tuple's, field by
+    field.  An :class:`EventQueue` gives every event a unique sequence
+    number, so within one queue the order is decided by
+    ``(time, sequence)`` and never reaches ``kind`` or ``payload``.
+    Hashing an event hashes its payload too, and so fails for an
+    unhashable payload.
     """
 
-    time: float
-    sequence: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise SimulationError(f"event time must be non-negative, got {self.time}")
+    def __new__(
+        cls, time: float, sequence: int, kind: EventKind, payload: Any = None
+    ) -> Event:
+        if time < 0:
+            raise SimulationError(f"event time must be non-negative, got {time}")
+        return tuple.__new__(cls, (time, sequence, kind, payload))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Event:
+        # namedtuple's own _make (and so _replace) would skip the check.
+        return cls(*iterable)
+
+
+_new_tuple = tuple.__new__
 
 
 class EventQueue:
@@ -66,46 +82,34 @@ class EventQueue:
     time, kind, and payload.  Popping from an empty queue raises
     :class:`~repro.errors.SimulationError` rather than returning a sentinel,
     because an empty queue mid-simulation indicates a scheduling bug.
-
-    The heap holds ``(time, sequence, event)`` tuples: the same
-    ``(time, sequence)`` order as :class:`Event`'s own comparison, decided
-    by C tuple comparison instead of the dataclass's generated ``__lt__``.
-    Sequence numbers are unique, so the comparison never reaches the event.
+    The heap holds the events themselves, ordered by tuple comparison.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._counter = itertools.count()
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event and return the stored record."""
-        sequence = next(self._counter)
-        event = Event(time, sequence, kind, payload)
-        heapq.heappush(self._heap, (time, sequence, event))
+        if time < 0:
+            raise SimulationError(f"event time must be non-negative, got {time}")
+        # Event's own check, made here: the record is then built without
+        # a second Python call per event.
+        event = _new_tuple(Event, (time, next(self._counter), kind, payload))
+        heapq.heappush(self._heap, event)
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("cannot pop from an empty event queue")
-        return heapq.heappop(self._heap)[2]
+        return heapq.heappop(self._heap)
 
     def peek(self) -> Event:
         """Return the earliest event without removing it."""
         if not self._heap:
             raise SimulationError("cannot peek into an empty event queue")
-        return self._heap[0][2]
-
-    def pop_before(self, horizon: float) -> Iterator[Event]:
-        """Pop, in order, every event earlier than ``horizon``.
-
-        The heap is re-checked before each pop, so events pushed while the
-        iteration runs (by the handlers of the events it yields) are popped
-        in their turn when they fall before the horizon.
-        """
-        heap = self._heap
-        while heap and heap[0][0] < horizon:
-            yield heapq.heappop(heap)[2]
+        return self._heap[0]
 
     def __len__(self) -> int:
         return len(self._heap)

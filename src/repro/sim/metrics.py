@@ -146,14 +146,6 @@ class MicroserviceStats:
         self._busy_since = now
         self._busy_fraction = min(1.0, fraction)
 
-    def mark_busy(self, now: float) -> None:
-        """Record that the server became fully busy at time ``now``."""
-        self.set_busy_fraction(now, 1.0)
-
-    def mark_idle(self, now: float) -> None:
-        """Record that the server went idle at time ``now``."""
-        self.set_busy_fraction(now, 0.0)
-
     def snapshot(
         self,
         round_index: int,

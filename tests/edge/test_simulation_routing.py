@@ -13,6 +13,8 @@ demand and clearing outcomes are compared with ``float.hex``.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -163,3 +165,33 @@ def test_each_arrival_reaches_one_server_and_its_process(shape):
         assert processes == [("process", sid, None)] * len(processes)
         # The server runs before the process, as with the fan-out wiring.
         assert calls[start][0] == "server"
+
+
+def routed_digest(shape):
+    """sha256 of every seed's routed fingerprint, event count and RNG state."""
+    digest = hashlib.sha256()
+    for seed in SEEDS:
+        platform = build(SHAPES[shape](seed))
+        reports = platform.run()
+        record = {
+            "fingerprint": fingerprint(reports),
+            "events": platform._engine.processed_events,
+            "rng": platform.rng.bit_generator.state,
+        }
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+#: Routed-run digests recorded with the frozen-dataclass simulator,
+#: before its per-event path was slimmed.  The fan-out oracle above runs
+#: through the same server, process and event code as the routed path,
+#: so it cannot catch a change that alters both alike; these can.
+PINNED_DIGESTS = {
+    "default": "e7573ab461000cc496f4206b0d3b6189a7bd341b8029fd2cd806cb23d61bbdd1",
+    "four_cloud": "767bee877203f2835746237627b7db384290428ca7ad0d6f96dc71327edddd98",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_routed_dispatch_is_pinned(shape):
+    assert routed_digest(shape) == PINNED_DIGESTS[shape]

@@ -181,7 +181,7 @@ class TestColumnarRound:
     bids from its layout's columns."""
 
     @staticmethod
-    def _rounds(monkeypatch, count=6):
+    def _rounds(monkeypatch, count=6, plan=None, stream=STREAM):
         import repro.shard.msoa as shard_msoa
 
         results = []
@@ -192,11 +192,11 @@ class TestColumnarRound:
 
         monkeypatch.setattr(shard_msoa, "run_sharded_ssam", recorded)
         auction = ShardedOnlineAuction(
-            stream_capacities(STREAM),
-            plan=region_plan(STREAM),
+            stream_capacities(stream),
+            plan=region_plan(stream) if plan is None else plan,
             engine="columnar",
         )
-        for instance in list(stream_rounds(STREAM, np.random.default_rng(5)))[
+        for instance in list(stream_rounds(stream, np.random.default_rng(5)))[
             :count
         ]:
             auction.process_round(instance)
@@ -215,6 +215,39 @@ class TestColumnarRound:
             }
             assert built == expected
             assert len(built) < len(scaled)
+            checked += 1
+        assert checked >= 3
+
+    def test_locality_round_builds_bids_only_for_winners_and_cross_bids(
+        self, monkeypatch
+    ):
+        # Four regions with few cross-region bids: the co-coverage graph
+        # has several components, so the plan splits the round.
+        stream = StreamConfig(
+            rounds=6,
+            regions=4,
+            buyers_per_region=5,
+            sellers_per_region=15,
+            cross_region_fraction=0.02,
+        )
+        checked = 0
+        for result in self._rounds(
+            monkeypatch, plan=make_plan("locality", 2), stream=stream
+        ):
+            if result.stats.clamped_shards:
+                continue  # a clamped shard re-clears from its bids
+            scaled = result.outcome.instance.bids
+            assert isinstance(scaled, ScaledBids)
+            built = {bid.key for bid in scaled._built.values()}
+            expected = {w.bid.key for w in result.outcome.winners} | {
+                bid.key for bid in result.partition.cross_bids
+            }
+            assert built == expected
+            assert len(built) < len(scaled)
+            # The plan bound from the layout's cover equals the one bound
+            # by a walk over the (now all built) bid objects.
+            walked = make_plan("locality", 2).for_round(result.outcome.instance)
+            assert result.partition.plan.assignment == walked.assignment
             checked += 1
         assert checked >= 3
 

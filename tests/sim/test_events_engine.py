@@ -35,6 +35,15 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
             Event(time=-1.0, sequence=0, kind=EventKind.CUSTOM)
+        with pytest.raises(SimulationError):
+            EventQueue().push(-1.0, EventKind.CUSTOM)
+        event = Event(time=1.0, sequence=0, kind=EventKind.CUSTOM)
+        with pytest.raises(SimulationError):
+            event._replace(time=-1.0)
+
+    def test_kinds_index_the_handler_table(self):
+        # The engine keeps one handler list per kind, at the kind's value.
+        assert [int(kind) for kind in EventKind] == list(range(len(EventKind)))
 
     def test_clear_empties(self):
         queue = EventQueue()

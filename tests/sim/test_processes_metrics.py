@@ -33,6 +33,16 @@ class TestRequest:
         with pytest.raises(SimulationError):
             Request(request_id=0, microservice=1, user=0, arrival_time=0.0, work=0.0)
 
+    def test_replace_keeps_the_checks(self):
+        request = Request(
+            request_id=0, microservice=1, user=0, arrival_time=2.0, work=1.0
+        )
+        with pytest.raises(SimulationError):
+            request._replace(work=-1.0)
+        with pytest.raises(SimulationError):
+            request._replace(deadline=1.0)
+        assert request._replace(deadline=3.0).deadline == 3.0
+
 
 class TestRequestServer:
     def test_processes_all_requests_when_overprovisioned(self):
@@ -151,9 +161,9 @@ class TestMetrics:
 
     def test_reset_preserves_busy_state(self):
         stats = MicroserviceStats(microservice=1)
-        stats.mark_busy(1.0)
+        stats.set_busy_fraction(1.0, 1.0)
         stats.reset(now=5.0)
-        stats.mark_idle(7.0)
+        stats.set_busy_fraction(7.0, 0.0)
         assert stats.busy_time == pytest.approx(2.0)
 
     def test_arrival_rate_hint_overrides_target(self):
