@@ -29,7 +29,7 @@ def simulate(rate: float, allocation: float, seed: int = 3, horizon: float = 120
     engine = SimulationEngine()
     server = RequestServer(microservice=1, allocation=allocation)
     engine.register(EventKind.ARRIVAL, server.handle_arrival)
-    engine.register(EventKind.DEPARTURE, server.handle_departure)
+    engine.attach(server)
     process = ArrivalProcess(
         microservice=1,
         rate=rate,

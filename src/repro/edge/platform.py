@@ -467,16 +467,14 @@ class EdgePlatform:
     def _build_simulation(self) -> None:
         """One server per microservice, one arrival process per loaded one.
 
-        The engine gets one ARRIVAL and one DEPARTURE handler, each routing
-        the event to its microservice's server (and, on ARRIVAL, process)
-        rather than offering it to all of them.
+        Every server is attached to the engine; the one ARRIVAL handler calls
+        the request's ``(accept, schedule_next)`` pair, server first.
         """
         horizon = self.config.round_length * self.horizon_rounds
         rate_per_service: dict[int, float] = {}
         for user in self.users:
-            rate_per_service[user.target_service] = (
-                rate_per_service.get(user.target_service, 0.0) + user.request_rate
-            )
+            sid = user.target_service
+            rate_per_service[sid] = rate_per_service.get(sid, 0.0) + user.request_rate
         for sid, service in self._services.items():
             server = RequestServer(
                 microservice=sid,
@@ -484,9 +482,10 @@ class EdgePlatform:
                 speed_per_unit=self.config.speed_per_unit,
             )
             self._servers[sid] = server
+            self._engine.attach(server)
             rate = rate_per_service.get(sid, 0.0)
             if rate > 0:
-                process = ArrivalProcess(
+                self._arrivals[sid] = ArrivalProcess(
                     microservice=sid,
                     rate=rate,
                     horizon=horizon,
@@ -494,25 +493,20 @@ class EdgePlatform:
                     work_mean=self.config.work_mean,
                     user_pool=max(1, len(self.users)),
                 )
-                self._arrivals[sid] = process
+        # Only arrival processes schedule ARRIVALs, so the service has one.
+        self._routes = {
+            sid: (self._servers[sid].accept, process.schedule_next)
+            for sid, process in self._arrivals.items()
+        }
         self._engine.register(EventKind.ARRIVAL, self._route_arrival)
-        self._engine.register(EventKind.DEPARTURE, self._route_departure)
         for process in self._arrivals.values():
             process.start(self._engine)
 
     def _route_arrival(self, engine: SimulationEngine, event: Event) -> None:
-        # Only arrival processes schedule ARRIVALs, so the service has one.
-        # Server before process: a service start's DEPARTURE is sequenced
-        # before the next ARRIVAL, as when each server's handle_arrival is
-        # registered ahead of its process's on_arrival.
-        request = event.payload
-        sid = request.microservice
-        self._servers[sid].accept(engine, request)
-        self._arrivals[sid].schedule_next(engine, event.time)
-
-    def _route_departure(self, engine: SimulationEngine, event: Event) -> None:
-        sid, request_id = event.payload
-        self._servers[sid].complete(engine, request_id, event.time)
+        now, _, _, request = event
+        accept, schedule_next = self._routes[request.microservice]
+        accept(request, now)
+        schedule_next(engine, now)
 
     # ------------------------------------------------------------------
     # the per-round lifecycle
@@ -550,9 +544,13 @@ class EdgePlatform:
 
     @profiled("platform.simulate")
     def _simulate(self, round_index: int, round_end: float) -> None:
-        """Run the request simulator up to the end of round ``round_index``."""
-        with _OBS.tracer.span("platform.simulate", round_index=round_index):
-            self._engine.run_until(round_end)
+        """Simulate to round ``round_index``'s end; a traced span gets ``events``."""
+        engine, tracer = self._engine, _OBS.tracer
+        with tracer.span("platform.simulate", round_index=round_index) as span:
+            before = engine.processed_events if tracer.enabled else 0
+            engine.run_until(round_end)
+            if tracer.enabled:
+                tracer.annotate(span, events=engine.processed_events - before)
 
     def seller_contexts(
         self, buyers: Mapping[int, int]

@@ -30,18 +30,12 @@ class EventKind(enum.IntEnum):
     """
 
     ARRIVAL = 0
-    """A user request arrives at a microservice's queue."""
+    """A user request arrives at a microservice (its completion is no event)."""
 
-    SERVICE_START = 1
-    """A queued request begins execution on allocated resources."""
-
-    DEPARTURE = 2
-    """A request finishes execution and leaves the system."""
-
-    ROUND_BOUNDARY = 3
+    ROUND_BOUNDARY = 1
     """An auction-round boundary: metrics are snapshotted and reset."""
 
-    CUSTOM = 4
+    CUSTOM = 2
     """A user-defined event processed by a registered handler."""
 
 
@@ -113,9 +107,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
     def clear(self) -> None:
         """Drop all pending events (used between independent runs)."""

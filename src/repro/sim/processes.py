@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable
+from heapq import heappop, heappush
 from typing import Any
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = ["Request", "ArrivalProcess", "RequestServer"]
 # Looked up once: reading a member off the enum class costs ~0.1 µs, paid
 # on every scheduled event otherwise.
 _ARRIVAL = EventKind.ARRIVAL
-_DEPARTURE = EventKind.DEPARTURE
 
 
 class Request(
@@ -157,10 +157,17 @@ class RequestServer:
     resources.  Statistics are accumulated into a
     :class:`~repro.sim.metrics.MicroserviceStats`.
 
-    ``handle_arrival`` / ``handle_departure`` are engine handlers that
-    ignore events of other microservices, so several servers can share one
-    engine's handler lists.  A caller that already routes events by
-    microservice calls :meth:`accept` and :meth:`complete` directly.
+    A completion is not an engine event: the requests in service sit in a
+    min-heap of ``(end, seq, request, start)``, ``seq`` counting service
+    starts, and :meth:`advance` retires them in that order.  The server
+    advances on its own arrivals, in :meth:`set_allocation` and, once
+    :meth:`SimulationEngine.attach`-ed, at every ``run_until`` horizon; its
+    state is exact at those times.  A request ending at exactly ``t`` is
+    still in service at ``t``, for an arrival as for a horizon.
+
+    ``handle_arrival`` ignores requests of other microservices, so several
+    servers can share one engine's handler list; a caller that already
+    routes arrivals calls :meth:`accept`.
     """
 
     def __init__(
@@ -182,9 +189,10 @@ class RequestServer:
         self.speed_per_unit = speed_per_unit
         self.discipline = discipline
         self.stats = MicroserviceStats(microservice=microservice, allocation=allocation)
-        self._waiting: list[Request] = []
-        # request id -> (request, service start time)
-        self._in_service: dict[int, tuple[Request, float]] = {}
+        self._waiting: deque[Request] = deque()
+        self._running: list[tuple[float, int, Request, float]] = []
+        self._starts = itertools.count()
+        self.retired = 0  # completions the attached engine has not counted
         self.set_allocation(allocation, now=0.0)
 
     @property
@@ -209,107 +217,96 @@ class RequestServer:
 
     @property
     def busy_slots(self) -> int:
-        """Requests currently in service."""
-        return len(self._in_service)
+        """Requests in service as of the server's last advance."""
+        return len(self._running)
 
     def set_allocation(self, allocation: float, now: float) -> None:
-        """Re-allocate resources (takes effect for future service starts).
+        """Advance to ``now``, then re-allocate for future service starts.
 
-        Slot count and per-slot speed are computed here, once per
-        allocation, not on every service start.
+        Requests in service keep their end times; a growth starts no queued
+        request before the next arrival or completion.
         """
         if allocation <= 0:
             raise SimulationError(f"allocation must be positive, got {allocation}")
+        self.advance(now)
         self._allocation = allocation
         self._slots = max(1, int(allocation))
         self._speed = self.speed_per_unit * allocation / self._slots
         self.stats.allocation = allocation
-        del now  # reallocation is instantaneous in this model
 
     def handle_arrival(self, engine: SimulationEngine, event: Event) -> None:
-        """ARRIVAL handler: enqueue the request and try to start service."""
+        """ARRIVAL handler: accept the request if it is this server's own."""
         request = event.payload
         if isinstance(request, Request) and request.microservice == self.microservice:
-            self.accept(engine, request)
+            self.accept(request, event.time)
 
-    def handle_departure(self, engine: SimulationEngine, event: Event) -> None:
-        """DEPARTURE handler: complete the request and pull the next one."""
-        payload = event.payload
-        if not isinstance(payload, tuple) or len(payload) != 2:
+    def accept(self, request: Request, now: float) -> None:
+        """Take ``request`` arriving at ``now``, after retiring what ended before."""
+        running = self._running
+        if running and running[0][0] < now:
+            self.advance(now)
+        self.stats.received += 1
+        waiting = self._waiting
+        slots = self._slots
+        if not waiting and len(running) < slots:
+            # A free slot and no queue: start at once.  The deadline is at
+            # or after the arrival, so the request is never stale.
+            end = now + request.work / self._speed
+            heappush(running, (end, next(self._starts), request, now))
+            self.stats.set_busy_fraction(now, len(running) / slots)
             return
-        microservice, request_id = payload
-        if microservice == self.microservice:
-            self.complete(engine, request_id, event.time)
+        waiting.append(request)
+        if len(running) < slots:
+            self._start_waiting(now, False)
 
-    def accept(self, engine: SimulationEngine, request: Request) -> None:
-        """Enqueue an arriving request of this microservice; start what fits."""
-        self.stats.record_arrival()
-        self._waiting.append(request)
-        if len(self._in_service) < self._slots:
-            self._start_waiting(engine, engine.now, False)
+    def advance(self, time: float) -> None:
+        """Retire, in ``(end, seq)`` order, every request ending before ``time``.
 
-    def complete(self, engine: SimulationEngine, request_id: int, now: float) -> None:
-        """Finish request ``request_id`` at ``now`` and pull the next one.
-
-        ``now`` is the engine's clock: the time of the departure event.
+        Each retirement records the completion, starts what is queued at
+        ``now = end`` and syncs the busy fraction once.
         """
-        record = self._in_service.pop(request_id, None)
-        if record is None:
-            raise SimulationError(
-                f"departure for unknown request {request_id} at microservice "
-                f"{self.microservice}"
-            )
-        request, started_at = record
-        self.stats.record_completion(
-            waiting_time=started_at - request.arrival_time,
-            execution_time=now - started_at,
-        )
-        self._start_waiting(engine, now, True)
+        running = self._running
+        stats = self.stats
+        while running and running[0][0] < time:
+            end, _, request, start = heappop(running)
+            stats.record_completion(start - request.arrival_time, end - start)
+            self.retired += 1
+            if self._waiting:
+                self._start_waiting(end, True)
+            else:  # nothing to start: one call less per completion
+                slots = self._slots
+                stats.set_busy_fraction(end, min(len(running), slots) / slots)
 
-    def _start_waiting(
-        self, engine: SimulationEngine, now: float, changed: bool
-    ) -> None:
+    def _start_waiting(self, now: float, changed: bool) -> None:
         """Start queued requests on free slots, then sync the busy fraction.
 
-        ``changed`` says the caller already changed the busy count (a
-        departure).  The busy fraction (slot-weighted 𝕃) is synced once,
-        after every start, if any request started or ``changed`` is set.
-        A sync per change would add only ``fraction × 0.0`` for the later
-        ones, so one sync at the final count accrues the same busy time.
-
-        A shrinking :meth:`set_allocation` leaves requests already in
-        service running past the new slot count; the server counts as
-        fully busy until enough of them depart.
+        The busy fraction (slot-weighted 𝕃) is synced once, after every
+        start, if a request started or ``changed`` (a retirement) is set:
+        a sync per change would add only ``fraction × 0.0`` for the later
+        ones.  After a shrinking :meth:`set_allocation` the server counts
+        as fully busy until enough requests in service retire.
         """
         waiting = self._waiting
-        in_service = self._in_service
+        running = self._running
         slots = self._slots
-        while waiting and len(in_service) < slots:
-            request = waiting.pop(0) if self.discipline == "fifo" else self._pop_edf()
+        while waiting and len(running) < slots:
+            request = waiting.popleft() if self.discipline == "fifo" else self._pop_edf()
             deadline = request.deadline
             if deadline is not None and now > deadline:
                 # Stale in queue: the client gave up; count and move on.
                 self.stats.record_drop()
                 continue
-            request_id = request.request_id
-            in_service[request_id] = (request, now)
-            engine.schedule_after(
-                request.work / self._speed,
-                _DEPARTURE,
-                (self.microservice, request_id),
-            )
+            end = now + request.work / self._speed
+            heappush(running, (end, next(self._starts), request, now))
             changed = True
         if changed:
-            self.stats.set_busy_fraction(now, min(len(in_service), slots) / slots)
+            self.stats.set_busy_fraction(now, min(len(running), slots) / slots)
 
     def _pop_edf(self) -> Request:
         """Dequeue the earliest deadline (no deadline last), FIFO on ties."""
-        waiting = self._waiting
-        position = min(
-            range(len(waiting)),
-            key=lambda i: (
-                waiting[i].deadline if waiting[i].deadline is not None else math.inf,
-                i,
-            ),
+        request = min(  # min keeps the first of equal keys
+            self._waiting,
+            key=lambda r: math.inf if r.deadline is None else r.deadline,
         )
-        return waiting.pop(position)
+        self._waiting.remove(request)
+        return request

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.wsp import WSPInstance
 from repro.errors import InfeasibleInstanceError, SolverError
@@ -72,6 +71,9 @@ def solve_lp_relaxation(instance: WSPInstance) -> LPRelaxation:
         )
     if not instance.bids:
         raise InfeasibleInstanceError("no bids but positive demand")
+    # Imported here, not with the package: see repro.solvers.milp._solve.
+    from scipy.optimize import linprog
+
     c, a_cover, b_cover, a_seller, b_seller = instance.constraint_matrices()
     n = len(instance.bids)
     # linprog uses A_ub @ x <= b_ub; coverage is >=, so negate.

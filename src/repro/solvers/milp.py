@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.bids import Bid
 from repro.core.wsp import WSPInstance
 from repro.errors import InfeasibleInstanceError, SolverError
+
+if TYPE_CHECKING:
+    from scipy.optimize import LinearConstraint
 
 __all__ = ["ExactSolution", "solve_wsp_optimal", "solve_horizon_optimal"]
 
@@ -52,6 +55,10 @@ def _solve(
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
 ) -> np.ndarray:
+    # scipy.optimize is imported where a program is solved: it is most of
+    # the package's import time, and no clearing path solves one.
+    from scipy.optimize import Bounds, milp
+
     options: dict[str, float] = {}
     if time_limit is not None:
         options["time_limit"] = time_limit
@@ -90,6 +97,8 @@ def solve_wsp_optimal(instance: WSPInstance) -> ExactSolution:
         raise InfeasibleInstanceError("no bids but positive demand")
     c, a_cover, b_cover, a_seller, b_seller = instance.constraint_matrices()
     n = len(instance.bids)
+    from scipy.optimize import LinearConstraint
+
     constraints = [
         LinearConstraint(a_cover, lb=b_cover, ub=np.inf),
         LinearConstraint(a_seller, lb=-np.inf, ub=b_seller),
@@ -143,6 +152,7 @@ def solve_horizon_optimal(
         c = np.zeros(n)
     else:
         c = np.array([bid.price for _, bid in variables], dtype=float)
+    from scipy.optimize import LinearConstraint
 
     constraints: list[LinearConstraint] = []
     # Per-round coverage (constraint 10/13).

@@ -1,12 +1,13 @@
 """Routed simulator dispatch is bit-identical to the handler fan-out.
 
-:class:`~repro.edge.platform.EdgePlatform` registers one ARRIVAL and one
-DEPARTURE handler that hand each event to its own microservice's server
-(and, on ARRIVAL, arrival process).  The oracle below rebuilds the same
+:class:`~repro.edge.platform.EdgePlatform` registers one ARRIVAL handler
+that hands each request to its own microservice's server and arrival
+process; completions are retired by the servers, which the engine
+advances at each round's end.  The oracle below rebuilds the same
 platform and re-wires its engine the way a caller holding only the public
-handlers would: every server's ``handle_arrival`` / ``handle_departure``
-and every process's ``on_arrival`` on every event, a server before its
-process, services in platform order.  Each of those handlers ignores
+handlers would: every server's ``handle_arrival`` and every process's
+``on_arrival`` on every event, a server before its process, services in
+platform order.  Each of those handlers ignores
 events of other microservices, so the two wirings must draw the shared
 platform RNG in the same order and sequence the same events — snapshots,
 demand and clearing outcomes are compared with ``float.hex``.
@@ -58,12 +59,9 @@ def fan_out(platform):
     Called before the first round: the arrival processes have drawn and
     scheduled their first arrivals, and no event has run yet.
     """
-    handlers = platform._engine._handlers
-    handlers[EventKind.ARRIVAL].clear()
-    handlers[EventKind.DEPARTURE].clear()
+    platform._engine._handlers[EventKind.ARRIVAL].clear()
     for sid, server in platform._servers.items():
         platform._engine.register(EventKind.ARRIVAL, server.handle_arrival)
-        platform._engine.register(EventKind.DEPARTURE, server.handle_departure)
         process = platform._arrivals.get(sid)
         if process is not None:
             platform._engine.register(EventKind.ARRIVAL, process.on_arrival)
@@ -132,22 +130,17 @@ def test_routed_market_is_not_empty():
 def test_each_arrival_reaches_one_server_and_its_process(shape):
     platform = build(SHAPES[shape](3))
     calls = []
-    for sid, server in platform._servers.items():
-        accept = server.accept
+    for sid, (accept, schedule_next) in platform._routes.items():
 
-        def counted_accept(engine, request, sid=sid, accept=accept):
+        def counted_accept(request, now, sid=sid, accept=accept):
             calls.append(("server", sid, request.microservice))
-            accept(engine, request)
-
-        server.accept = counted_accept
-    for sid, process in platform._arrivals.items():
-        schedule_next = process.schedule_next
+            accept(request, now)
 
         def counted_next(engine, now, sid=sid, schedule_next=schedule_next):
             calls.append(("process", sid, None))
             schedule_next(engine, now)
 
-        process.schedule_next = counted_next
+        platform._routes[sid] = (counted_accept, counted_next)
     arrivals = []
 
     def mark(engine, event):
@@ -158,13 +151,8 @@ def test_each_arrival_reaches_one_server_and_its_process(shape):
     assert arrivals
     bounds = [start for start, _ in arrivals] + [len(calls)]
     for (start, sid), end in zip(arrivals, bounds[1:]):
-        servers = [c for c in calls[start:end] if c[0] == "server"]
-        processes = [c for c in calls[start:end] if c[0] == "process"]
-        assert servers == [("server", sid, sid)]
-        assert len(processes) <= 1
-        assert processes == [("process", sid, None)] * len(processes)
-        # The server runs before the process, as with the fan-out wiring.
-        assert calls[start][0] == "server"
+        # One server call, then its process's: as with the fan-out wiring.
+        assert calls[start:end] == [("server", sid, sid), ("process", sid, None)]
 
 
 def routed_digest(shape):

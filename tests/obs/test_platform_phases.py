@@ -5,7 +5,7 @@ estimation and auction time.  Observing must not change the round.
 """
 
 from repro.dist.scenario import DistScenario, replay_scenario
-from repro.obs import observing
+from repro.obs import observing, read_trace
 
 
 def outcome_dicts(reports):
@@ -37,3 +37,22 @@ def test_simulate_and_estimate_phases_count_each_round():
         "demand.estimate": 4,
     }
     assert outcome_dicts(traced) == outcome_dicts(untraced)
+
+
+def test_traced_simulate_span_counts_arrivals_and_completions(tmp_path):
+    """``platform.simulate`` closes with ``events``: what its round ran."""
+    path = tmp_path / "platform.jsonl"
+    with observing(trace=path):
+        reports = replay_scenario(DistScenario(seed=7, horizon_rounds=4))
+    events = [
+        record["fields"]["events"]
+        for record in read_trace(path)
+        if record["kind"] == "span_end" and record["name"] == "platform.simulate"
+    ]
+    # Each arrival is one event and each completion is counted at the
+    # horizon, so a round's count is what its snapshots received and served.
+    assert events == [
+        sum(s.received + s.served for s in report.snapshots)
+        for report in reports
+    ]
+    assert all(count > 0 for count in events)

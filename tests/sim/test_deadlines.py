@@ -24,8 +24,13 @@ def make_request(rid, arrival, work=1.0, deadline=None):
 def wire(server):
     engine = SimulationEngine()
     engine.register(EventKind.ARRIVAL, server.handle_arrival)
-    engine.register(EventKind.DEPARTURE, server.handle_departure)
+    engine.attach(server)
     return engine
+
+
+def in_service(server):
+    """Ids of the requests ``server`` has in service."""
+    return {record[2].request_id for record in server._running}
 
 
 class TestRequestDeadlines:
@@ -99,8 +104,8 @@ class TestEDF:
         engine.run_until(5.5)
         # At t=5 the slot frees; EDF must have started request 2
         # (deadline 6) ahead of request 1 (deadline 100).
-        assert 2 in {r for r in server._in_service}
-        assert 1 not in {r for r in server._in_service}
+        assert 2 in in_service(server)
+        assert 1 not in in_service(server)
 
     def test_fifo_serves_in_arrival_order(self):
         server = RequestServer(microservice=1, allocation=1.0, discipline="fifo")
@@ -115,7 +120,7 @@ class TestEDF:
         engine.run_until(4.9)
         # After the long request finishes at t=5, FIFO starts request 1.
         engine.run_until(5.5)
-        assert 1 in {r for r in server._in_service}
+        assert 1 in in_service(server)
 
     def test_unknown_discipline_rejected(self):
         with pytest.raises(SimulationError):
@@ -131,7 +136,7 @@ class TestEDF:
         )
         engine.run_until(5.5)
         # At t=5 the slot frees; EDF must pick request 2 (has a deadline).
-        assert 2 in {r for r in server._in_service}
+        assert 2 in in_service(server)
 
 
 class TestArrivalProcessDeadlines:

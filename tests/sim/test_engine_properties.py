@@ -20,7 +20,9 @@ pytestmark = pytest.mark.property
 times = st.integers(0, 6).map(lambda k: k * 0.5)
 delays = st.integers(0, 4).map(lambda k: k * 0.5)
 payloads = st.dictionaries(st.text(max_size=3), st.integers(), max_size=3)
-kinds = st.sampled_from([EventKind.ARRIVAL, EventKind.DEPARTURE, EventKind.CUSTOM])
+kinds = st.sampled_from(
+    [EventKind.ARRIVAL, EventKind.ROUND_BOUNDARY, EventKind.CUSTOM]
+)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -72,7 +74,7 @@ def follow_up_engine(log):
                     "depth": payload["depth"] + 1,
                 })
 
-    for kind in (EventKind.ARRIVAL, EventKind.DEPARTURE, EventKind.CUSTOM):
+    for kind in (EventKind.ARRIVAL, EventKind.ROUND_BOUNDARY, EventKind.CUSTOM):
         engine.register(kind, handle)
     engine.register(
         EventKind.CUSTOM, lambda eng, event: log.append(("second", event.sequence))

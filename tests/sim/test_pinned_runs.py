@@ -82,7 +82,7 @@ def run(seed):
     ]
     for server, process in zip(servers, [*processes, None]):
         engine.register(EventKind.ARRIVAL, server.handle_arrival)
-        engine.register(EventKind.DEPARTURE, server.handle_departure)
+        engine.attach(server)
         if process is not None:
             engine.register(EventKind.ARRIVAL, process.on_arrival)
     for process in processes:
